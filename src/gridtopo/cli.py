@@ -32,7 +32,14 @@ from .experiments import (
 )
 from .grid import girth as grid_girth
 from .grid import grid_hash
-from .learning import check_sufficiency, edge_errors, write_sufficiency_csv, write_topology_json
+from .learning import (
+    CERTIFICATE_COLUMNS,
+    certificate_row,
+    check_sufficiency,
+    edge_errors,
+    write_sufficiency_csv,
+    write_topology_json,
+)
 from .powerflow import InjectionStats, dc_concentration, lc_concentration
 from .sampling import generate_voltage_samples, load_samples_csv, write_samples_csv
 
@@ -64,8 +71,22 @@ def _stats_options(fn):
     return fn
 
 
-def _uniform_stats(grid, sigma_pp, sigma_qq, sigma_pq) -> InjectionStats:
-    return InjectionStats.uniform(grid, sigma_pp, sigma_qq, sigma_pq)
+def _parse_tau(text, name):
+    if text is None or text in ("auto", "gap"):
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"--{name} must be a number, 'auto' or 'gap', got {text!r}") from None
+
+
+def _parse_lambda(text):
+    if text == "auto":
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"--lambda must be a number or 'auto', got {text!r}") from None
 
 
 @click.group()
@@ -126,7 +147,7 @@ def grid_info(grid_ref):
 def sample(grid_ref, model, n, seed, out, sigma_pp, sigma_qq, sigma_pq):
     """Draw voltage samples and write them as CSV + metadata sidecar."""
     g = resolve_grid(grid_ref)
-    stats = _uniform_stats(g, sigma_pp, sigma_qq, sigma_pq)
+    stats = InjectionStats.uniform(g, sigma_pp, sigma_qq, sigma_pq)
     samples = generate_voltage_samples(g, stats, model=model, n=n, seed=seed)
     write_samples_csv(samples, out)
     click.echo(f"wrote {samples.n} x {samples.dim} samples to {out} (+ {out}.meta.json)")
@@ -147,11 +168,7 @@ def sample(grid_ref, model, n, seed, out, sigma_pp, sigma_qq, sigma_pq):
 def estimate(samples_path, method, lam, tol, max_iters, penalize_diagonal, out):
     """Estimate the concentration matrix from samples."""
     samples = load_samples_csv(samples_path)
-    if lam != "auto":
-        try:
-            lam = float(lam)
-        except ValueError:
-            raise ConfigError(f"--lambda must be a number or 'auto', got {lam!r}") from None
+    lam = _parse_lambda(lam)
     cfg = GlassoConfig(tol=tol, max_iters=max_iters, diagonal_penalized=penalize_diagonal)
     est = estimate_concentration(samples, method=method, lam=lam, config=cfg)
     write_estimate_json(est, out)
@@ -182,24 +199,15 @@ def estimate(samples_path, method, lam, tol, max_iters, penalize_diagonal, out):
 def learn(conc, grid_ref, model, algo, tau1, tau2, compare_truth, out,
           sigma_pp, sigma_qq, sigma_pq):
     """Reconstruct the topology from a concentration matrix."""
-
-    def parse_tau(text, name):
-        if text in ("auto", "gap"):
-            return text
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(f"--{name} must be a number, 'auto' or 'gap', got {text!r}") from None
-
-    tau1 = parse_tau(tau1, "tau1")
-    tau2 = parse_tau(tau2, "tau2")
+    tau1 = _parse_tau(tau1, "tau1")
+    tau2 = _parse_tau(tau2, "tau2")
 
     est = None
     if conc == "exact":
         if grid_ref is None:
             raise ConfigError("--conc exact requires --grid")
         g = resolve_grid(grid_ref)
-        stats = _uniform_stats(g, sigma_pp, sigma_qq, sigma_pq)
+        stats = InjectionStats.uniform(g, sigma_pp, sigma_qq, sigma_pq)
         matrix = (dc_concentration if model == "dc" else lc_concentration)(g, stats)
     else:
         est = load_estimate_json(conc)
@@ -227,17 +235,15 @@ def learn(conc, grid_ref, model, algo, tau1, tau2, compare_truth, out,
 def certify(grid_ref, out, sigma_pp, sigma_qq, sigma_pq):
     """Per-line sufficiency certificates for thresholding recoverability."""
     g = resolve_grid(grid_ref)
-    stats = _uniform_stats(g, sigma_pp, sigma_qq, sigma_pq)
+    stats = InjectionStats.uniform(g, sigma_pp, sigma_qq, sigma_pq)
     report = check_sufficiency(g, stats)
     if out:
         write_sufficiency_csv(report, out)
         click.echo(f"wrote {len(report.certificates)} certificates to {out}")
     else:
-        click.echo("edge,theorem,satisfied,margin")
+        click.echo(",".join(CERTIFICATE_COLUMNS))
         for c in report.certificates:
-            margin = "inf" if math.isinf(c.margin) else format(c.margin, ".10g")
-            click.echo(f"{c.edge[0]}-{c.edge[1]},{c.theorem},"
-                       f"{'true' if c.satisfied else 'false'},{margin}")
+            click.echo(",".join(certificate_row(c)))
     ok = sum(1 for c in report.certificates if c.satisfied)
     click.echo(f"satisfied: {ok}/{len(report.certificates)}", err=False)
 
@@ -267,15 +273,6 @@ def experiment(config_path, grid_ref, model, algo, estimator, counts, trials, se
     Precedence: config file < command-line flags < GRIDTOPO_SEED env var.
     """
     spec = load_experiment_config(config_path) if config_path else ExperimentSpec()
-
-    def parse_tau(text, name):
-        if text is None or text in ("auto", "gap"):
-            return text
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(f"--{name} must be a number, 'auto' or 'gap', got {text!r}") from None
-
     overrides = {
         "grid": grid_ref,
         "model": model,
@@ -283,8 +280,8 @@ def experiment(config_path, grid_ref, model, algo, estimator, counts, trials, se
         "estimator": estimator,
         "trials": trials,
         "seed": seed,
-        "tau1": parse_tau(tau1, "tau1"),
-        "tau2": parse_tau(tau2, "tau2"),
+        "tau1": _parse_tau(tau1, "tau1"),
+        "tau2": _parse_tau(tau2, "tau2"),
         "exact": exact,
         "workers": workers,
     }
@@ -294,12 +291,7 @@ def experiment(config_path, grid_ref, model, algo, estimator, counts, trials, se
         except ValueError:
             raise ConfigError(f"--counts must be comma-separated integers, got {counts!r}") from None
     if lam is not None:
-        if lam != "auto":
-            try:
-                lam = float(lam)
-            except ValueError:
-                raise ConfigError(f"--lambda must be a number or 'auto', got {lam!r}") from None
-        overrides["glasso_lambda"] = lam
+        overrides["glasso_lambda"] = _parse_lambda(lam)
 
     doc = spec.to_dict()
     doc.update({k: v for k, v in overrides.items() if v is not None})

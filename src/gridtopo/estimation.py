@@ -345,8 +345,18 @@ def write_estimate_json(est: EstimatedConcentration, path) -> None:
 
 
 def load_estimate_json(path) -> EstimatedConcentration:
+    """Read an estimate JSON back; malformed files raise :class:`ConfigError`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return EstimatedConcentration.from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: estimate must be a JSON object")
+    try:
+        return EstimatedConcentration.from_dict(doc)
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing field {exc.args[0]!r}") from None
 
 
 def estimate_concentration(
@@ -367,17 +377,16 @@ def estimate_concentration(
     cov = empirical_covariance(samples.data)
     d = samples.dim
 
-    chosen = method
-    if method == "auto":
-        chosen = "direct" if samples.n >= 5 * d else "glasso"
-        if chosen == "direct":
-            try:
-                invert_covariance(cov)
-            except RankDeficiencyError:
-                chosen = "glasso"
-
-    if chosen == "direct":
+    J = None
+    if method == "direct":
         J = invert_covariance(cov)
+    elif method == "auto" and samples.n >= 5 * d:
+        try:
+            J = invert_covariance(cov)
+        except RankDeficiencyError:
+            pass
+
+    if J is not None:
         return EstimatedConcentration(
             matrix=J, labels=samples.labels, model=samples.model,
             method="direct", n_samples=samples.n,

@@ -55,7 +55,3 @@ class SampleFormatError(GridTopoError):
 
 class ConfigError(GridTopoError):
     """An experiment or solver configuration is invalid."""
-
-
-class NumericalConsistencyError(GridTopoError):
-    """An internal cross-check between two computation routes disagreed."""

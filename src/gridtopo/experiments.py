@@ -360,9 +360,3 @@ def write_results_csv(result: ExperimentResult, path) -> None:
     with open(f"{path}.meta.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_results_csv(path) -> list[dict]:
-    """Rows of a results CSV as dicts (summary rows included, trial as str)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .exceptions import (
 BUILTIN_GRIDS = ("radial20", "loopy20_c4", "loopy20_c7", "ieee14")
 
 #: weight kinds accepted by :func:`line_weight` / :func:`reduced_laplacian`
-WEIGHT_KINDS = ("susceptance", "conductance", "inv_r", "inv_x")
+WEIGHT_KINDS = ("susceptance", "conductance")
 
 
 def susceptance(r: float, x: float) -> float:
@@ -55,23 +55,12 @@ class Line:
     def key(self) -> tuple[int, int]:
         return (self.i, self.j) if self.i < self.j else (self.j, self.i)
 
-    def weight(self, kind: str = "susceptance") -> float:
-        return line_weight(self, kind)
-
 
 def line_weight(line: Line, kind: str) -> float:
     if kind == "susceptance":
         return susceptance(line.r, line.x)
     if kind == "conductance":
         return conductance(line.r, line.x)
-    if kind == "inv_r":
-        if line.r <= 0.0:
-            raise InvalidLineError(
-                f"line {line.key}: 1/r weight undefined for r={line.r!r}"
-            )
-        return 1.0 / line.r
-    if kind == "inv_x":
-        return 1.0 / line.x
     raise ValueError(f"unknown weight kind {kind!r}; expected one of {WEIGHT_KINDS}")
 
 
@@ -340,15 +329,6 @@ def reduced_laplacian(grid: Grid, kind: str = "susceptance") -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def neighbors(grid: Grid, bus: int) -> tuple[int, ...]:
-    grid.require_bus(bus)
-    return grid.adjacency[bus]
-
-
-def degree(grid: Grid, bus: int) -> int:
-    return len(neighbors(grid, bus))
-
-
 def _bfs_distances(adj: dict[int, tuple[int, ...]], source: int, skip: int | None = None) -> dict[int, int]:
     dist = {source: 0}
     queue = deque([source])
@@ -376,21 +356,6 @@ def bus_distance(grid: Grid, i: int, j: int, *, through_reference: bool = True) 
         raise UnknownBusError("distance excluding the reference is undefined for the reference bus")
     dist = _bfs_distances(grid.adjacency, i, skip=skip)
     return dist.get(j, math.inf)
-
-
-def two_hop_neighbors(grid: Grid, bus: int, *, through_reference: bool = True) -> tuple[int, ...]:
-    """Buses at hop distance exactly 2 from ``bus``."""
-    grid.require_bus(bus)
-    skip = None if through_reference else grid.reference
-    direct = set(grid.adjacency[bus])
-    out: set[int] = set()
-    for k in grid.adjacency[bus]:
-        if k == skip:
-            continue
-        for v in grid.adjacency[k]:
-            if v != bus and v != skip and v not in direct:
-                out.add(v)
-    return tuple(sorted(out))
 
 
 def girth(grid: Grid) -> float:
@@ -427,11 +392,3 @@ def grid_hash(grid: Grid) -> str:
     }
     blob = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-def iter_nonref_pairs(grid: Grid) -> Iterator[tuple[int, int]]:
-    """All unordered pairs of distinct non-reference buses, sorted."""
-    order = grid.non_reference_buses
-    for a in range(len(order)):
-        for b in range(a + 1, len(order)):
-            yield order[a], order[b]

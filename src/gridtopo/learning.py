@@ -16,6 +16,7 @@ fp/fn scoring of reconstructions against ground truth.
 """
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -24,15 +25,15 @@ from itertools import combinations
 import numpy as np
 
 from .estimation import EstimatedConcentration, concentration_standard_error
-from .exceptions import (
-    AmbiguousLeafError,
-    ConfigError,
-    GridStructureError,
-    InvalidInjectionStatsError,
-    ReconstructionError,
+from .exceptions import AmbiguousLeafError, ConfigError, GridStructureError, ReconstructionError
+from .grid import Grid, reduced_laplacian
+from .powerflow import (
+    ConcentrationMatrix,
+    InjectionStats,
+    VarLabel,
+    check_stats,
+    lc_threshold_statistic,
 )
-from .grid import Grid, line_weight
-from .powerflow import ConcentrationMatrix, InjectionStats, VarLabel, lc_threshold_statistic
 
 #: relative level of the fixed thresholds used on exact (analytic) matrices
 EXACT_TAU_REL = 1e-4
@@ -58,13 +59,6 @@ class GraphicalModel:
     edges: frozenset[tuple[VarLabel, VarLabel]]
     model: str
     tau1: float
-
-    def adjacency(self) -> dict[VarLabel, set[VarLabel]]:
-        adj: dict[VarLabel, set[VarLabel]] = {lab: set() for lab in self.labels}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
 
 
 def default_exact_tau1(conc: ConcentrationMatrix) -> float:
@@ -376,7 +370,7 @@ class EdgeCertificate:
     """Most specific satisfied recoverability condition for one true line."""
 
     edge: tuple[int, int]
-    theorem: str  # one of {"trivially-safe", "T10", "C2", "T8", "T9"}
+    theorem: str  # one of {"trivially-safe", "T10", "T8", "T9"}
     satisfied: bool
     margin: float
     checks: dict = field(default_factory=dict)
@@ -406,9 +400,6 @@ def check_sufficiency(grid: Grid, stats: InjectionStats) -> SufficiencyReport:
     * ``trivially-safe``: K empty, nothing to cancel (margin inf);
     * ``T10``: uniform injection variance; compares b_ij against the largest
       triangle leg over a constant 1 + sqrt(1 + 2/|K|);
-    * ``C2``: the same bound in line-length units under the uniform
-      line-density convention length := susceptance (recorded alongside T10,
-      never sharper under that convention);
     * ``T8``: single common neighbor, arbitrary variances;
     * ``T9``: the general (and exact) quadratic criterion
       b_ij > -b/2 + sqrt(b^2/4 + c).
@@ -417,20 +408,13 @@ def check_sufficiency(grid: Grid, stats: InjectionStats) -> SufficiencyReport:
     implies the exact DC concentration entry at (i,j) is strictly negative.
     Lines incident to the reference are omitted (no concentration entry).
     """
-    if stats.n != len(grid.non_reference_buses):
-        raise InvalidInjectionStatsError(
-            f"stats cover {stats.n} buses but grid has "
-            f"{len(grid.non_reference_buses)} non-reference buses"
-        )
+    check_stats(grid, stats)
     order = grid.index_of
-    w_total: dict[int, float] = {b: 0.0 for b in grid.buses}
-    for ln in grid.lines:
-        w = line_weight(ln, "susceptance")
-        w_total[ln.i] += w
-        w_total[ln.j] += w
+    H = reduced_laplacian(grid, "susceptance")
+    w_total = H.diagonal().tolist()  # total line weight per bus, indexed like H
 
     def w(a: int, b: int) -> float:
-        return line_weight(grid.line_between(a, b), "susceptance")
+        return -float(H[order[a], order[b]])
 
     sigma = stats.sigma_pp
     certs = []
@@ -454,8 +438,8 @@ def check_sufficiency(grid: Grid, stats: InjectionStats) -> SufficiencyReport:
         legs_j = {k: w(j, k) for k in K}
 
         # general quadratic criterion (exact: satisfied <=> entry < 0)
-        a_i = w_total[i] - b_ij
-        a_j = w_total[j] - b_ij
+        a_i = w_total[order[i]] - b_ij
+        a_j = w_total[order[j]] - b_ij
         b_coef = (s_j * a_i + s_i * a_j) / (s_i + s_j)
         c_coef = (s_i * s_j / (s_i + s_j)) * sum(
             legs_i[k] * legs_j[k] / sigma[order[k]] for k in K
@@ -477,10 +461,8 @@ def check_sufficiency(grid: Grid, stats: InjectionStats) -> SufficiencyReport:
             bound = biggest_leg / (1.0 + math.sqrt(1.0 + 2.0 / len(K)))
             margin_t10 = b_ij - bound
             checks["T10"] = (margin_t10 > 0, margin_t10)
-            # same bound restated in length units (length := susceptance)
-            checks["C2"] = (margin_t10 > 0, margin_t10)
 
-        for name in ("T10", "C2", "T8", "T9"):
+        for name in ("T10", "T8", "T9"):
             if name in checks and checks[name][0]:
                 headline = name
                 break
@@ -491,19 +473,22 @@ def check_sufficiency(grid: Grid, stats: InjectionStats) -> SufficiencyReport:
     return SufficiencyReport(grid_name=grid.name, certificates=tuple(certs))
 
 
+CERTIFICATE_COLUMNS = ("edge", "theorem", "satisfied", "margin")
+
+
+def certificate_row(cert: EdgeCertificate) -> tuple[str, str, str, str]:
+    """One certificate as its ``CERTIFICATE_COLUMNS`` text fields."""
+    margin = "inf" if math.isinf(cert.margin) else format(cert.margin, ".10g")
+    return (f"{cert.edge[0]}-{cert.edge[1]}", cert.theorem,
+            "true" if cert.satisfied else "false", margin)
+
+
 def write_sufficiency_csv(report: SufficiencyReport, path) -> None:
     """CSV with columns edge, theorem, satisfied, margin (one row per line)."""
-    import csv as _csv
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["edge", "theorem", "satisfied", "margin"])
-        for cert in report.certificates:
-            margin = "inf" if math.isinf(cert.margin) else format(cert.margin, ".10g")
-            writer.writerow(
-                [f"{cert.edge[0]}-{cert.edge[1]}", cert.theorem,
-                 "true" if cert.satisfied else "false", margin]
-            )
+        writer = csv.writer(fh)
+        writer.writerow(CERTIFICATE_COLUMNS)
+        writer.writerows(certificate_row(cert) for cert in report.certificates)
 
 
 # ----------------------------------------------------------------------

@@ -10,25 +10,20 @@ Two models over a grid with fluctuating nodal injections:
   with H_g the conductance-weighted reduced Laplacian.
 
 Injections are zero-mean with per-bus 2x2 covariance and no cross-bus
-correlation, so voltage covariance and its inverse (the concentration
-matrix) have closed forms in the line weights, implemented here entry-wise
-and cross-checked against dense matrix products.
+correlation, so the inverse voltage covariance (the concentration matrix) is
+the product of the system matrix with the per-bus injection concentration on
+both sides: J = H_b diag(1/sigma_pp) H_b (DC) or J = S Cov([p; q])^{-1} S
+(LC).  Each is built once, by that product.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import (
-    InvalidInjectionStatsError,
-    ModelMismatchError,
-    NumericalConsistencyError,
-)
-from .grid import Grid, line_weight, reduced_laplacian
-
-_SELF_CHECK_RTOL = 1e-9
+from .exceptions import InvalidInjectionStatsError, ModelMismatchError
+from .grid import Grid, reduced_laplacian
 
 
 class VarLabel(NamedTuple):
@@ -106,30 +101,6 @@ class InjectionStats:
         n = len(grid.non_reference_buses)
         return cls(np.full(n, sigma_pp), np.full(n, sigma_qq), np.full(n, sigma_pq))
 
-    def to_dict(self) -> dict:
-        return {
-            "sigma_pp": self.sigma_pp.tolist(),
-            "sigma_qq": self.sigma_qq.tolist(),
-            "sigma_pq": self.sigma_pq.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict, grid: Grid) -> "InjectionStats":
-        n = len(grid.non_reference_buses)
-
-        def expand(v, default):
-            if v is None:
-                v = default
-            arr = np.asarray(v, dtype=float)
-            return np.full(n, float(arr)) if arr.ndim == 0 else arr
-
-        pp = expand(doc.get("sigma_pp"), 1.0)
-        return cls(
-            pp,
-            expand(doc.get("sigma_qq"), 1.0),
-            expand(doc.get("sigma_pq"), 0.5 * float(np.mean(pp))),
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class ConcentrationMatrix:
@@ -138,7 +109,6 @@ class ConcentrationMatrix:
     matrix: np.ndarray
     labels: tuple[VarLabel, ...]
     model: str  # "dc" or "lc"
-    validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         M = np.asarray(self.matrix, dtype=float)
@@ -148,15 +118,14 @@ class ConcentrationMatrix:
             raise ValueError("concentration matrix shape does not match labels")
         if self.model not in ("dc", "lc"):
             raise ModelMismatchError(f"model must be 'dc' or 'lc', got {self.model!r}")
-        if self.validate:
-            scale = np.abs(M).max()
-            if not np.allclose(M, M.T, atol=1e-8 * max(scale, 1.0)):
-                raise ValueError("concentration matrix is not symmetric")
-            object.__setattr__(self, "matrix", (M + M.T) / 2.0)
-            try:
-                np.linalg.cholesky(self.matrix)
-            except np.linalg.LinAlgError:
-                raise ValueError("concentration matrix is not positive definite") from None
+        scale = np.abs(M).max()
+        if not np.allclose(M, M.T, atol=1e-8 * max(scale, 1.0)):
+            raise ValueError("concentration matrix is not symmetric")
+        object.__setattr__(self, "matrix", (M + M.T) / 2.0)
+        try:
+            np.linalg.cholesky(self.matrix)
+        except np.linalg.LinAlgError:
+            raise ValueError("concentration matrix is not positive definite") from None
 
     @property
     def buses(self) -> tuple[int, ...]:
@@ -169,10 +138,6 @@ class ConcentrationMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def entry(self, a: VarLabel, b: VarLabel) -> float:
-        idx = {lab: k for k, lab in enumerate(self.labels)}
-        return float(self.matrix[idx[a], idx[b]])
-
     def block(self, kind_row: str, kind_col: str) -> np.ndarray:
         """Sub-matrix of all (kind_row, kind_col) label pairs, bus-ordered."""
         rows = [k for k, lab in enumerate(self.labels) if lab.kind == kind_row]
@@ -180,7 +145,8 @@ class ConcentrationMatrix:
         return self.matrix[np.ix_(rows, cols)]
 
 
-def _check_stats(grid: Grid, stats: InjectionStats) -> None:
+def check_stats(grid: Grid, stats: InjectionStats) -> None:
+    """Raise unless ``stats`` covers exactly the grid's non-reference buses."""
     if stats.n != len(grid.non_reference_buses):
         raise InvalidInjectionStatsError(
             f"stats cover {stats.n} buses but grid has "
@@ -202,70 +168,23 @@ def solve_dc(grid: Grid, p: np.ndarray) -> np.ndarray:
 
 def dc_phase_covariance(grid: Grid, stats: InjectionStats) -> np.ndarray:
     """Cov(theta) = H_b^{-1} diag(sigma_pp) H_b^{-1} over non-reference buses."""
-    _check_stats(grid, stats)
+    check_stats(grid, stats)
     H = reduced_laplacian(grid, "susceptance")
     Hinv = np.linalg.inv(H)
     cov = Hinv @ (stats.sigma_pp[:, None] * Hinv)
     return (cov + cov.T) / 2.0
 
 
-def dc_concentration(grid: Grid, stats: InjectionStats, *, self_check: bool = True) -> ConcentrationMatrix:
-    """Inverse phase covariance J = H_b diag(1/sigma_pp) H_b, built entry-wise.
+def dc_concentration(grid: Grid, stats: InjectionStats) -> ConcentrationMatrix:
+    """Inverse phase covariance J = H_b diag(1/sigma_pp) H_b.
 
-    Off-diagonal closed form for non-reference buses i != j:
-
-        J_ij = -b_ij (b_i/s_i + b_j/s_j) + sum_k b_ik b_jk / s_k
-
-    where b_ij is the line susceptance weight, b_i the total weight incident
-    to i (reference lines included), s the active-power variance, and k runs
-    over common *non-reference* neighbors of i and j.  Hence J_ij < 0 needs a
-    direct line unless a common neighbor overcomes it, J_ij > 0 happens at
-    two-hop pairs, and everything further apart is exactly zero.
-
-    ``self_check`` recomputes J as a dense triple product and raises
-    :class:`NumericalConsistencyError` if the two routes disagree.
+    Entry (i, j) couples i and j only through H_b's sparsity pattern, so J is
+    negative at direct lines (unless common neighbors overcome the direct
+    term), positive at two-hop pairs, and exactly zero further apart.
     """
-    _check_stats(grid, stats)
-    order = grid.index_of
-    buses = grid.non_reference_buses
-    n = len(buses)
-    sigma = stats.sigma_pp
-
-    w_total = {b: 0.0 for b in grid.buses}
-    for ln in grid.lines:
-        w = line_weight(ln, "susceptance")
-        w_total[ln.i] += w
-        w_total[ln.j] += w
-
-    def w_between(a: int, b: int) -> float:
-        ln = grid.line_between(a, b)
-        return line_weight(ln, "susceptance") if ln is not None else 0.0
-
-    J = np.zeros((n, n))
-    for a, i in enumerate(buses):
-        J[a, a] = w_total[i] ** 2 / sigma[a]
-        for k in grid.adjacency[i]:
-            kk = order.get(k)
-            if kk is not None:
-                J[a, a] += w_between(i, k) ** 2 / sigma[kk]
-        nbrs_i = set(grid.adjacency[i])
-        for b in range(a + 1, n):
-            j = buses[b]
-            val = 0.0
-            w_ij = w_between(i, j)
-            if w_ij:
-                val -= w_ij * (w_total[i] / sigma[a] + w_total[j] / sigma[b])
-            for k in nbrs_i.intersection(grid.adjacency[j]):
-                kk = order.get(k)
-                if kk is not None:
-                    val += w_between(i, k) * w_between(j, k) / sigma[kk]
-            J[a, b] = J[b, a] = val
-
-    if self_check:
-        H = reduced_laplacian(grid, "susceptance")
-        ref = H @ ((1.0 / sigma)[:, None] * H)
-        _assert_consistent(J, ref, "dc_concentration")
-
+    check_stats(grid, stats)
+    H = reduced_laplacian(grid, "susceptance")
+    J = H @ ((1.0 / stats.sigma_pp)[:, None] * H)
     return ConcentrationMatrix(J, dc_labels(grid), "dc")
 
 
@@ -321,80 +240,33 @@ def _injection_concentration(stats: InjectionStats) -> np.ndarray:
 
 def lc_voltage_covariance(grid: Grid, stats: InjectionStats) -> np.ndarray:
     """Cov([v; theta]) = S^{-1} Cov([p; q]) S^{-1}, labels ``lc_labels``."""
-    _check_stats(grid, stats)
+    check_stats(grid, stats)
     S = lc_system_matrix(grid)
     X = np.linalg.solve(S, _injection_covariance(stats))
     cov = np.linalg.solve(S, X.T).T
     return (cov + cov.T) / 2.0
 
 
-def lc_concentration(grid: Grid, stats: InjectionStats, *, self_check: bool = True) -> ConcentrationMatrix:
-    """Inverse LC voltage covariance via its four closed-form blocks.
+def lc_concentration(grid: Grid, stats: InjectionStats) -> ConcentrationMatrix:
+    """Inverse LC voltage covariance J = S Cov([p;q])^{-1} S.
 
-    With per-bus weights A = sigma_qq/D, B = sigma_pq/D, C = sigma_pp/D
-    (D the per-bus covariance determinant), J = S Cov([p;q])^{-1} S expands to
-
-        J_vv = Hg A Hg - Hg B Hb - Hb B Hg + Hb C Hb
-        J_vt = Hg A Hb + Hg B Hg - Hb B Hb - Hb C Hg
-        J_tt = Hb A Hb + Hb B Hg + Hg B Hb + Hg C Hg
-
-    (diag-weighted products; J_tv = J_vt^T).  The same distance-1-or-2
-    support structure as the DC concentration holds block-wise.
+    Cov([p;q])^{-1} is per-bus 2x2, so J keeps the distance-1-or-2 support
+    structure of the DC concentration in each of its four blocks.
     """
-    _check_stats(grid, stats)
-    Hb = reduced_laplacian(grid, "susceptance")
-    Hg = reduced_laplacian(grid, "conductance")
-    d = stats.det
-    A = stats.sigma_qq / d
-    B = stats.sigma_pq / d
-    C = stats.sigma_pp / d
-
-    def dw(M: np.ndarray, w: np.ndarray, N: np.ndarray) -> np.ndarray:
-        return M @ (w[:, None] * N)
-
-    J_vv = dw(Hg, A, Hg) - dw(Hg, B, Hb) - dw(Hb, B, Hg) + dw(Hb, C, Hb)
-    J_vt = dw(Hg, A, Hb) + dw(Hg, B, Hg) - dw(Hb, B, Hb) - dw(Hb, C, Hg)
-    J_tt = dw(Hb, A, Hb) + dw(Hb, B, Hg) + dw(Hg, B, Hb) + dw(Hg, C, Hg)
-    J = np.block([[J_vv, J_vt], [J_vt.T, J_tt]])
-
-    if self_check:
-        S = lc_system_matrix(grid)
-        ref = S @ _injection_concentration(stats) @ S
-        _assert_consistent(J, ref, "lc_concentration")
-
+    check_stats(grid, stats)
+    S = lc_system_matrix(grid)
+    J = S @ (_injection_concentration(stats) @ S)
     return ConcentrationMatrix(J, lc_labels(grid), "lc")
 
 
 def lc_threshold_statistic(conc: ConcentrationMatrix) -> np.ndarray:
     """J_vv + J_theta,theta, the bus-pair statistic used for edge detection.
 
-    Cross B terms cancel in the sum, leaving
-    Hg (A+C) Hg + Hb (A+C) Hb with A + C = (sigma_pp + sigma_qq)/D, which has
-    strictly negative entries at direct lines of any grid without triangles.
+    The per-bus sigma_pq/D cross terms cancel in the sum, leaving
+    Hg (A+C) Hg + Hb (A+C) Hb with A + C = (sigma_pp + sigma_qq)/D (D the
+    per-bus covariance determinant), which has strictly negative entries at
+    direct lines of any grid without triangles.
     """
     if conc.model != "lc":
         raise ModelMismatchError("lc_threshold_statistic needs an LC concentration")
     return conc.block("v", "v") + conc.block("theta", "theta")
-
-
-def radial_lc_inverse(grid: Grid) -> np.ndarray:
-    """Closed-form S^{-1} = [[H_{1/r}^{-1}, H_{1/x}^{-1}], [H_{1/x}^{-1}, -H_{1/r}^{-1}]].
-
-    Valid only for radial grids with strictly positive line resistance; used
-    as an independent cross-check of the LC solve on trees.
-    """
-    if not grid.is_radial:
-        raise ModelMismatchError("the closed-form LC inverse holds only for radial grids")
-    R = np.linalg.inv(reduced_laplacian(grid, "inv_r"))
-    X = np.linalg.inv(reduced_laplacian(grid, "inv_x"))
-    return np.block([[R, X], [X, -R]])
-
-
-def _assert_consistent(formula: np.ndarray, reference: np.ndarray, what: str) -> None:
-    scale = max(np.abs(reference).max(), 1e-300)
-    dev = np.abs(formula - reference).max() / scale
-    if dev > _SELF_CHECK_RTOL:
-        raise NumericalConsistencyError(
-            f"{what}: closed form deviates from dense product by {dev:.3e} "
-            f"(tolerance {_SELF_CHECK_RTOL:.1e})"
-        )

@@ -113,13 +113,6 @@ def generate_voltage_samples(
                      grid_hash=grid_hash(grid))
 
 
-def sample_grid(grid: Grid, stats: InjectionStats | None = None, **kw) -> SampleSet:
-    """Convenience wrapper defaulting to the package-wide uniform stats."""
-    if stats is None:
-        stats = InjectionStats.uniform(grid)
-    return generate_voltage_samples(grid, stats, **kw)
-
-
 # ----------------------------------------------------------------------
 # on-disk form: CSV of samples + JSON sidecar with provenance
 # ----------------------------------------------------------------------
@@ -177,7 +170,16 @@ def load_samples_csv(path) -> SampleSet:
                 raise SampleFormatError(
                     f"{path}: row {k + 1} has {len(row)} fields, expected {len(labels)}"
                 )
-            rows.append([float(v) for v in row])
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError:
+                for lab, v in zip(labels, row):
+                    try:
+                        float(v)
+                    except ValueError:
+                        raise SampleFormatError(
+                            f"{path}: row {k + 1}, column {lab.text}: {v!r} is not a number"
+                        ) from None
 
     data = np.asarray(rows, dtype=float)
     for field in ("grid_hash", "model_kind", "seed", "n"):

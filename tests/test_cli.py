@@ -117,6 +117,35 @@ def test_estimate_glasso_path(runner, tmp_path):
     assert payload["error"] == "ConfigError"
 
 
+def test_estimate_rejects_non_numeric_sample(runner, tmp_path):
+    csv_path = tmp_path / "s.csv"
+    invoke_ok(runner, ["sample", "--grid", "radial20", "--n", "5", "--out", str(csv_path)])
+    lines = csv_path.read_text().splitlines()
+    lines[2] = "abc" + lines[2][lines[2].index(","):]
+    csv_path.write_text("\n".join(lines) + "\n")
+    result = runner.invoke(main, ["estimate", "--samples", str(csv_path),
+                                  "--out", str(tmp_path / "e.json")])
+    assert result.stderr.count("\n") == 1
+    payload = stderr_error(result)
+    assert payload["error"] == "SampleFormatError"
+    assert "row 2, column theta_1" in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "text,match",
+    [("{not json", "invalid JSON"), ('{"matrix": [[1.0]]}', "missing field")],
+    ids=["invalid-json", "missing-field"],
+)
+def test_learn_rejects_malformed_estimate(runner, tmp_path, text, match):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    result = runner.invoke(main, ["learn", "--conc", str(path)])
+    assert result.stderr.count("\n") == 1
+    payload = stderr_error(result)
+    assert payload["error"] == "ConfigError"
+    assert match in payload["message"] and str(path) in payload["message"]
+
+
 def test_sample_rejects_bad_count(runner, tmp_path):
     payload = stderr_error(runner.invoke(main, [
         "sample", "--grid", "radial20", "--n", "0", "--out", str(tmp_path / "s.csv"),
@@ -150,10 +179,33 @@ def test_learn_exact_requires_grid(runner):
 # ----------------------------------------------------------------------
 
 
+CERTIFY_IEEE14 = """\
+edge,theorem,satisfied,margin
+1-2,T10,true,2.909336363
+1-3,T9,true,2.945444534
+1-4,T8,true,1.880878989
+2-3,T10,true,3.196290189
+3-4,T10,true,19.67744461
+3-6,T10,true,1.454742184
+3-8,T9,true,1.079108317
+4-5,trivially-safe,true,inf
+5-10,trivially-safe,true,inf
+5-11,T10,true,0.9422004379
+5-12,T10,true,4.940271955
+6-7,trivially-safe,true,inf
+6-8,T10,true,7.339769963
+8-9,trivially-safe,true,inf
+8-13,trivially-safe,true,inf
+9-10,trivially-safe,true,inf
+11-12,T10,true,0.01821109905
+12-13,trivially-safe,true,inf
+satisfied: 18/18
+"""
+
+
 def test_certify_stdout(runner):
-    result = invoke_ok(runner, ["certify", "--grid", "ieee14"])
-    assert result.output.startswith("edge,theorem,satisfied,margin")
-    assert "satisfied: 18/18" in result.output
+    # the full report, margins and theorem tags included
+    assert invoke_ok(runner, ["certify", "--grid", "ieee14"]).output == CERTIFY_IEEE14
 
 
 def test_certify_to_file(runner, tmp_path):

@@ -201,6 +201,21 @@ def test_estimate_auto_switches_on_sample_size(radial20):
     assert est.kkt is not None and est.converged
 
 
+def test_estimate_auto_inverts_once(radial20, monkeypatch):
+    import gridtopo.estimation as estimation
+
+    calls = []
+
+    def counting_inverse(cov):
+        calls.append(cov.shape)
+        return invert_covariance(cov)
+
+    monkeypatch.setattr(estimation, "invert_covariance", counting_inverse)
+    s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), "dc", 200, seed=1)
+    assert estimate_concentration(s).method == "direct"
+    assert len(calls) == 1
+
+
 def test_estimate_forced_methods(radial20):
     st = InjectionStats.uniform(radial20)
     s = generate_voltage_samples(radial20, st, "dc", 300, seed=2)
@@ -235,3 +250,19 @@ def test_estimate_json_roundtrip(tmp_path, radial20):
     assert back.kkt == est.kkt
     conc = back.concentration
     assert conc.model == "dc" and conc.dim == 19
+
+
+@pytest.mark.parametrize(
+    "text,match",
+    [
+        ("{not json", "invalid JSON"),
+        ('{"matrix": [[1.0]], "model": "dc", "method": "direct", "n_samples": 5}',
+         "missing field 'labels'"),
+    ],
+    ids=["invalid-json", "missing-labels"],
+)
+def test_load_estimate_json_rejects_malformed_files(tmp_path, text, match):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=match):
+        load_estimate_json(path)

@@ -1,4 +1,5 @@
 """Experiment harness: spec handling, sweeps, determinism, results CSV."""
+import csv
 import json
 
 import numpy as np
@@ -12,7 +13,6 @@ from gridtopo.experiments import (
     ExperimentSpec,
     TrialRecord,
     load_experiment_config,
-    read_results_csv,
     reconstruct,
     resolve_grid,
     resolve_tau1,
@@ -220,7 +220,8 @@ def test_results_csv_layout_and_sidecar(tmp_path):
     out = tmp_path / "results.csv"
     write_results_csv(res, out)
 
-    rows = read_results_csv(out)
+    with open(out, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert list(rows[0]) == list(RESULT_COLUMNS)
     data = [r for r in rows if r["trial"] not in ("mean", "std")]
     assert len(data) == 4

@@ -1,4 +1,5 @@
 """Grid model: loaders, validation, weights, Laplacians, distances, girth."""
+import itertools
 import json
 import math
 
@@ -18,21 +19,17 @@ from gridtopo.grid import (
     builtin_grid,
     bus_distance,
     conductance,
-    degree,
     girth,
     grid_from_dict,
     grid_hash,
     grid_to_dict,
-    iter_nonref_pairs,
     line_weight,
     load_grid,
     load_line_csv,
     make_grid,
-    neighbors,
     reduced_laplacian,
     save_grid,
     susceptance,
-    two_hop_neighbors,
 )
 
 
@@ -59,11 +56,6 @@ def test_line_weight_kinds():
     ln = Line(0, 1, 2.0, 4.0)
     assert line_weight(ln, "susceptance") == pytest.approx(0.2)
     assert line_weight(ln, "conductance") == pytest.approx(0.1)
-    assert line_weight(ln, "inv_r") == pytest.approx(0.5)
-    assert line_weight(ln, "inv_x") == pytest.approx(0.25)
-    assert ln.weight() == pytest.approx(0.2)
-    with pytest.raises(InvalidLineError):
-        line_weight(Line(0, 1, 0.0, 1.0), "inv_r")
     with pytest.raises(ValueError, match="unknown weight kind"):
         line_weight(ln, "bogus")
 
@@ -93,21 +85,12 @@ def incidence_laplacian(grid, kind):
 
 
 @pytest.mark.parametrize("name", BUILTIN_GRIDS)
-@pytest.mark.parametrize("kind", ["susceptance", "conductance", "inv_x"])
+@pytest.mark.parametrize("kind", ["susceptance", "conductance"])
 def test_reduced_laplacian_matches_incidence_form(name, kind):
     g = builtin_grid(name)
     np.testing.assert_allclose(
         reduced_laplacian(g, kind), incidence_laplacian(g, kind), rtol=1e-12, atol=1e-12
     )
-
-
-def test_reduced_laplacian_inv_r(radial20):
-    np.testing.assert_allclose(
-        reduced_laplacian(radial20, "inv_r"), incidence_laplacian(radial20, "inv_r"), rtol=1e-12
-    )
-    # ieee14 contains zero-resistance transformer branches
-    with pytest.raises(InvalidLineError):
-        reduced_laplacian(builtin_grid("ieee14"), "inv_r")
 
 
 def test_reduced_laplacian_3bus_path():
@@ -166,21 +149,27 @@ def test_distance_excluding_reference_can_disconnect():
 @pytest.mark.parametrize("name", BUILTIN_GRIDS)
 @pytest.mark.parametrize("through_reference", [True, False])
 def test_two_hop_neighbors_match_distances(name, through_reference):
+    # distance-2 sets (the off-line support of J) vs neighbors of neighbors
     g = builtin_grid(name)
+    skip = None if through_reference else g.reference
+    adj = g.adjacency
     for b in g.non_reference_buses:
         want = {
+            v
+            for k in adj[b] if k != skip
+            for v in adj[k] if v not in (b, skip) and v not in adj[b]
+        }
+        got = {
             v
             for v in (g.buses if through_reference else g.non_reference_buses)
             if bus_distance(g, b, v, through_reference=through_reference) == 2
         }
-        got = set(two_hop_neighbors(g, b, through_reference=through_reference))
         assert got == want
 
 
 def test_neighbors_and_degree(radial20):
-    assert neighbors(radial20, 0) == (1,)
-    assert set(neighbors(radial20, 2)) == {1, 3, 9}
-    assert degree(radial20, 2) == 3
+    assert radial20.adjacency[0] == (1,)
+    assert radial20.adjacency[2] == (1, 3, 9)
     assert radial20.line_between(2, 9) is not None
     assert radial20.line_between(0, 9) is None
 
@@ -205,7 +194,7 @@ def test_girth_of_tree_plus_chord_is_cycle_length(make_random_tree):
         g = make_random_tree(rng, int(rng.integers(5, 14)))
         pairs = [
             (i, j)
-            for i, j in iter_nonref_pairs(g)
+            for i, j in itertools.combinations(g.non_reference_buses, 2)
             if g.line_between(i, j) is None
         ]
         i, j = pairs[int(rng.integers(0, len(pairs)))]
@@ -330,10 +319,3 @@ def test_builtin_shapes(name, n_buses, n_lines, radial):
 def test_unknown_builtin():
     with pytest.raises(UnknownGridError, match="unknown builtin grid"):
         builtin_grid("ieee300")
-
-
-def test_iter_nonref_pairs(radial20):
-    pairs = list(iter_nonref_pairs(radial20))
-    assert len(pairs) == 19 * 18 // 2
-    assert all(radial20.reference not in p for p in pairs)
-    assert all(i < j for i, j in pairs)

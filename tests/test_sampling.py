@@ -19,7 +19,6 @@ from gridtopo.sampling import (
     generate_injections,
     generate_voltage_samples,
     load_samples_csv,
-    sample_grid,
     sidecar_path,
     write_samples_csv,
 )
@@ -94,8 +93,8 @@ def test_deviation_decays_like_root_n(radial20):
         assert root10 / 2.0 <= big / small <= root10 * 2.0
 
 
-def test_sample_grid_defaults(radial20):
-    s = sample_grid(radial20, n=10, seed=1)
+def test_generate_defaults_to_dc(radial20):
+    s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), n=10, seed=1)
     assert s.model == "dc"
     assert s.labels == dc_labels(radial20)
     assert (s.n, s.dim) == (10, 19)
@@ -136,7 +135,7 @@ def test_csv_roundtrip_is_exact(tmp_path, loopy20_c4):
 
 
 def test_load_requires_sidecar(tmp_path, radial20):
-    s = sample_grid(radial20, n=5, seed=0)
+    s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), n=5, seed=0)
     path = tmp_path / "s.csv"
     write_samples_csv(s, path)
     (tmp_path / "s.csv.meta.json").unlink()
@@ -152,7 +151,7 @@ def test_load_requires_sidecar(tmp_path, radial20):
     ],
 )
 def test_load_rejects_bad_sidecar(tmp_path, radial20, tamper, match):
-    s = sample_grid(radial20, n=5, seed=0)
+    s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), n=5, seed=0)
     path = tmp_path / "s.csv"
     write_samples_csv(s, path)
     sc = sidecar_path(path)
@@ -165,13 +164,19 @@ def test_load_rejects_bad_sidecar(tmp_path, radial20, tamper, match):
 
 
 def test_load_rejects_malformed_csv(tmp_path, radial20):
-    s = sample_grid(radial20, n=5, seed=0)
+    s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), n=5, seed=0)
     path = tmp_path / "s.csv"
     write_samples_csv(s, path)
 
     lines = path.read_text().splitlines()
     path.write_text("\n".join([lines[0], "1.0,2.0"]) + "\n")
     with pytest.raises(SampleFormatError, match="row 1 has 2 fields"):
+        load_samples_csv(path)
+
+    fields = lines[3].split(",")
+    fields[4] = "abc"
+    path.write_text("\n".join(lines[:3] + [",".join(fields)] + lines[4:]) + "\n")
+    with pytest.raises(SampleFormatError, match="row 3, column theta_5: 'abc' is not a number"):
         load_samples_csv(path)
 
     path.write_text("bogus_header," * 18 + "bogus\n")

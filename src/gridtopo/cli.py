@@ -37,6 +37,7 @@ from .learning import (
     certificate_row,
     check_sufficiency,
     edge_errors,
+    parse_tau,
     write_sufficiency_csv,
     write_topology_json,
 )
@@ -49,11 +50,7 @@ def _cli_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except GridTopoError as exc:
-            payload = {"error": type(exc).__name__, "message": str(exc)}
-            click.echo(json.dumps(payload), err=True)
-            sys.exit(1)
-        except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+        except (GridTopoError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
             payload = {"error": type(exc).__name__, "message": str(exc)}
             click.echo(json.dumps(payload), err=True)
             sys.exit(1)
@@ -69,15 +66,6 @@ def _stats_options(fn):
     fn = click.option("--sigma-pq", type=float, default=0.5, show_default=True,
                       help="Per-bus p/q covariance (uniform).")(fn)
     return fn
-
-
-def _parse_tau(text, name):
-    if text is None or text in ("auto", "gap"):
-        return text
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"--{name} must be a number, 'auto' or 'gap', got {text!r}") from None
 
 
 def _parse_lambda(text):
@@ -199,10 +187,9 @@ def estimate(samples_path, method, lam, tol, max_iters, penalize_diagonal, out):
 def learn(conc, grid_ref, model, algo, tau1, tau2, compare_truth, out,
           sigma_pp, sigma_qq, sigma_pq):
     """Reconstruct the topology from a concentration matrix."""
-    tau1 = _parse_tau(tau1, "tau1")
-    tau2 = _parse_tau(tau2, "tau2")
+    tau1, tau2 = parse_tau(tau1, "tau1"), parse_tau(tau2, "tau2")
 
-    est = None
+    est = g = None
     if conc == "exact":
         if grid_ref is None:
             raise ConfigError("--conc exact requires --grid")
@@ -221,7 +208,7 @@ def learn(conc, grid_ref, model, algo, tau1, tau2, compare_truth, out,
     if compare_truth:
         if grid_ref is None:
             raise ConfigError("--compare-truth requires --grid")
-        err = edge_errors(topo, resolve_grid(grid_ref))
+        err = edge_errors(topo, g if g is not None else resolve_grid(grid_ref))
         click.echo(f"fp={err.false_positives} fn={err.false_negatives} total={err.total}")
     elif not out:
         click.echo(json.dumps(topo.to_dict(), indent=2))
@@ -280,8 +267,8 @@ def experiment(config_path, grid_ref, model, algo, estimator, counts, trials, se
         "estimator": estimator,
         "trials": trials,
         "seed": seed,
-        "tau1": _parse_tau(tau1, "tau1"),
-        "tau2": _parse_tau(tau2, "tau2"),
+        "tau1": tau1,
+        "tau2": tau2,
         "exact": exact,
         "workers": workers,
     }

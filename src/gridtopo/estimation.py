@@ -41,25 +41,6 @@ def empirical_covariance(data: np.ndarray) -> np.ndarray:
     return (cov + cov.T) / 2.0
 
 
-def covariance_standard_error(cov: np.ndarray, n: int) -> np.ndarray:
-    """Large-sample standard error of each empirical covariance entry.
-
-    For Gaussian samples, Var(cov_ij) = (cov_ii*cov_jj + cov_ij^2)/n.
-    """
-    d = np.diag(cov)
-    return np.sqrt((np.outer(d, d) + cov**2) / n)
-
-
-def concentration_standard_error(conc: np.ndarray, n: int) -> np.ndarray:
-    """Large-sample standard error of inverted-covariance entries.
-
-    The inverse Wishart delta method gives Var(J_ij) ~ (J_ii*J_jj + J_ij^2)/n,
-    the same form as for the covariance itself.
-    """
-    d = np.diag(conc)
-    return np.sqrt((np.outer(d, d) + conc**2) / n)
-
-
 def invert_covariance(cov: np.ndarray) -> np.ndarray:
     """Direct inverse with an explicit rank check.
 
@@ -243,36 +224,6 @@ def select_lambda(samples: SampleSet, grid_size_hint: int | None = None,
     return c * math.sqrt(math.log(d) / samples.n)
 
 
-def select_lambda_by_ebic(
-    samples: SampleSet,
-    lambdas: np.ndarray | None = None,
-    gamma: float = 0.5,
-    config: GlassoConfig | None = None,
-) -> tuple[float, dict]:
-    """Pick lambda minimizing the extended BIC over a grid.
-
-    EBIC(lam) = -n(log det S - <S, cov>) + k log n + 4 gamma k log d,
-    with k the number of nonzero upper off-diagonal entries of the fit.
-    Returns the winning lambda and the per-lambda score table.
-    """
-    cov = empirical_covariance(samples.data)
-    n, d = samples.n, samples.dim
-    if lambdas is None:
-        lam_max = float(np.abs(cov - np.diag(np.diag(cov))).max())
-        if lam_max <= 0:
-            return 0.0, {}
-        lambdas = np.geomspace(max(lam_max * 1e-3, 1e-12), lam_max, 8)
-    scores: dict[float, float] = {}
-    for lam in np.asarray(lambdas, dtype=float):
-        S, _ = graphical_lasso(cov, float(lam), config)
-        sign, logdet = np.linalg.slogdet(S)
-        loglike = n * (logdet - float((S * cov).sum()))
-        k = int(np.count_nonzero(np.triu(S, k=1)))
-        scores[float(lam)] = float(-loglike + k * math.log(n) + 4.0 * gamma * k * math.log(d))
-    best = min(scores, key=scores.get)
-    return best, scores
-
-
 # ----------------------------------------------------------------------
 # one estimator interface
 # ----------------------------------------------------------------------
@@ -293,18 +244,15 @@ class EstimatedConcentration:
     termination: str = "direct"
     objective_trace: tuple[float, ...] = field(default_factory=tuple)
     kkt: dict | None = None
+    #: the validated, labelled matrix, built once here
+    concentration: ConcentrationMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "objective_trace", tuple(self.objective_trace))
-
-    @property
-    def concentration(self) -> ConcentrationMatrix:
-        return ConcentrationMatrix(self.matrix, self.labels, self.model)
-
-    def standard_errors(self) -> np.ndarray:
-        return concentration_standard_error(self.matrix, self.n_samples)
+        object.__setattr__(self, "concentration",
+                           ConcentrationMatrix(self.matrix, self.labels, self.model))
 
     def to_dict(self) -> dict:
         return {
@@ -357,6 +305,8 @@ def load_estimate_json(path) -> EstimatedConcentration:
         return EstimatedConcentration.from_dict(doc)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def estimate_concentration(

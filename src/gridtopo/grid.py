@@ -161,16 +161,9 @@ def _validate(reference: int, buses: Iterable[int], lines: list[Line]) -> None:
     for ln in lines:
         adj[ln.i].append(ln.j)
         adj[ln.j].append(ln.i)
-    reached = {reference}
-    queue = deque([reference])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in reached:
-                reached.add(v)
-                queue.append(v)
+    reached = _bfs_distances(adj, reference)
     if len(reached) != len(seen):
-        stranded = sorted(seen - reached)
+        stranded = sorted(seen - reached.keys())
         raise GridStructureError(
             f"grid is not connected: {len(stranded)} bus(es) unreachable from the "
             f"reference, first {stranded[0]}"

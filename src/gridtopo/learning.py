@@ -19,12 +19,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
-from .estimation import EstimatedConcentration, concentration_standard_error
+from .estimation import EstimatedConcentration
 from .exceptions import AmbiguousLeafError, ConfigError, GridStructureError, ReconstructionError
 from .grid import Grid, reduced_laplacian
 from .powerflow import (
@@ -47,53 +48,81 @@ def _pair(a, b):
 
 
 # ----------------------------------------------------------------------
-# graphical model construction
+# threshold rules: accepted values, defaults, statistics, noise scales
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class GraphicalModel:
-    """Thresholded conditional-independence graph over voltage variables."""
+def check_tau(value, name: str):
+    """Return ``value`` if it is a finite number of the sign its knob needs
+    (tau1 > 0, tau2 < 0); raise :class:`ConfigError` otherwise."""
+    sign = 1.0 if name == "tau1" else -1.0
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and sign * value > 0)):
+        kind = "positive" if sign > 0 else "negative"
+        raise ConfigError(f"{name} must be a {kind} number, got {value!r}")
+    return value
 
-    labels: tuple[VarLabel, ...]
-    edges: frozenset[tuple[VarLabel, VarLabel]]
-    model: str
-    tau1: float
+
+def parse_tau(value, name: str):
+    """The one parser of a threshold knob: ``"auto"``, ``"gap"`` or a number.
+
+    Numbers are kept as given after :func:`check_tau`; a string that spells
+    a number (a command-line flag) becomes a float first.
+    """
+    if isinstance(value, str):
+        if value in ("auto", "gap"):
+            return value
+        try:
+            value = float(value)
+        except ValueError:
+            raise ConfigError(f"{name} must be a number, 'auto' or 'gap', got {value!r}") from None
+    return check_tau(value, name)
+
+
+def thresholding_statistic(conc: ConcentrationMatrix, entries: np.ndarray) -> np.ndarray:
+    """``entries`` (indexed like ``conc``) as the bus-pair array tau2 reads:
+    themselves for DC, their v-v plus theta-theta block sum for LC."""
+    return entries if conc.model == "dc" else lc_threshold_statistic(conc, entries)
+
+
+def _off_diagonal(M: np.ndarray) -> np.ndarray:
+    return M[~np.eye(M.shape[0], dtype=bool)]
 
 
 def default_exact_tau1(conc: ConcentrationMatrix) -> float:
     """Fixed GM threshold for analytic matrices: 1e-4 x max |off-diagonal|."""
-    off = conc.matrix - np.diag(np.diag(conc.matrix))
-    return EXACT_TAU_REL * float(np.abs(off).max())
+    return EXACT_TAU_REL * float(np.abs(_off_diagonal(conc.matrix)).max(initial=0.0))
 
 
 def default_exact_tau2(conc: ConcentrationMatrix) -> float:
     """Fixed edge threshold for analytic matrices (negative mirror of tau1),
     measured on the statistic thresholding actually inspects."""
-    stat = conc.matrix if conc.model == "dc" else lc_threshold_statistic(conc)
-    off = stat - np.diag(np.diag(stat))
-    return -EXACT_TAU_REL * float(np.abs(off).max())
+    stat = thresholding_statistic(conc, conc.matrix)
+    return -EXACT_TAU_REL * float(np.abs(_off_diagonal(stat)).max(initial=0.0))
+
+
+def concentration_standard_error(conc: np.ndarray, n: int) -> np.ndarray:
+    """Large-sample standard error of inverted-covariance entries.
+
+    The inverse Wishart delta method gives Var(J_ij) ~ (J_ii*J_jj + J_ij^2)/n.
+    """
+    d = np.diag(conc)
+    return np.sqrt((np.outer(d, d) + conc**2) / n)
 
 
 def gm_noise_scale(est: EstimatedConcentration) -> np.ndarray:
     """Per-entry standard error of the estimated concentration (for tau1)."""
-    return est.standard_errors()
+    return concentration_standard_error(est.matrix, est.n_samples)
 
 
 def thresholding_noise_scale(est: EstimatedConcentration) -> np.ndarray:
     """Per-entry standard error of the thresholding statistic (for tau2).
 
-    DC: the concentration entry itself.  LC: the errors of the two diagonal
-    blocks are combined by their standard-error sum, an upper bound that
-    holds regardless of their correlation.
+    For LC the errors of the two diagonal blocks are combined by their
+    standard-error sum, an upper bound that holds regardless of their
+    correlation.
     """
-    se = concentration_standard_error(est.matrix, est.n_samples)
-    if est.model == "dc":
-        return se
-    conc = est.concentration
-    rows_v = [k for k, lab in enumerate(conc.labels) if lab.kind == "v"]
-    rows_t = [k for k, lab in enumerate(conc.labels) if lab.kind == "theta"]
-    return se[np.ix_(rows_v, rows_v)] + se[np.ix_(rows_t, rows_t)]
+    return thresholding_statistic(est.concentration, gm_noise_scale(est))
 
 
 def largest_gap_threshold(magnitudes: np.ndarray) -> float:
@@ -116,6 +145,75 @@ def largest_gap_threshold(magnitudes: np.ndarray) -> float:
     return float(math.sqrt(v[k] * lo[k]))
 
 
+def resolve_tau1(
+    tau1: float | str,
+    conc: ConcentrationMatrix,
+    est: EstimatedConcentration | None,
+) -> tuple[float, np.ndarray | None]:
+    """Turn the tau1 knob into (scalar, optional per-entry scale).
+
+    Numbers pass through.  "auto" on an estimate uses the noise-adaptive rule
+    (z-score DEFAULT_Z against per-entry standard errors); on an exact matrix
+    the fixed relative default.  "gap" cuts at the largest relative gap of
+    the sorted off-diagonal magnitudes.
+    """
+    tau1 = parse_tau(tau1, "tau1")
+    if tau1 == "gap":
+        return largest_gap_threshold(np.abs(_off_diagonal(conc.matrix))), None
+    if tau1 == "auto":
+        if est is not None:
+            return DEFAULT_Z, gm_noise_scale(est)
+        return default_exact_tau1(conc), None
+    return float(tau1), None
+
+
+def resolve_tau2(
+    tau2: float | str,
+    conc: ConcentrationMatrix,
+    est: EstimatedConcentration | None,
+) -> tuple[float, np.ndarray | None]:
+    """Same contract as :func:`resolve_tau1` for the (negative) tau2 knob,
+    read on the thresholding statistic."""
+    tau2 = parse_tau(tau2, "tau2")
+    if tau2 == "gap":
+        off = _off_diagonal(thresholding_statistic(conc, conc.matrix))
+        return -largest_gap_threshold(np.abs(off[off < 0])), None
+    if tau2 == "auto":
+        if est is not None:
+            return -DEFAULT_Z, thresholding_noise_scale(est)
+        return default_exact_tau2(conc), None
+    return float(tau2), None
+
+
+def _scaled(values: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
+    if scale is None:
+        return values
+    if scale.shape != values.shape:
+        raise ConfigError(f"scale shape {scale.shape} does not match the array {values.shape}")
+    return values / scale
+
+
+def _upper_pairs(mask: np.ndarray, keys) -> frozenset:
+    """Ordered ``keys`` pairs at the upper-triangle positions where ``mask`` holds."""
+    rows, cols = np.nonzero(np.triu(mask, k=1))
+    return frozenset(_pair(keys[a], keys[b]) for a, b in zip(rows.tolist(), cols.tolist()))
+
+
+# ----------------------------------------------------------------------
+# graphical model construction
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class GraphicalModel:
+    """Thresholded conditional-independence graph over voltage variables."""
+
+    labels: tuple[VarLabel, ...]
+    edges: frozenset[tuple[VarLabel, VarLabel]]
+    model: str
+    tau1: float
+
+
 def build_graphical_model(
     conc: ConcentrationMatrix,
     tau1: float,
@@ -127,19 +225,10 @@ def build_graphical_model(
     entry standard errors makes tau1 a z-score.  ``scale=None`` keeps the
     plain scalar rule.
     """
-    if not (tau1 > 0 and math.isfinite(tau1)):
-        raise ConfigError(f"tau1 must be a positive number, got {tau1!r}")
-    M = np.abs(conc.matrix)
-    if scale is not None:
-        if scale.shape != M.shape:
-            raise ConfigError(f"scale shape {scale.shape} does not match matrix {M.shape}")
-        M = M / scale
-    labels = conc.labels
-    edges = set()
-    for a, b in combinations(range(len(labels)), 2):
-        if M[a, b] >= tau1:
-            edges.add(_pair(labels[a], labels[b]))
-    return GraphicalModel(labels=labels, edges=frozenset(edges), model=conc.model, tau1=tau1)
+    check_tau(tau1, "tau1")
+    M = _scaled(np.abs(conc.matrix), scale)
+    edges = _upper_pairs(M >= tau1, conc.labels)
+    return GraphicalModel(labels=conc.labels, edges=edges, model=conc.model, tau1=tau1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,13 +366,11 @@ def learn_by_counting(graph: GraphicalModel | HybridGraph) -> LearnedTopology:
     adj = graph.adjacency()
     vertices = graph.buses
 
-    def gm_distance_two(k: int, l: int) -> bool:
-        return l not in adj[k] and bool(adj[k] & adj[l])
-
+    # k and l both neighbour i, so they sit at GM distance 2 unless adjacent
     skeleton: set[tuple[int, int]] = set()
     for i, j in graph.edges:
         common = (adj[i] & adj[j]) - {i, j}
-        if any(gm_distance_two(k, l) for k, l in combinations(sorted(common), 2)):
+        if any(l not in adj[k] for k, l in combinations(common, 2)):
             skeleton.add(_pair(i, j))
 
     skel_adj: dict[int, set[int]] = {v: set() for v in vertices}
@@ -337,24 +424,12 @@ def learn_by_thresholding(
     shaped) divides the statistic entry-wise so tau2 can be a z-score;
     ``scale=None`` keeps the plain scalar rule.
     """
-    if not (tau2 < 0 and math.isfinite(tau2)):
-        raise ConfigError(f"tau2 must be a negative number, got {tau2!r}")
-    if conc.model == "dc":
-        stat = conc.matrix
-    else:
-        stat = lc_threshold_statistic(conc)
-    buses = tuple(conc.buses)
-    if scale is not None:
-        if scale.shape != stat.shape:
-            raise ConfigError(f"scale shape {scale.shape} does not match statistic {stat.shape}")
-        stat = stat / scale
-    edges = set()
-    for a, b in combinations(range(len(buses)), 2):
-        if stat[a, b] <= tau2:
-            edges.add(_pair(buses[a], buses[b]))
+    check_tau(tau2, "tau2")
+    stat = _scaled(thresholding_statistic(conc, conc.matrix), scale)
+    buses = conc.buses
     return LearnedTopology(
         buses=buses,
-        edges=frozenset(edges),
+        edges=_upper_pairs(stat <= tau2, buses),
         algorithm="thresholding",
         params={"tau2": tau2, "model": conc.model},
     )

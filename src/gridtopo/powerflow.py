@@ -138,11 +138,12 @@ class ConcentrationMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def block(self, kind_row: str, kind_col: str) -> np.ndarray:
-        """Sub-matrix of all (kind_row, kind_col) label pairs, bus-ordered."""
+    def block(self, kind_row: str, kind_col: str, entries: np.ndarray | None = None) -> np.ndarray:
+        """Sub-matrix of all (kind_row, kind_col) label pairs, bus-ordered, of
+        this matrix or of ``entries``, an array indexed like it."""
         rows = [k for k, lab in enumerate(self.labels) if lab.kind == kind_row]
         cols = [k for k, lab in enumerate(self.labels) if lab.kind == kind_col]
-        return self.matrix[np.ix_(rows, cols)]
+        return (self.matrix if entries is None else entries)[np.ix_(rows, cols)]
 
 
 def check_stats(grid: Grid, stats: InjectionStats) -> None:
@@ -259,14 +260,15 @@ def lc_concentration(grid: Grid, stats: InjectionStats) -> ConcentrationMatrix:
     return ConcentrationMatrix(J, lc_labels(grid), "lc")
 
 
-def lc_threshold_statistic(conc: ConcentrationMatrix) -> np.ndarray:
+def lc_threshold_statistic(conc: ConcentrationMatrix, entries: np.ndarray | None = None) -> np.ndarray:
     """J_vv + J_theta,theta, the bus-pair statistic used for edge detection.
 
     The per-bus sigma_pq/D cross terms cancel in the sum, leaving
     Hg (A+C) Hg + Hb (A+C) Hb with A + C = (sigma_pp + sigma_qq)/D (D the
     per-bus covariance determinant), which has strictly negative entries at
-    direct lines of any grid without triangles.
+    direct lines of any grid without triangles.  ``entries``, an array
+    indexed like ``conc``, is summed over the same blocks in place of J.
     """
     if conc.model != "lc":
         raise ModelMismatchError("lc_threshold_statistic needs an LC concentration")
-    return conc.block("v", "v") + conc.block("theta", "theta")
+    return conc.block("v", "v", entries) + conc.block("theta", "theta", entries)

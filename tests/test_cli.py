@@ -131,10 +131,20 @@ def test_estimate_rejects_non_numeric_sample(runner, tmp_path):
     assert "row 2, column theta_1" in payload["message"]
 
 
+ESTIMATE_DOC = '{"matrix": %s, "labels": [%s], "model": "dc", "method": "direct", "n_samples": 5}'
+
+
 @pytest.mark.parametrize(
     "text,match",
-    [("{not json", "invalid JSON"), ('{"matrix": [[1.0]]}', "missing field")],
-    ids=["invalid-json", "missing-field"],
+    [
+        ("{not json", "invalid JSON"),
+        ('{"matrix": [[1.0]]}', "missing field"),
+        (ESTIMATE_DOC % ('[[2.0, 1.0], [0.0, 2.0]]', '"theta_1", "theta_2"'), "not symmetric"),
+        (ESTIMATE_DOC % ('[[1.0, 2.0], [2.0, 1.0]]', '"theta_1", "theta_2"'), "not positive definite"),
+        (ESTIMATE_DOC % ('[[1.0]]', '"x_1"'), "bad variable label"),
+        (ESTIMATE_DOC % ('[["a"]]', '"theta_1"'), "could not convert"),
+    ],
+    ids=["invalid-json", "missing-field", "asymmetric", "not-pd", "bad-label", "non-numeric"],
 )
 def test_learn_rejects_malformed_estimate(runner, tmp_path, text, match):
     path = tmp_path / "bad.json"
@@ -265,6 +275,29 @@ def test_experiment_seed_precedence(runner, tmp_path):
         env={"GRIDTOPO_SEED": "soon"},
     ))
     assert payload["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize(
+    "args,config,match",
+    [
+        (["experiment", "--exact", "--tau2", "0.5"], None, "tau2 must be a negative number"),
+        (["experiment", "--exact", "--tau1", "-1"], None, "tau1 must be a positive number"),
+        (["experiment"], {"exact": True, "tau2": 0.5}, "tau2 must be a negative number"),
+        (["learn", "--conc", "exact", "--grid", "radial20", "--algo", "counting",
+          "--tau2", "0.5"], None, "tau2 must be a negative number"),
+    ],
+    ids=["experiment-tau2-flag", "experiment-tau1-flag", "experiment-config", "learn-tau2-flag"],
+)
+def test_wrong_sign_tau_is_rejected_up_front(runner, tmp_path, args, config, match):
+    if config is not None:
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(config))
+        args = args + ["--config", str(cfg)]
+    out = tmp_path / "out"
+    payload = stderr_error(runner.invoke(main, args + ["--out", str(out)]))
+    assert payload["error"] == "ConfigError"
+    assert match in payload["message"]
+    assert not out.exists()
 
 
 def test_experiment_rejects_bad_counts(runner, tmp_path):

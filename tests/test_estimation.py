@@ -5,7 +5,6 @@ import pytest
 from gridtopo.estimation import (
     EstimatedConcentration,
     GlassoConfig,
-    covariance_standard_error,
     empirical_covariance,
     estimate_concentration,
     glasso_objective,
@@ -14,10 +13,10 @@ from gridtopo.estimation import (
     kkt_violations,
     load_estimate_json,
     select_lambda,
-    select_lambda_by_ebic,
     write_estimate_json,
 )
 from gridtopo.exceptions import ConfigError, RankDeficiencyError
+from gridtopo.learning import gm_noise_scale
 from gridtopo.powerflow import InjectionStats, dc_concentration
 from gridtopo.sampling import generate_voltage_samples
 
@@ -37,14 +36,6 @@ def test_empirical_covariance_zero_mean_form():
     np.testing.assert_allclose(empirical_covariance(x), np.outer(x[0], x[0]))
     two = np.array([[1.0, 0.0], [0.0, 2.0]])
     np.testing.assert_allclose(empirical_covariance(two), [[0.5, 0.0], [0.0, 2.0]])
-
-
-def test_covariance_standard_error_formula():
-    cov = np.array([[2.0, 1.0], [1.0, 3.0]])
-    se = covariance_standard_error(cov, 100)
-    assert se[0, 1] == pytest.approx(np.sqrt(0.07))
-    assert se[0, 0] == pytest.approx(np.sqrt(0.08))
-    assert se[1, 1] == pytest.approx(np.sqrt(0.18))
 
 
 def test_invert_covariance_matches_numpy():
@@ -176,15 +167,6 @@ def test_select_lambda_rate(radial20):
     assert select_lambda(s, grid_size_hint=1) == 0.0
 
 
-def test_select_lambda_by_ebic(make_random_tree):
-    g = make_random_tree(np.random.default_rng(20), 7)
-    s = generate_voltage_samples(g, InjectionStats.uniform(g), "dc", 500, seed=6)
-    best, scores = select_lambda_by_ebic(s, lambdas=np.array([1e-3, 1e-1, 10.0]))
-    assert best in scores
-    assert scores[best] == min(scores.values())
-    assert all(np.isfinite(v) for v in scores.values())
-
-
 # ----------------------------------------------------------------------
 # the one estimator interface
 # ----------------------------------------------------------------------
@@ -231,7 +213,7 @@ def test_estimate_forced_methods(radial20):
 def test_estimate_standard_errors_shape(radial20):
     s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), "dc", 200, seed=4)
     est = estimate_concentration(s)
-    se = est.standard_errors()
+    se = gm_noise_scale(est)
     assert se.shape == est.matrix.shape
     assert np.all(se > 0)
 
@@ -252,14 +234,21 @@ def test_estimate_json_roundtrip(tmp_path, radial20):
     assert conc.model == "dc" and conc.dim == 19
 
 
+ESTIMATE_DOC = '{"matrix": %s, "labels": [%s], "model": "dc", "method": "direct", "n_samples": 5}'
+
+
 @pytest.mark.parametrize(
     "text,match",
     [
         ("{not json", "invalid JSON"),
         ('{"matrix": [[1.0]], "model": "dc", "method": "direct", "n_samples": 5}',
          "missing field 'labels'"),
+        (ESTIMATE_DOC % ('[[2.0, 1.0], [0.0, 2.0]]', '"theta_1", "theta_2"'), "not symmetric"),
+        (ESTIMATE_DOC % ('[[1.0, 2.0], [2.0, 1.0]]', '"theta_1", "theta_2"'), "not positive definite"),
+        (ESTIMATE_DOC % ('[[1.0]]', '"x_1"'), "bad variable label"),
+        (ESTIMATE_DOC % ('[["a"]]', '"theta_1"'), "could not convert"),
     ],
-    ids=["invalid-json", "missing-labels"],
+    ids=["invalid-json", "missing-labels", "asymmetric", "not-pd", "bad-label", "non-numeric"],
 )
 def test_load_estimate_json_rejects_malformed_files(tmp_path, text, match):
     path = tmp_path / "bad.json"

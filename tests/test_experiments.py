@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gridtopo import __version__
+from gridtopo import __version__, experiments
 from gridtopo.exceptions import ConfigError
 from gridtopo.experiments import (
     RESULT_COLUMNS,
@@ -23,7 +23,7 @@ from gridtopo.experiments import (
 )
 from gridtopo.grid import grid_hash, save_grid
 from gridtopo.learning import DEFAULT_Z, default_exact_tau1, default_exact_tau2
-from gridtopo.powerflow import InjectionStats, dc_concentration
+from gridtopo.powerflow import ConcentrationMatrix, InjectionStats, dc_concentration
 from gridtopo.sampling import derive_trial_seed, generate_voltage_samples
 from gridtopo.estimation import estimate_concentration
 
@@ -56,11 +56,22 @@ def test_spec_defaults_roundtrip():
         ({"tau2": float("nan")}, "tau2"),
         ({"glasso_lambda": "tiny"}, "glasso_lambda"),
         ({"workers": 0}, "workers"),
+        ({"tau1": -1.0}, "tau1 must be a positive number"),
+        ({"tau1": "0"}, "tau1 must be a positive number"),
+        ({"tau2": 0.5}, "tau2 must be a negative number"),
+        ({"tau2": None}, "tau2 must be a negative number"),
     ],
 )
 def test_spec_validation(kw, match):
     with pytest.raises(ConfigError, match=match):
         ExperimentSpec(**kw)
+
+
+def test_spec_keeps_tau_numbers_as_given():
+    spec = ExperimentSpec.from_dict({"tau1": 3, "tau2": "-0.5"})
+    assert spec.tau1 == 3 and isinstance(spec.tau1, int)
+    assert spec.tau2 == -0.5
+    assert spec.to_dict()["tau1"] == 3 and isinstance(spec.to_dict()["tau1"], int)
 
 
 def test_spec_rejects_unknown_fields():
@@ -175,9 +186,14 @@ def test_exact_counting_on_short_cycle_grid_errs():
     assert rec.error is None
 
 
-def test_failed_trials_score_as_empty_topology():
-    # tau2 > 0 raises inside the trial; the record keeps the sweep alive
-    res = run_experiment(ExperimentSpec(exact=True, tau2=5.0))
+def fail_reconstruct(*args, **kwargs):
+    raise ConfigError("forced reconstruction failure")
+
+
+def test_failed_trials_score_as_empty_topology(monkeypatch):
+    # a package error inside the trial; the record keeps the sweep alive
+    monkeypatch.setattr(experiments, "reconstruct", fail_reconstruct)
+    res = run_experiment(ExperimentSpec(exact=True))
     rec = res.records[0]
     assert (rec.fp, rec.fn, rec.total) == (0, 18, 18)
     assert "ConfigError" in rec.error
@@ -239,6 +255,21 @@ def test_results_csv_layout_and_sidecar(tmp_path):
     assert set(meta["summary"]) == {"200", "400"}
 
 
+def test_lc_thresholding_trial_validates_one_concentration(radial20, monkeypatch):
+    built = []
+    validate = ConcentrationMatrix.__post_init__
+
+    def counting_validate(self):
+        built.append(self.model)
+        validate(self)
+
+    monkeypatch.setattr(ConcentrationMatrix, "__post_init__", counting_validate)
+    spec = ExperimentSpec(model="lc", estimator="direct", seed=1)
+    rec = run_single_trial(radial20, spec.stats_for(radial20), spec, 2000, 0)
+    assert rec.error is None
+    assert built == ["lc"]
+
+
 def test_results_csv_is_deterministic(tmp_path):
     spec = ExperimentSpec(sample_counts=(300,), trials=3, seed=9)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -247,8 +278,9 @@ def test_results_csv_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_failed_trial_lands_in_sidecar(tmp_path):
-    res = run_experiment(ExperimentSpec(exact=True, tau2=5.0))
+def test_failed_trial_lands_in_sidecar(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "reconstruct", fail_reconstruct)
+    res = run_experiment(ExperimentSpec(exact=True))
     out = tmp_path / "r.csv"
     write_results_csv(res, out)
     meta = json.loads((tmp_path / "r.csv.meta.json").read_text())

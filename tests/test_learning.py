@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gridtopo.estimation import concentration_standard_error, estimate_concentration
+from gridtopo.estimation import estimate_concentration
 from gridtopo.exceptions import (
     AmbiguousLeafError,
     ConfigError,
@@ -22,6 +22,7 @@ from gridtopo.learning import (
     LearnedTopology,
     build_graphical_model,
     check_sufficiency,
+    concentration_standard_error,
     default_exact_tau1,
     default_exact_tau2,
     edge_errors,

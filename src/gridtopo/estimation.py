@@ -248,6 +248,8 @@ class EstimatedConcentration:
     concentration: ConcentrationMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.n_samples <= 0:
+            raise ValueError(f"n_samples must be positive, got {self.n_samples}")
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "objective_trace", tuple(self.objective_trace))

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,10 +131,9 @@ def write_samples_csv(samples: SampleSet, path) -> None:
     sample count so downstream stages can refuse mismatched inputs.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([lab.text for lab in samples.labels])
-        for row in samples.data:
-            writer.writerow([format(v, ".17g") for v in row])
+        csv.writer(fh).writerow([lab.text for lab in samples.labels])
+        # the same text csv.writer gives for format(v, ".17g") cells
+        np.savetxt(fh, samples.data, fmt="%.17g", delimiter=",", newline="\r\n")
     meta = {
         "grid_hash": samples.grid_hash,
         "model_kind": samples.model,
@@ -145,7 +146,11 @@ def write_samples_csv(samples: SampleSet, path) -> None:
 
 
 def load_samples_csv(path) -> SampleSet:
-    """Read a sample CSV and its mandatory metadata sidecar back."""
+    """Read a sample CSV and its mandatory metadata sidecar back.
+
+    Blank lines are skipped.  A ragged row, a cell that is not a finite
+    number or a file without sample rows raises :class:`SampleFormatError`.
+    """
     try:
         with open(sidecar_path(path), "r", encoding="utf-8") as fh:
             meta = json.load(fh)
@@ -154,34 +159,30 @@ def load_samples_csv(path) -> SampleSet:
     except json.JSONDecodeError as exc:
         raise SampleFormatError(f"{sidecar_path(path)}: invalid JSON: {exc}") from None
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    # universal newlines: loadtxt itself splits rows at "\n" and "\r\n" only
+    with open(path, "r", encoding="utf-8") as fh:
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise SampleFormatError(f"{path}: empty sample file") from None
         try:
             labels = tuple(parse_label(h) for h in header)
         except ValueError as exc:
             raise SampleFormatError(f"{path}: {exc}") from None
-        rows = []
-        for k, row in enumerate(reader):
-            if len(row) != len(labels):
-                raise SampleFormatError(
-                    f"{path}: row {k + 1} has {len(row)} fields, expected {len(labels)}"
-                )
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                for lab, v in zip(labels, row):
-                    try:
-                        float(v)
-                    except ValueError:
-                        raise SampleFormatError(
-                            f"{path}: row {k + 1}, column {lab.text}: {v!r} is not a number"
-                        ) from None
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is reported below instead
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", dtype=float, ndmin=2,
+                                  comments=None, quotechar='"')
+        except ValueError as exc:
+            raise SampleFormatError(f"{path}: {_row_fault(path, labels, str(exc))}") from None
 
-    data = np.asarray(rows, dtype=float)
+    if data.shape[0] == 0:
+        raise SampleFormatError(f"{path}: no sample rows")
+    if data.shape[1] != len(labels) or not np.isfinite(data).all():
+        fault = _row_fault(path, labels, "a ragged row or a non-finite cell")
+        raise SampleFormatError(f"{path}: {fault}")
     for field in ("grid_hash", "model_kind", "seed", "n"):
         if field not in meta:
             raise SampleFormatError(f"{sidecar_path(path)}: missing field {field!r}")
@@ -196,3 +197,28 @@ def load_samples_csv(path) -> SampleSet:
         seed=int(meta["seed"]),
         grid_hash=str(meta["grid_hash"]),
     )
+
+
+def _row_fault(path, labels: tuple[VarLabel, ...], fallback: str) -> str:
+    """Name the first ragged row or bad cell of a sample CSV, row by row.
+
+    Only called once the bulk parse has failed, to say where; ``fallback``
+    is the message when this scan finds no fault.  Rows are numbered from 1
+    after the header; blank lines count but are skipped.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for k, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if len(row) != len(labels):
+                return f"row {k} has {len(row)} fields, expected {len(labels)}"
+            for lab, v in zip(labels, row):
+                try:
+                    x = float(v)
+                except ValueError:
+                    return f"row {k}, column {lab.text}: {v!r} is not a number"
+                if not math.isfinite(x):
+                    return f"row {k}, column {lab.text}: {v!r} is not a finite number"
+    return fallback

@@ -131,6 +131,21 @@ def test_estimate_rejects_non_numeric_sample(runner, tmp_path):
     assert "row 2, column theta_1" in payload["message"]
 
 
+@pytest.mark.parametrize("method", ["auto", "direct"])
+def test_estimate_rejects_non_finite_sample(runner, tmp_path, method):
+    csv_path = tmp_path / "s.csv"
+    invoke_ok(runner, ["sample", "--grid", "radial20", "--n", "200", "--out", str(csv_path)])
+    lines = csv_path.read_text().splitlines()
+    lines[7] = "nan" + lines[7][lines[7].index(","):]
+    csv_path.write_text("\n".join(lines) + "\n")
+    result = runner.invoke(main, ["estimate", "--samples", str(csv_path), "--method", method,
+                                  "--out", str(tmp_path / "e.json")])
+    assert result.stderr.count("\n") == 1
+    payload = stderr_error(result)
+    assert payload["error"] == "SampleFormatError"
+    assert "row 7, column theta_1: 'nan' is not a finite number" in payload["message"]
+
+
 ESTIMATE_DOC = '{"matrix": %s, "labels": [%s], "model": "dc", "method": "direct", "n_samples": 5}'
 
 
@@ -143,8 +158,11 @@ ESTIMATE_DOC = '{"matrix": %s, "labels": [%s], "model": "dc", "method": "direct"
         (ESTIMATE_DOC % ('[[1.0, 2.0], [2.0, 1.0]]', '"theta_1", "theta_2"'), "not positive definite"),
         (ESTIMATE_DOC % ('[[1.0]]', '"x_1"'), "bad variable label"),
         (ESTIMATE_DOC % ('[["a"]]', '"theta_1"'), "could not convert"),
+        (ESTIMATE_DOC.replace('"n_samples": 5', '"n_samples": 0') % ('[[1.0]]', '"theta_1"'),
+         "n_samples must be positive"),
     ],
-    ids=["invalid-json", "missing-field", "asymmetric", "not-pd", "bad-label", "non-numeric"],
+    ids=["invalid-json", "missing-field", "asymmetric", "not-pd", "bad-label", "non-numeric",
+         "zero-samples"],
 )
 def test_learn_rejects_malformed_estimate(runner, tmp_path, text, match):
     path = tmp_path / "bad.json"

@@ -247,8 +247,11 @@ ESTIMATE_DOC = '{"matrix": %s, "labels": [%s], "model": "dc", "method": "direct"
         (ESTIMATE_DOC % ('[[1.0, 2.0], [2.0, 1.0]]', '"theta_1", "theta_2"'), "not positive definite"),
         (ESTIMATE_DOC % ('[[1.0]]', '"x_1"'), "bad variable label"),
         (ESTIMATE_DOC % ('[["a"]]', '"theta_1"'), "could not convert"),
+        (ESTIMATE_DOC.replace('"n_samples": 5', '"n_samples": 0') % ('[[1.0]]', '"theta_1"'),
+         "n_samples must be positive"),
     ],
-    ids=["invalid-json", "missing-labels", "asymmetric", "not-pd", "bad-label", "non-numeric"],
+    ids=["invalid-json", "missing-labels", "asymmetric", "not-pd", "bad-label", "non-numeric",
+         "zero-samples"],
 )
 def test_load_estimate_json_rejects_malformed_files(tmp_path, text, match):
     path = tmp_path / "bad.json"

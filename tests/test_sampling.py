@@ -1,4 +1,6 @@
 """Sample generation: determinism, moments, convergence rate, CSV round-trip."""
+import csv
+import io
 import json
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 from gridtopo.estimation import empirical_covariance
 from gridtopo.exceptions import ModelMismatchError, SampleFormatError
-from gridtopo.grid import grid_hash, reduced_laplacian
+from gridtopo.grid import BUILTIN_GRIDS, builtin_grid, grid_hash, reduced_laplacian
 from gridtopo.powerflow import (
     InjectionStats,
     dc_labels,
@@ -134,6 +136,39 @@ def test_csv_roundtrip_is_exact(tmp_path, loopy20_c4):
     assert (back.model, back.seed, back.grid_hash) == (s.model, s.seed, s.grid_hash)
 
 
+def _reference_csv(samples: SampleSet) -> bytes:
+    """The row-by-row writer: csv.writer with format(v, ".17g") per cell."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow([lab.text for lab in samples.labels])
+    for row in samples.data:
+        writer.writerow([format(v, ".17g") for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+def _assert_bytes_and_roundtrip(samples: SampleSet, path):
+    write_samples_csv(samples, path)
+    assert path.read_bytes() == _reference_csv(samples)
+    back = load_samples_csv(path)
+    assert np.array_equal(back.data, samples.data)
+    assert back.data.tobytes() == samples.data.tobytes()  # signed zeros too
+
+
+@pytest.mark.parametrize("model", ["dc", "lc"])
+@pytest.mark.parametrize("name", BUILTIN_GRIDS)
+def test_csv_bytes_match_reference_writer(tmp_path, name, model):
+    grid = builtin_grid(name)
+    s = generate_voltage_samples(grid, InjectionStats.uniform(grid), model, 30, seed=11)
+    _assert_bytes_and_roundtrip(s, tmp_path / "s.csv")
+
+
+def test_csv_bytes_match_reference_writer_on_edge_values(tmp_path, radial20):
+    edge = [-0.0, 5e-324, 1e308, 1 / 3, -1e-300]
+    data = np.array([edge, edge[::-1]])
+    s = SampleSet(data, dc_labels(radial20)[:5], "dc", 0, "h")
+    _assert_bytes_and_roundtrip(s, tmp_path / "s.csv")
+
+
 def test_load_requires_sidecar(tmp_path, radial20):
     s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), n=5, seed=0)
     path = tmp_path / "s.csv"
@@ -173,10 +208,29 @@ def test_load_rejects_malformed_csv(tmp_path, radial20):
     with pytest.raises(SampleFormatError, match="row 1 has 2 fields"):
         load_samples_csv(path)
 
+    path.write_text("\n".join(lines[:3] + ["1.0,2.0"] + lines[4:]) + "\n")
+    with pytest.raises(SampleFormatError, match="row 3 has 2 fields, expected 19"):
+        load_samples_csv(path)
+
     fields = lines[3].split(",")
     fields[4] = "abc"
     path.write_text("\n".join(lines[:3] + [",".join(fields)] + lines[4:]) + "\n")
     with pytest.raises(SampleFormatError, match="row 3, column theta_5: 'abc' is not a number"):
+        load_samples_csv(path)
+
+    fields = lines[5].split(",")
+    fields[-1] = "1.0x"
+    path.write_text("\n".join(lines[:5] + [",".join(fields)]) + "\n")
+    with pytest.raises(SampleFormatError, match="row 5, column theta_19: '1.0x' is not a number"):
+        load_samples_csv(path)
+
+    # comments=None: a '#' row is data, and not a number
+    path.write_text("\n".join(lines[:2] + ["#" + lines[2]] + lines[3:]) + "\n")
+    with pytest.raises(SampleFormatError, match="row 2, column theta_1: '#"):
+        load_samples_csv(path)
+
+    path.write_text(lines[0] + "\n")
+    with pytest.raises(SampleFormatError, match="no sample rows"):
         load_samples_csv(path)
 
     path.write_text("bogus_header," * 18 + "bogus\n")
@@ -185,4 +239,36 @@ def test_load_rejects_malformed_csv(tmp_path, radial20):
 
     path.write_text("")
     with pytest.raises(SampleFormatError, match="empty sample file"):
+        load_samples_csv(path)
+
+
+def test_load_accepts_lf_line_ends_and_skips_blank_lines(tmp_path, radial20):
+    s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), n=5, seed=0)
+    path = tmp_path / "s.csv"
+    write_samples_csv(s, path)
+    lines = path.read_text().splitlines()
+
+    path.write_text("\n".join(lines) + "\n")
+    assert np.array_equal(load_samples_csv(path).data, s.data)
+
+    path.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n")
+    assert np.array_equal(load_samples_csv(path).data, s.data)
+
+    # the sidecar still counts the rows
+    path.write_text("\n".join(lines[:3] + [""] + lines[4:]) + "\n")
+    with pytest.raises(SampleFormatError, match="claims n=5 but file has 4 rows"):
+        load_samples_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+def test_load_rejects_non_finite_cells(tmp_path, radial20, cell):
+    s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), n=5, seed=0)
+    path = tmp_path / "s.csv"
+    write_samples_csv(s, path)
+    lines = path.read_text().splitlines()
+    fields = lines[4].split(",")
+    fields[2] = cell
+    path.write_text("\n".join(lines[:4] + [",".join(fields)] + lines[5:]) + "\n")
+    with pytest.raises(SampleFormatError,
+                       match=f"row 4, column theta_3: '{cell}' is not a finite number"):
         load_samples_csv(path)

@@ -352,26 +352,41 @@ def bus_distance(grid: Grid, i: int, j: int, *, through_reference: bool = True) 
 
 
 def girth(grid: Grid) -> float:
-    """Length of the shortest cycle; ``math.inf`` for a radial (tree) grid.
+    """Length of the shortest cycle; ``math.inf`` for a grid without one.
 
-    Classic edge-deletion scan: for every line, the shortest alternative path
-    between its endpoints plus the line itself closes the smallest cycle
-    through that line.
+    Leaves are pruned first, down to the 2-core; an empty core means every
+    component is a tree.  Then a BFS runs from each bus of the core: a line
+    (u, w) to a bus already reached, other than u's parent, closes a cycle of
+    at most dist(u) + dist(w) + 1 lines, with equality when the root lies on
+    a shortest cycle.  A search stops once 2 dist(u) + 1 reaches the best
+    cycle so far, since no line it meets later closes a shorter one.
     """
+    core = {b: set(nbrs) for b, nbrs in grid.adjacency.items()}
+    leaves = [b for b, nbrs in core.items() if len(nbrs) <= 1]
+    while leaves:
+        leaf = leaves.pop()
+        for v in core.pop(leaf):
+            core[v].discard(leaf)
+            if len(core[v]) == 1:
+                leaves.append(v)
     best = math.inf
-    for ln in grid.lines:
-        adj = {
-            b: tuple(v for v in nbrs if not _same_edge(b, v, ln))
-            for b, nbrs in grid.adjacency.items()
-        }
-        dist = _bfs_distances(adj, ln.i)
-        if ln.j in dist:
-            best = min(best, dist[ln.j] + 1)
+    for root in core:
+        dist = {root: 0}
+        parent = {root: root}
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            du = dist[u]
+            if 2 * du + 1 >= best:
+                break
+            for w in core[u]:
+                if w not in dist:
+                    dist[w] = du + 1
+                    parent[w] = u
+                    queue.append(w)
+                elif w != parent[u]:
+                    best = min(best, du + dist[w] + 1)
     return best
-
-
-def _same_edge(a: int, b: int, ln: Line) -> bool:
-    return (a == ln.i and b == ln.j) or (a == ln.j and b == ln.i)
 
 
 def grid_hash(grid: Grid) -> str:

@@ -13,7 +13,9 @@ Injections are zero-mean with per-bus 2x2 covariance and no cross-bus
 correlation, so the inverse voltage covariance (the concentration matrix) is
 the product of the system matrix with the per-bus injection concentration on
 both sides: J = H_b diag(1/sigma_pp) H_b (DC) or J = S Cov([p; q])^{-1} S
-(LC).  Each is built once, by that product.
+(LC).  Each is built once, as the Gram matrix J = M^T M of the whitened
+system matrix M = L^{-1} S, where L L^T = Cov([p; q]) per bus: one symmetric
+product, exactly symmetric.
 """
 from __future__ import annotations
 
@@ -89,6 +91,13 @@ class InjectionStats:
     def det(self) -> np.ndarray:
         """Per-bus determinant sigma_pp*sigma_qq - sigma_pq^2."""
         return self.sigma_pp * self.sigma_qq - self.sigma_pq**2
+
+    @property
+    def cholesky(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-bus lower Cholesky factor [[l11, 0], [l21, l22]] of the 2x2
+        covariance, as the arrays (l11, l21, l22)."""
+        l11 = np.sqrt(self.sigma_pp)
+        return l11, self.sigma_pq / l11, np.sqrt(self.det / self.sigma_pp)
 
     @property
     def n(self) -> int:
@@ -184,9 +193,17 @@ def dc_concentration(grid: Grid, stats: InjectionStats) -> ConcentrationMatrix:
     term), positive at two-hop pairs, and exactly zero further apart.
     """
     check_stats(grid, stats)
-    H = reduced_laplacian(grid, "susceptance")
-    J = H @ ((1.0 / stats.sigma_pp)[:, None] * H)
-    return ConcentrationMatrix(J, dc_labels(grid), "dc")
+    return ConcentrationMatrix(_dc_gram(grid, stats), dc_labels(grid), "dc")
+
+
+def _dc_gram(grid: Grid, stats: InjectionStats) -> np.ndarray:
+    """J = M^T M with M = diag(sigma_pp)^{-1/2} H_b, the whitened system matrix.
+
+    A helper so that M is freed before the caller validates J.
+    """
+    M = reduced_laplacian(grid, "susceptance")
+    M /= np.sqrt(stats.sigma_pp)[:, None]
+    return M.T @ M
 
 
 # ----------------------------------------------------------------------
@@ -227,18 +244,6 @@ def _injection_covariance(stats: InjectionStats) -> np.ndarray:
     return cov
 
 
-def _injection_concentration(stats: InjectionStats) -> np.ndarray:
-    n = stats.n
-    d = stats.det
-    out = np.zeros((2 * n, 2 * n))
-    idx = np.arange(n)
-    out[idx, idx] = stats.sigma_qq / d
-    out[n + idx, n + idx] = stats.sigma_pp / d
-    out[idx, n + idx] = -stats.sigma_pq / d
-    out[n + idx, idx] = -stats.sigma_pq / d
-    return out
-
-
 def lc_voltage_covariance(grid: Grid, stats: InjectionStats) -> np.ndarray:
     """Cov([v; theta]) = S^{-1} Cov([p; q]) S^{-1}, labels ``lc_labels``."""
     check_stats(grid, stats)
@@ -255,9 +260,23 @@ def lc_concentration(grid: Grid, stats: InjectionStats) -> ConcentrationMatrix:
     structure of the DC concentration in each of its four blocks.
     """
     check_stats(grid, stats)
-    S = lc_system_matrix(grid)
-    J = S @ (_injection_concentration(stats) @ S)
-    return ConcentrationMatrix(J, lc_labels(grid), "lc")
+    return ConcentrationMatrix(_lc_gram(grid, stats), lc_labels(grid), "lc")
+
+
+def _lc_gram(grid: Grid, stats: InjectionStats) -> np.ndarray:
+    """J = M^T M with M = L^{-1} S, L the per-bus Cholesky factor of Cov([p; q]).
+
+    The rows of S are whitened in place, bus by bus:
+    [p_i; q_i] -> [p_i / l11; (q_i - l21 p_i / l11) / l22].  A helper so that
+    M is freed before the caller validates J.
+    """
+    M = lc_system_matrix(grid)
+    l11, l21, l22 = stats.cholesky
+    top, bottom = M[:stats.n], M[stats.n:]
+    top /= l11[:, None]
+    bottom -= l21[:, None] * top
+    bottom /= l22[:, None]
+    return M.T @ M
 
 
 def lc_threshold_statistic(conc: ConcentrationMatrix, entries: np.ndarray | None = None) -> np.ndarray:

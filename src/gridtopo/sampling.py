@@ -74,11 +74,8 @@ def generate_injections(stats: InjectionStats, n: int, rng: np.random.Generator)
     Column layout of the underlying normal draw is (z_p, z_q) interleaved per
     bus, which pins the stream layout independent of model kind.
     """
-    m = stats.n
-    l11 = np.sqrt(stats.sigma_pp)
-    l21 = stats.sigma_pq / l11
-    l22 = np.sqrt(stats.det / stats.sigma_pp)
-    z = rng.standard_normal((n, 2 * m))
+    l11, l21, l22 = stats.cholesky
+    z = rng.standard_normal((n, 2 * stats.n))
     zp, zq = z[:, 0::2], z[:, 1::2]
     p = zp * l11
     q = zp * l21 + zq * l22
@@ -148,16 +145,11 @@ def write_samples_csv(samples: SampleSet, path) -> None:
 def load_samples_csv(path) -> SampleSet:
     """Read a sample CSV and its mandatory metadata sidecar back.
 
-    Blank lines are skipped.  A ragged row, a cell that is not a finite
-    number or a file without sample rows raises :class:`SampleFormatError`.
+    Blank lines are skipped.  A malformed sidecar, a ragged row, a cell that
+    is not a finite number or a file without sample rows raises
+    :class:`SampleFormatError`.
     """
-    try:
-        with open(sidecar_path(path), "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except FileNotFoundError:
-        raise SampleFormatError(f"missing metadata sidecar {sidecar_path(path)}") from None
-    except json.JSONDecodeError as exc:
-        raise SampleFormatError(f"{sidecar_path(path)}: invalid JSON: {exc}") from None
+    meta = _read_sidecar(path)
 
     # universal newlines: loadtxt itself splits rows at "\n" and "\r\n" only
     with open(path, "r", encoding="utf-8") as fh:
@@ -183,10 +175,7 @@ def load_samples_csv(path) -> SampleSet:
     if data.shape[1] != len(labels) or not np.isfinite(data).all():
         fault = _row_fault(path, labels, "a ragged row or a non-finite cell")
         raise SampleFormatError(f"{path}: {fault}")
-    for field in ("grid_hash", "model_kind", "seed", "n"):
-        if field not in meta:
-            raise SampleFormatError(f"{sidecar_path(path)}: missing field {field!r}")
-    if int(meta["n"]) != data.shape[0]:
+    if meta["n"] != data.shape[0]:
         raise SampleFormatError(
             f"{path}: sidecar claims n={meta['n']} but file has {data.shape[0]} rows"
         )
@@ -194,9 +183,32 @@ def load_samples_csv(path) -> SampleSet:
         data=data,
         labels=labels,
         model=str(meta["model_kind"]),
-        seed=int(meta["seed"]),
+        seed=meta["seed"],
         grid_hash=str(meta["grid_hash"]),
     )
+
+
+def _read_sidecar(path) -> dict:
+    """The sidecar of sample file ``path``: a JSON object with every
+    provenance field, whose ``n`` and ``seed`` are integers."""
+    sc = sidecar_path(path)
+    try:
+        with open(sc, "r", encoding="utf-8") as fh:
+            meta = json.load(fh)
+    except FileNotFoundError:
+        raise SampleFormatError(f"missing metadata sidecar {sc}") from None
+    except json.JSONDecodeError as exc:
+        raise SampleFormatError(f"{sc}: invalid JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise SampleFormatError(f"{sc}: expected a JSON object, got {type(meta).__name__}")
+    for field in ("grid_hash", "model_kind", "seed", "n"):
+        if field not in meta:
+            raise SampleFormatError(f"{sc}: missing field {field!r}")
+    for field in ("seed", "n"):
+        value = meta[field]
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise SampleFormatError(f"{sc}: field {field!r} must be an integer, got {value!r}")
+    return meta
 
 
 def _row_fault(path, labels: tuple[VarLabel, ...], fallback: str) -> str:

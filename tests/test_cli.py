@@ -131,6 +131,24 @@ def test_estimate_rejects_non_numeric_sample(runner, tmp_path):
     assert "row 2, column theta_1" in payload["message"]
 
 
+@pytest.mark.parametrize("field,value", [("n", "four hundred"), ("seed", None)])
+def test_estimate_rejects_sidecar_field_that_is_not_an_integer(runner, tmp_path, field, value):
+    csv_path = tmp_path / "s.csv"
+    invoke_ok(runner, ["sample", "--grid", "radial20", "--n", "5", "--out", str(csv_path)])
+    meta_path = tmp_path / "s.csv.meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta[field] = value
+    meta_path.write_text(json.dumps(meta))
+    result = runner.invoke(main, ["estimate", "--samples", str(csv_path),
+                                  "--out", str(tmp_path / "e.json")])
+    assert result.stderr.count("\n") == 1
+    payload = stderr_error(result)
+    assert payload["error"] == "SampleFormatError"
+    assert payload["message"] == (
+        f"{meta_path}: field {field!r} must be an integer, got {value!r}"
+    )
+
+
 @pytest.mark.parametrize("method", ["auto", "direct"])
 def test_estimate_rejects_non_finite_sample(runner, tmp_path, method):
     csv_path = tmp_path / "s.csv"

@@ -2,9 +2,11 @@
 import itertools
 import json
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridtopo.exceptions import (
     GridFileError,
@@ -15,6 +17,7 @@ from gridtopo.exceptions import (
 )
 from gridtopo.grid import (
     BUILTIN_GRIDS,
+    Grid,
     Line,
     builtin_grid,
     bus_distance,
@@ -201,6 +204,81 @@ def test_girth_of_tree_plus_chord_is_cycle_length(make_random_tree):
         want = bus_distance(g, i, j) + 1
         chord = make_grid(0, g.buses, list(g.lines) + [(i, j, 0.01, 0.05)])
         assert girth(chord) == want
+
+
+def girth_by_edge_deletion(grid):
+    """Reference girth: for every line, the shortest other path between its
+    ends plus the line itself closes the smallest cycle through that line."""
+    best = math.inf
+    for ln in grid.lines:
+        dist = {ln.i: 0}
+        queue = deque([ln.i])
+        while queue:
+            u = queue.popleft()
+            for v in grid.adjacency[u]:
+                if v not in dist and {u, v} != {ln.i, ln.j}:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        if ln.j in dist:
+            best = min(best, dist[ln.j] + 1)
+    return best
+
+
+@st.composite
+def trees_with_chords(draw):
+    """A random tree on buses 0..n-1 (reference 0) plus 0-5 chords that each
+    close a triangle, or each touch the reference, or each join buses at
+    least 3 lines apart, or join any pair."""
+    n = draw(st.integers(3, 24))
+    lines = {(draw(st.integers(0, b - 1)), b) for b in range(1, n)}
+    kind = draw(st.sampled_from(["triangle", "reference", "far", "any"]))
+    for _ in range(draw(st.integers(0, 5))):
+        g = make_grid(0, range(n), [(i, j, 0.01, 0.05) for i, j in sorted(lines)])
+        pairs = itertools.combinations(range(n), 2)
+        if kind == "triangle":
+            pool = [p for p in pairs if bus_distance(g, *p) == 2]
+        elif kind == "reference":
+            pool = [p for p in pairs if p[0] == 0 and bus_distance(g, *p) > 1]
+        elif kind == "far":
+            pool = [p for p in pairs if bus_distance(g, *p) >= 3]
+        else:
+            pool = [p for p in pairs if bus_distance(g, *p) > 1]
+        if pool:
+            lines.add(draw(st.sampled_from(pool)))
+    return make_grid(0, range(n), [(i, j, 0.01, 0.05) for i, j in sorted(lines)])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(trees_with_chords())
+def test_girth_matches_edge_deletion_scan(grid):
+    assert girth(grid) == girth_by_edge_deletion(grid)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 30])
+def test_girth_of_a_single_cycle_is_its_length(n):
+    ring = make_grid(0, range(n), [(b, (b + 1) % n, 0.01, 0.05) for b in range(n)])
+    assert girth(ring) == n == girth_by_edge_deletion(ring)
+
+
+def test_girth_ignores_long_radial_tails():
+    # a 5-cycle 0..4 with a 40-bus tail at bus 2 and a 25-bus tail at the reference
+    lines = [(b, (b + 1) % 5, 0.01, 0.05) for b in range(5)]
+    lines += [(2 if b == 5 else b - 1, b, 0.01, 0.05) for b in range(5, 45)]
+    lines += [(0 if b == 45 else b - 1, b, 0.01, 0.05) for b in range(45, 70)]
+    g = make_grid(0, range(70), lines)
+    assert girth(g) == 5 == girth_by_edge_deletion(g)
+
+
+def test_girth_of_a_disconnected_grid_built_directly():
+    # Grid(...) skips the connectivity check: a 6-line tree at the reference
+    # next to a 4-cycle, with the tree's buses listed first and then last
+    tree = tuple(Line(b - 1, b, 0.01, 0.05) for b in range(1, 7))
+    cycle = tuple(Line(10 + b, 10 + (b + 1) % 4, 0.01, 0.05) for b in range(4))
+    for buses in (tuple(range(7)) + tuple(range(10, 14)), tuple(range(10, 14)) + tuple(range(7))):
+        g = Grid(reference=0, buses=buses, lines=tree + cycle)
+        assert g.is_radial  # it only counts lines: 10 lines, 11 buses
+        assert girth(g) == 4 == girth_by_edge_deletion(g)
+    assert girth(Grid(reference=0, buses=tuple(range(7)), lines=tree)) == math.inf
 
 
 # ----------------------------------------------------------------------

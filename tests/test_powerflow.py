@@ -198,6 +198,39 @@ def test_dc_closed_form_equals_product_form():
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
+def injection_concentration(stats):
+    """Dense Cov([p; q])^{-1}: each bus's inverse 2x2 covariance spread over
+    the four n x n diagonal blocks."""
+    n, det = stats.n, stats.det
+    out = np.zeros((2 * n, 2 * n))
+    idx = np.arange(n)
+    out[idx, idx] = stats.sigma_qq / det
+    out[n + idx, n + idx] = stats.sigma_pp / det
+    out[idx, n + idx] = out[n + idx, idx] = -stats.sigma_pq / det
+    return out
+
+
+@pytest.mark.parametrize("stats_kind", ["uniform", "random"])
+@pytest.mark.parametrize("name", GRID_NAMES)
+def test_concentrations_equal_their_defining_products(name, stats_kind):
+    # J = H diag(1/sigma_pp) H (DC) and J = S Lambda S (LC), to rounding,
+    # with the same exact zeros and exactly symmetric
+    g = builtin_grid(name)
+    if stats_kind == "uniform":
+        st = InjectionStats.uniform(g)
+    else:
+        st = random_stats(g, np.random.default_rng(19))
+        assert np.all(st.sigma_pq != 0)
+    H = reduced_laplacian(g, "susceptance")
+    S = lc_system_matrix(g)
+    for conc, want in ((dc_concentration(g, st), H @ ((1.0 / st.sigma_pp)[:, None] * H)),
+                       (lc_concentration(g, st), S @ injection_concentration(st) @ S)):
+        J = conc.matrix
+        assert np.array_equal(J, J.T)
+        assert np.array_equal(J == 0, want == 0)
+        np.testing.assert_allclose(J, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
 def test_dc_sign_structure_on_tree(radial20):
     conc = dc_concentration(radial20, InjectionStats.uniform(radial20))
     scale = np.abs(conc.matrix).max()

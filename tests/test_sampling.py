@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -178,11 +179,20 @@ def test_load_requires_sidecar(tmp_path, radial20):
         load_samples_csv(path)
 
 
+NOT_INTEGERS = [("n", "four hundred"), ("n", "5"), ("n", 5.0), ("n", True), ("n", None),
+                ("seed", None), ("seed", False), ("seed", "0"), ("seed", 0.5), ("seed", [0])]
+
+
 @pytest.mark.parametrize(
     "tamper,match",
     [
         (lambda meta: meta.update(n=99) or meta, "claims n=99"),
         (lambda meta: meta.pop("seed") and meta, "missing field 'seed'"),
+    ] + [
+        pytest.param(lambda meta, f=f, v=v: meta.update({f: v}),
+                     re.escape(f"s.csv.meta.json: field {f!r} must be an integer, got {v!r}"),
+                     id=f"{f}-{v!r}")
+        for f, v in NOT_INTEGERS
     ],
 )
 def test_load_rejects_bad_sidecar(tmp_path, radial20, tamper, match):
@@ -195,6 +205,18 @@ def test_load_rejects_bad_sidecar(tmp_path, radial20, tamper, match):
     with open(sc, "w") as fh:
         json.dump(meta, fh)
     with pytest.raises(SampleFormatError, match=match):
+        load_samples_csv(path)
+
+
+@pytest.mark.parametrize("doc", ["[]", "5", '"meta"', "null"])
+def test_load_rejects_sidecar_that_is_not_an_object(tmp_path, radial20, doc):
+    s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), n=5, seed=0)
+    path = tmp_path / "s.csv"
+    write_samples_csv(s, path)
+    with open(sidecar_path(path), "w") as fh:
+        fh.write(doc + "\n")
+    with pytest.raises(SampleFormatError,
+                       match=re.escape(f"{sidecar_path(path)}: expected a JSON object, got ")):
         load_samples_csv(path)
 
 

@@ -106,7 +106,22 @@ class Grid:
 
     @cached_property
     def is_radial(self) -> bool:
-        return len(self.lines) == len(self.buses) - 1
+        """A tree: one line fewer than buses and no cycle (a ``Grid(...)``
+        built directly skips the connectivity check)."""
+        return len(self.lines) == len(self.buses) - 1 and girth(self) == math.inf
+
+    @cached_property
+    def content_hash(self) -> str:
+        """Stable content hash (reference, buses, sorted lines); see :func:`grid_hash`."""
+        payload = {
+            "reference": self.reference,
+            "buses": sorted(self.buses),
+            "lines": sorted(
+                [min(ln.i, ln.j), max(ln.i, ln.j), repr(ln.r), repr(ln.x)] for ln in self.lines
+            ),
+        }
+        blob = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
+        return hashlib.sha256(blob).hexdigest()
 
     def has_bus(self, bus: int) -> bool:
         return bus in self.adjacency
@@ -390,13 +405,6 @@ def girth(grid: Grid) -> float:
 
 
 def grid_hash(grid: Grid) -> str:
-    """Stable content hash of the grid (reference, buses, sorted lines)."""
-    payload = {
-        "reference": grid.reference,
-        "buses": sorted(grid.buses),
-        "lines": sorted(
-            [min(ln.i, ln.j), max(ln.i, ln.j), repr(ln.r), repr(ln.x)] for ln in grid.lines
-        ),
-    }
-    blob = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    """Stable content hash of the grid (reference, buses, sorted lines),
+    computed once per grid object."""
+    return grid.content_hash

@@ -127,10 +127,12 @@ class ConcentrationMatrix:
             raise ValueError("concentration matrix shape does not match labels")
         if self.model not in ("dc", "lc"):
             raise ModelMismatchError(f"model must be 'dc' or 'lc', got {self.model!r}")
-        scale = np.abs(M).max()
-        if not np.allclose(M, M.T, atol=1e-8 * max(scale, 1.0)):
-            raise ValueError("concentration matrix is not symmetric")
-        object.__setattr__(self, "matrix", (M + M.T) / 2.0)
+        # Gram products and symmetrised inverses arrive exactly symmetric
+        if not np.array_equal(M, M.T):
+            scale = np.abs(M).max()
+            if not np.allclose(M, M.T, atol=1e-8 * max(scale, 1.0)):
+                raise ValueError("concentration matrix is not symmetric")
+            object.__setattr__(self, "matrix", (M + M.T) / 2.0)
         try:
             np.linalg.cholesky(self.matrix)
         except np.linalg.LinAlgError:

@@ -2,10 +2,14 @@
 
 Injections are drawn i.i.d. per snapshot: each non-reference bus gets a
 correlated (p, q) pair from its 2x2 covariance via an explicit Cholesky
-factor, then the linearized power flow maps injections to voltages.  All
-randomness flows through ``numpy.random.default_rng`` (PCG64) seeded from a
-single integer, so a (grid, stats, model, n, seed) tuple reproduces the same
-samples bit-for-bit on a fixed numpy version.
+factor, then the linearized power flow maps injections to voltages.  Both
+steps are linear, so a call builds the map once: row k of W is the voltage
+response to a unit value of column k of the standard normal draw z, found by
+the model's solver on 2N whitened unit injections, and the samples are the
+single product ``z @ W``.  All randomness flows through
+``numpy.random.default_rng`` (PCG64) seeded from a single integer, so a
+(grid, stats, model, n, seed) tuple reproduces the same samples bit-for-bit
+on a fixed numpy version.
 """
 from __future__ import annotations
 
@@ -68,18 +72,34 @@ class SampleSet:
         return self.data.shape[1]
 
 
+def _whiten(stats: InjectionStats, zp: np.ndarray, zq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, q) from standard normal (z_p, z_q) columns via each bus's 2x2
+    Cholesky factor: p = l11 z_p, q = l21 z_p + l22 z_q."""
+    l11, l21, l22 = stats.cholesky
+    return zp * l11, zp * l21 + zq * l22
+
+
 def generate_injections(stats: InjectionStats, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw n rows of (p, q) injections, each bus via its 2x2 Cholesky factor.
 
     Column layout of the underlying normal draw is (z_p, z_q) interleaved per
     bus, which pins the stream layout independent of model kind.
     """
-    l11, l21, l22 = stats.cholesky
     z = rng.standard_normal((n, 2 * stats.n))
-    zp, zq = z[:, 0::2], z[:, 1::2]
-    p = zp * l11
-    q = zp * l21 + zq * l22
-    return p, q
+    return _whiten(stats, z[:, 0::2], z[:, 1::2])
+
+
+def _unit_response(grid: Grid, stats: InjectionStats, model: str) -> np.ndarray:
+    """W (2N x d): row k is the model's voltage response to a unit value of
+    column k of the interleaved (z_p, z_q) draw, so the samples are z @ W.
+
+    Under DC the z_q rows are exactly zero.
+    """
+    eye = np.eye(2 * stats.n)
+    p, q = _whiten(stats, eye[:, 0::2], eye[:, 1::2])
+    if model == "dc":
+        return solve_dc(grid, p)
+    return np.concatenate(solve_lc(grid, p, q), axis=1)
 
 
 def generate_voltage_samples(
@@ -92,22 +112,18 @@ def generate_voltage_samples(
     """Sample injections, push them through the chosen model, label the columns.
 
     DC keeps phase angles only (columns ``theta_<bus>``); LC keeps magnitudes
-    then angles (``v_<bus>`` columns first).  The injection draw is identical
-    for both models under the same seed.
+    then angles (``v_<bus>`` columns first).  The normal draw, the one
+    :func:`generate_injections` makes, is identical for both models under the
+    same seed.
     """
     if model not in MODEL_KINDS:
         raise ModelMismatchError(f"model must be one of {MODEL_KINDS}, got {model!r}")
     if n <= 0:
         raise SampleFormatError(f"sample count must be positive, got {n}")
     rng = np.random.default_rng(int(seed))
-    p, q = generate_injections(stats, n, rng)
-    if model == "dc":
-        data = solve_dc(grid, p)
-        labels = dc_labels(grid)
-    else:
-        v, theta = solve_lc(grid, p, q)
-        data = np.concatenate([v, theta], axis=1)
-        labels = lc_labels(grid)
+    z = rng.standard_normal((n, 2 * stats.n))
+    data = z @ _unit_response(grid, stats, model)
+    labels = dc_labels(grid) if model == "dc" else lc_labels(grid)
     return SampleSet(data=data, labels=labels, model=model, seed=int(seed),
                      grid_hash=grid_hash(grid))
 

@@ -200,6 +200,39 @@ def test_failed_trials_score_as_empty_topology(monkeypatch):
     assert res.summary()[0]["failures"] == 1
 
 
+_NO_SKELETON = ("ReconstructionError: counting found no non-leaf skeleton edges; "
+                "the rule needs a grid with at least 3 non-leaf buses")
+
+
+def _leaf(bus: int, candidates: list[int]) -> str:
+    return (f"AmbiguousLeafError: leaf bus {bus} has {len(candidates)} attachment "
+            f"candidates {candidates}; cannot determine its line")
+
+
+_OK = (0, 0, None)
+
+# Per-trial (fp, fn, error) of the sweep below, recorded with samples drawn by
+# solving the power flow once per snapshot.  Every counting trial hits the
+# known leaf/skeleton defect and scores all 18 lines missed.
+PINNED_MINI_SWEEP = {
+    ("dc", "thresholding"): [_OK] * 10,
+    ("dc", "counting"): [(0, 18, e) for e in [_NO_SKELETON] * 5 + [
+        _leaf(1, []), _leaf(1, []), _leaf(1, []), _leaf(3, [1, 2]), _leaf(1, [])]],
+    ("lc", "thresholding"): [_OK] * 10,
+    ("lc", "counting"): [(0, 18, e) for e in [
+        _leaf(1, []), _NO_SKELETON, _leaf(1, [2, 9]), _NO_SKELETON, _leaf(1, []),
+        _leaf(1, []), _leaf(1, []), _leaf(1, []), _leaf(3, [1, 2]), _leaf(1, [])]],
+}
+
+
+@pytest.mark.parametrize("model,algorithm", sorted(PINNED_MINI_SWEEP))
+def test_pinned_radial20_mini_sweep(model, algorithm):
+    spec = ExperimentSpec(grid="radial20", model=model, algorithm=algorithm, estimator="direct",
+                          sample_counts=(500, 1000), trials=5, seed=0)
+    got = [(r.fp, r.fn, r.error) for r in run_experiment(spec).records]
+    assert got == PINNED_MINI_SWEEP[model, algorithm]
+
+
 def test_sweep_summary_and_worker_equivalence():
     spec = ExperimentSpec(sample_counts=(300, 600), trials=3, seed=5)
     res = run_experiment(spec)

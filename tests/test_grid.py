@@ -276,9 +276,10 @@ def test_girth_of_a_disconnected_grid_built_directly():
     cycle = tuple(Line(10 + b, 10 + (b + 1) % 4, 0.01, 0.05) for b in range(4))
     for buses in (tuple(range(7)) + tuple(range(10, 14)), tuple(range(10, 14)) + tuple(range(7))):
         g = Grid(reference=0, buses=buses, lines=tree + cycle)
-        assert g.is_radial  # it only counts lines: 10 lines, 11 buses
+        assert not g.is_radial  # 10 lines on 11 buses, but one is on a cycle
         assert girth(g) == 4 == girth_by_edge_deletion(g)
-    assert girth(Grid(reference=0, buses=tuple(range(7)), lines=tree)) == math.inf
+    tree_only = Grid(reference=0, buses=tuple(range(7)), lines=tree)
+    assert girth(tree_only) == math.inf and tree_only.is_radial
 
 
 # ----------------------------------------------------------------------
@@ -354,6 +355,12 @@ def test_grid_hash_sensitivity(radial20):
     doc = grid_to_dict(radial20)
     doc["lines"][0]["r"] += 1e-9
     assert grid_hash(grid_from_dict(doc, name=radial20.name)) != grid_hash(radial20)
+
+
+def test_grid_hash_is_stable_and_computed_once(radial20):
+    # sample sidecars and result sidecars store this value
+    assert grid_hash(radial20) == "278c9d9aa247d0ae240efe43b4ddfec67156b9c7f0a6a74bf1fde3f0def4f71d"
+    assert grid_hash(radial20) is grid_hash(radial20)
 
 
 def test_load_line_csv_relabels_sorted(tmp_path):

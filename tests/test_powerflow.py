@@ -109,6 +109,24 @@ def test_concentration_matrix_symmetrizes_and_checks():
         ConcentrationMatrix(np.eye(2), labels, "ac")
 
 
+def test_concentration_matrix_checks_gram_products_too(radial20):
+    # an exactly symmetric J skips the tolerance test, not the checks
+    J = dc_concentration(radial20, InjectionStats.uniform(radial20)).matrix
+    labels = dc_labels(radial20)
+    assert np.array_equal(ConcentrationMatrix(J.copy(), labels, "dc").matrix, J)
+    near = J.copy()
+    near[0, 1] += 1e-12 * np.abs(J).max()
+    sym = ConcentrationMatrix(near, labels, "dc").matrix
+    assert np.array_equal(sym, sym.T) and sym[0, 1] == (near[0, 1] + near[1, 0]) / 2.0
+    gross = J.copy()
+    gross[0, 1] += 1e-3 * np.abs(J).max()
+    with pytest.raises(ValueError, match="not symmetric"):
+        ConcentrationMatrix(gross, labels, "dc")
+    for indefinite in (-J, J - 2.0 * np.abs(J).max() * np.eye(J.shape[0]), near - np.diag(np.diag(near))):
+        with pytest.raises(ValueError, match="not positive definite"):
+            ConcentrationMatrix(indefinite, labels, "dc")
+
+
 def test_concentration_blocks(radial20):
     conc = lc_concentration(radial20, InjectionStats.uniform(radial20))
     vv = conc.block("v", "v")

@@ -9,12 +9,14 @@ import pytest
 
 from gridtopo.estimation import empirical_covariance
 from gridtopo.exceptions import ModelMismatchError, SampleFormatError
-from gridtopo.grid import BUILTIN_GRIDS, builtin_grid, grid_hash, reduced_laplacian
+from gridtopo.grid import BUILTIN_GRIDS, builtin_grid, grid_hash, make_grid, reduced_laplacian
 from gridtopo.powerflow import (
     InjectionStats,
     dc_labels,
     dc_phase_covariance,
     lc_system_matrix,
+    solve_dc,
+    solve_lc,
 )
 from gridtopo.sampling import (
     SampleSet,
@@ -68,6 +70,52 @@ def test_dc_and_lc_share_the_injection_stream(radial20):
     p_dc = dc.data @ H.T
     pq_lc = np.concatenate([lc.data[:, :19], lc.data[:, 19:]], axis=1) @ lc_system_matrix(radial20).T
     np.testing.assert_allclose(p_dc, pq_lc[:, :19], atol=1e-10)
+
+
+def _solve_route(grid, stats, model, n, seed):
+    """Reference: draw the injections, then solve the power flow per snapshot."""
+    p, q = generate_injections(stats, n, np.random.default_rng(seed))
+    if model == "dc":
+        return solve_dc(grid, p)
+    return np.concatenate(solve_lc(grid, p, q), axis=1)
+
+
+def _assert_matches_solve_route(grid, stats, model, n, seed):
+    """Both routes are backward stable, so each lies within about cond * eps
+    of the exact voltages; 1e-12 of the largest entry, or that bound on an
+    ill-conditioned system, is far below any error in the map itself."""
+    got = generate_voltage_samples(grid, stats, model, n, seed).data
+    want = _solve_route(grid, stats, model, n, seed)
+    system = reduced_laplacian(grid) if model == "dc" else lc_system_matrix(grid)
+    tol = max(1e-12, np.finfo(float).eps * np.linalg.cond(system))
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+def _random_stats(grid, rng):
+    """Per-bus variances in [0.5, 2] and correlations in [-0.9, 0.9]."""
+    k = len(grid.non_reference_buses)
+    pp, qq = rng.uniform(0.5, 2.0, k), rng.uniform(0.5, 2.0, k)
+    return InjectionStats(pp, qq, rng.uniform(-0.9, 0.9, k) * np.sqrt(pp * qq))
+
+
+@pytest.mark.parametrize("random_stats", [False, True], ids=["uniform", "random"])
+@pytest.mark.parametrize("model", ["dc", "lc"])
+@pytest.mark.parametrize("name", BUILTIN_GRIDS)
+def test_samples_match_the_per_snapshot_solve(name, model, random_stats):
+    grid = builtin_grid(name)
+    st = _random_stats(grid, np.random.default_rng(3)) if random_stats else InjectionStats.uniform(grid)
+    _assert_matches_solve_route(grid, st, model, 300, seed=21)
+
+
+@pytest.mark.parametrize("model", ["dc", "lc"])
+def test_samples_match_the_per_snapshot_solve_on_a_deep_feeder(model):
+    # each bus hangs off one of the 3 buses before it: a long, ill-conditioned H_b
+    rng = np.random.default_rng(0)
+    lines = [(int(rng.integers(max(0, b - 3), b)), b, float(rng.uniform(0.02, 0.08)),
+              float(rng.uniform(0.05, 0.12))) for b in range(1, 400)]
+    grid = make_grid(0, range(400), lines)
+    _assert_matches_solve_route(grid, _random_stats(grid, rng), model, 200, seed=4)
 
 
 def test_sample_covariance_tracks_analytic(radial20):

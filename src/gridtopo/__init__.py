@@ -28,6 +28,7 @@ from .powerflow import (
     lc_voltage_covariance,
     solve_dc,
     solve_lc,
+    whitened_system,
 )
 from .sampling import SampleSet, derive_trial_seed, generate_voltage_samples
 from .estimation import (

@@ -19,6 +19,7 @@ from .estimation import (
     GlassoConfig,
     estimate_concentration,
     load_estimate_json,
+    parse_lambda,
     write_estimate_json,
 )
 from .exceptions import ConfigError, GridTopoError
@@ -66,15 +67,6 @@ def _stats_options(fn):
     fn = click.option("--sigma-pq", type=float, default=0.5, show_default=True,
                       help="Per-bus p/q covariance (uniform).")(fn)
     return fn
-
-
-def _parse_lambda(text):
-    if text == "auto":
-        return text
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"--lambda must be a number or 'auto', got {text!r}") from None
 
 
 @click.group()
@@ -155,8 +147,8 @@ def sample(grid_ref, model, n, seed, out, sigma_pp, sigma_qq, sigma_pq):
 @_cli_errors
 def estimate(samples_path, method, lam, tol, max_iters, penalize_diagonal, out):
     """Estimate the concentration matrix from samples."""
+    lam = parse_lambda(lam, "--lambda")
     samples = load_samples_csv(samples_path)
-    lam = _parse_lambda(lam)
     cfg = GlassoConfig(tol=tol, max_iters=max_iters, diagonal_penalized=penalize_diagonal)
     est = estimate_concentration(samples, method=method, lam=lam, config=cfg)
     write_estimate_json(est, out)
@@ -278,7 +270,7 @@ def experiment(config_path, grid_ref, model, algo, estimator, counts, trials, se
         except ValueError:
             raise ConfigError(f"--counts must be comma-separated integers, got {counts!r}") from None
     if lam is not None:
-        overrides["glasso_lambda"] = _parse_lambda(lam)
+        overrides["glasso_lambda"] = parse_lambda(lam, "--lambda")
 
     doc = spec.to_dict()
     doc.update({k: v for k, v in overrides.items() if v is not None})

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -215,6 +216,21 @@ def kkt_violations(cov: np.ndarray, S: np.ndarray, lam: float,
     }
 
 
+def parse_lambda(value, name: str):
+    """The one parser of the glasso penalty: ``"auto"`` or a finite number
+    >= 0.  Numbers are kept as given; a string that spells a number (a
+    command-line flag) becomes a float first."""
+    if isinstance(value, str) and value != "auto":
+        try:
+            value = float(value)
+        except ValueError:
+            raise ConfigError(f"{name} must be a number or 'auto', got {value!r}") from None
+    if value != "auto" and (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                            or not (math.isfinite(value) and value >= 0)):
+        raise ConfigError(f"{name} must be a finite number >= 0 or 'auto', got {value!r}")
+    return value
+
+
 def select_lambda(samples: SampleSet, grid_size_hint: int | None = None,
                   c: float = 0.5) -> float:
     """Rate-driven penalty lam = c * sqrt(log d / n) (natural log)."""
@@ -326,6 +342,7 @@ def estimate_concentration(
     """
     if method not in ("auto", "direct", "glasso"):
         raise ConfigError(f"unknown estimator {method!r}")
+    lam = parse_lambda(lam, "lambda")
     cov = empirical_covariance(samples.data)
     d = samples.dim
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .estimation import EstimatedConcentration, estimate_concentration
+from .estimation import EstimatedConcentration, estimate_concentration, parse_lambda
 from .exceptions import ConfigError, GridTopoError
 from .grid import BUILTIN_GRIDS, Grid, builtin_grid, grid_hash, load_grid
 from .learning import (
@@ -86,8 +86,7 @@ class ExperimentSpec:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for name in ("tau1", "tau2"):
             object.__setattr__(self, name, parse_tau(getattr(self, name), name))
-        if isinstance(self.glasso_lambda, str) and self.glasso_lambda != "auto":
-            raise ConfigError(f"glasso_lambda must be a number or 'auto', got {self.glasso_lambda!r}")
+        object.__setattr__(self, "glasso_lambda", parse_lambda(self.glasso_lambda, "glasso_lambda"))
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
 

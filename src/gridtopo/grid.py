@@ -28,9 +28,6 @@ from .exceptions import (
 
 BUILTIN_GRIDS = ("radial20", "loopy20_c4", "loopy20_c7", "ieee14")
 
-#: weight kinds accepted by :func:`line_weight` / :func:`reduced_laplacian`
-WEIGHT_KINDS = ("susceptance", "conductance")
-
 
 def susceptance(r: float, x: float) -> float:
     """Line susceptance weight x/(r^2 + x^2), the -Im part of 1/(r + ix)."""
@@ -54,14 +51,6 @@ class Line:
     @property
     def key(self) -> tuple[int, int]:
         return (self.i, self.j) if self.i < self.j else (self.j, self.i)
-
-
-def line_weight(line: Line, kind: str) -> float:
-    if kind == "susceptance":
-        return susceptance(line.r, line.x)
-    if kind == "conductance":
-        return conductance(line.r, line.x)
-    raise ValueError(f"unknown weight kind {kind!r}; expected one of {WEIGHT_KINDS}")
 
 
 @dataclass(frozen=True)
@@ -312,14 +301,18 @@ def builtin_grid(name: str) -> Grid:
 def reduced_laplacian(grid: Grid, kind: str = "susceptance") -> np.ndarray:
     """Weighted graph Laplacian with the reference row/column removed.
 
+    ``kind`` names the line weight, ``"susceptance"`` or ``"conductance"``.
     Rows/columns follow ``grid.non_reference_buses``.  Positive definite for
     any connected grid and positive weights.
     """
+    weight = {"susceptance": susceptance, "conductance": conductance}.get(kind)
+    if weight is None:
+        raise ValueError(f"unknown weight kind {kind!r}; expected 'susceptance' or 'conductance'")
     order = grid.index_of
     n = len(order)
     H = np.zeros((n, n))
     for ln in grid.lines:
-        w = line_weight(ln, kind)
+        w = weight(ln.r, ln.x)
         ii = order.get(ln.i)
         jj = order.get(ln.j)
         if ii is not None:

@@ -89,16 +89,22 @@ def _off_diagonal(M: np.ndarray) -> np.ndarray:
     return M[~np.eye(M.shape[0], dtype=bool)]
 
 
+def _exact_scale(M: np.ndarray) -> float:
+    """Largest |off-diagonal| entry of M, or its largest |diagonal| entry
+    when no two variables couple (a grid with no bus pair to learn)."""
+    off = float(np.abs(_off_diagonal(M)).max(initial=0.0))
+    return off if off > 0 else float(np.abs(M.diagonal()).max(initial=0.0))
+
+
 def default_exact_tau1(conc: ConcentrationMatrix) -> float:
     """Fixed GM threshold for analytic matrices: 1e-4 x max |off-diagonal|."""
-    return EXACT_TAU_REL * float(np.abs(_off_diagonal(conc.matrix)).max(initial=0.0))
+    return EXACT_TAU_REL * _exact_scale(conc.matrix)
 
 
 def default_exact_tau2(conc: ConcentrationMatrix) -> float:
     """Fixed edge threshold for analytic matrices (negative mirror of tau1),
     measured on the statistic thresholding actually inspects."""
-    stat = thresholding_statistic(conc, conc.matrix)
-    return -EXACT_TAU_REL * float(np.abs(_off_diagonal(stat)).max(initial=0.0))
+    return -EXACT_TAU_REL * _exact_scale(thresholding_statistic(conc, conc.matrix))
 
 
 def concentration_standard_error(conc: np.ndarray, n: int) -> np.ndarray:

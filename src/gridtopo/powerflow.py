@@ -13,9 +13,10 @@ Injections are zero-mean with per-bus 2x2 covariance and no cross-bus
 correlation, so the inverse voltage covariance (the concentration matrix) is
 the product of the system matrix with the per-bus injection concentration on
 both sides: J = H_b diag(1/sigma_pp) H_b (DC) or J = S Cov([p; q])^{-1} S
-(LC).  Each is built once, as the Gram matrix J = M^T M of the whitened
-system matrix M = L^{-1} S, where L L^T = Cov([p; q]) per bus: one symmetric
-product, exactly symmetric.
+(LC).  Everything derives from one whitened system matrix M = L^{-1} S,
+where L L^T = Cov([p; q]) per bus (:func:`whitened_system`): J = M^T M, the
+voltage covariance M^{-1} M^{-T} (each one symmetric product, exactly
+symmetric) and the sampling map M^{-T}.
 """
 from __future__ import annotations
 
@@ -44,6 +45,25 @@ def parse_label(text: str) -> VarLabel:
     if kind not in ("v", "theta") or not bus.isdigit():
         raise ValueError(f"bad variable label {text!r}; expected v_<bus> or theta_<bus>")
     return VarLabel(kind, int(bus))
+
+
+def check_layout(labels: tuple[VarLabel, ...], model: str) -> None:
+    """Raise :class:`ModelMismatchError` unless ``model`` is 'dc' or 'lc', and
+    ``ValueError`` unless ``labels`` follow its layout: DC theta labels on
+    distinct buses; LC v labels, then theta labels for the same distinct
+    buses in the same order."""
+    if model not in ("dc", "lc"):
+        raise ModelMismatchError(f"model must be 'dc' or 'lc', got {model!r}")
+    thetas = labels[len(labels) // 2:] if model == "lc" else labels
+    buses = [lab.bus for lab in thetas]
+    want = [VarLabel("v", b) for b in buses] if model == "lc" else []
+    want += [VarLabel("theta", b) for b in buses]
+    if tuple(want) != tuple(labels) or len(set(buses)) != len(buses):
+        layout = "theta_<bus> labels on distinct buses"
+        if model == "lc":
+            layout = "v_<bus> labels on distinct buses, then theta_<bus> for the same buses in order"
+        shown = ", ".join(lab.text for lab in labels[:8]) + (", ..." if len(labels) > 8 else "")
+        raise ValueError(f"{model} variables must be {layout}; got {shown}")
 
 
 def dc_labels(grid: Grid) -> tuple[VarLabel, ...]:
@@ -125,8 +145,7 @@ class ConcentrationMatrix:
         object.__setattr__(self, "labels", tuple(self.labels))
         if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] != len(self.labels):
             raise ValueError("concentration matrix shape does not match labels")
-        if self.model not in ("dc", "lc"):
-            raise ModelMismatchError(f"model must be 'dc' or 'lc', got {self.model!r}")
+        check_layout(self.labels, self.model)
         # Gram products and symmetrised inverses arrive exactly symmetric
         if not np.array_equal(M, M.T):
             scale = np.abs(M).max()
@@ -140,10 +159,7 @@ class ConcentrationMatrix:
 
     @property
     def buses(self) -> tuple[int, ...]:
-        seen: dict[int, None] = {}
-        for lab in self.labels:
-            seen.setdefault(lab.bus, None)
-        return tuple(seen)
+        return tuple(lab.bus for lab in self.labels if lab.kind == "theta")
 
     @property
     def dim(self) -> int:
@@ -167,49 +183,7 @@ def check_stats(grid: Grid, stats: InjectionStats) -> None:
 
 
 # ----------------------------------------------------------------------
-# DC model
-# ----------------------------------------------------------------------
-
-
-def solve_dc(grid: Grid, p: np.ndarray) -> np.ndarray:
-    """Phase angles theta with p = H_b theta; accepts (N,) or (n, N) input."""
-    H = reduced_laplacian(grid, "susceptance")
-    p = np.asarray(p, dtype=float)
-    return np.linalg.solve(H, p.T).T
-
-
-def dc_phase_covariance(grid: Grid, stats: InjectionStats) -> np.ndarray:
-    """Cov(theta) = H_b^{-1} diag(sigma_pp) H_b^{-1} over non-reference buses."""
-    check_stats(grid, stats)
-    H = reduced_laplacian(grid, "susceptance")
-    Hinv = np.linalg.inv(H)
-    cov = Hinv @ (stats.sigma_pp[:, None] * Hinv)
-    return (cov + cov.T) / 2.0
-
-
-def dc_concentration(grid: Grid, stats: InjectionStats) -> ConcentrationMatrix:
-    """Inverse phase covariance J = H_b diag(1/sigma_pp) H_b.
-
-    Entry (i, j) couples i and j only through H_b's sparsity pattern, so J is
-    negative at direct lines (unless common neighbors overcome the direct
-    term), positive at two-hop pairs, and exactly zero further apart.
-    """
-    check_stats(grid, stats)
-    return ConcentrationMatrix(_dc_gram(grid, stats), dc_labels(grid), "dc")
-
-
-def _dc_gram(grid: Grid, stats: InjectionStats) -> np.ndarray:
-    """J = M^T M with M = diag(sigma_pp)^{-1/2} H_b, the whitened system matrix.
-
-    A helper so that M is freed before the caller validates J.
-    """
-    M = reduced_laplacian(grid, "susceptance")
-    M /= np.sqrt(stats.sigma_pp)[:, None]
-    return M.T @ M
-
-
-# ----------------------------------------------------------------------
-# LC model
+# the whitened system matrix, and everything derived from it
 # ----------------------------------------------------------------------
 
 
@@ -220,39 +194,68 @@ def lc_system_matrix(grid: Grid) -> np.ndarray:
     return np.block([[Hg, Hb], [Hb, -Hg]])
 
 
+def whitened_system(grid: Grid, stats: InjectionStats, model: str) -> np.ndarray:
+    """M = L^{-1} S: the model's system matrix (H_b for DC, S for LC) with
+    its rows whitened by L, the per-bus Cholesky factor of Cov([p; q]).
+
+    Row by row, bus by bus: [p_i; q_i] -> [p_i / l11; (q_i - l21 p_i / l11) / l22]
+    (DC keeps only the p rows).  Then J = M^T M, Cov = M^{-1} M^{-T}, and
+    voltages are M^{-1} z for a standard normal z in (z_p; z_q) block order.
+    """
+    if model not in ("dc", "lc"):
+        raise ModelMismatchError(f"model must be 'dc' or 'lc', got {model!r}")
+    check_stats(grid, stats)
+    M = reduced_laplacian(grid, "susceptance") if model == "dc" else lc_system_matrix(grid)
+    l11, l21, l22 = stats.cholesky
+    top, bottom = M[:stats.n], M[stats.n:]
+    top /= l11[:, None]
+    if model == "lc":
+        bottom -= l21[:, None] * top
+        bottom /= l22[:, None]
+    return M
+
+
+def _gram(A: np.ndarray) -> np.ndarray:
+    """A^T A as one SYRK, exactly symmetric: J for A = M, Cov for A = M^{-T}.
+    Callers pass M as a temporary, so it is freed before J is validated."""
+    return A.T @ A
+
+
+def solve_dc(grid: Grid, p: np.ndarray) -> np.ndarray:
+    """Phase angles theta with p = H_b theta; accepts (N,) or (n, N) input."""
+    return np.linalg.solve(reduced_laplacian(grid, "susceptance"), np.asarray(p, dtype=float).T).T
+
+
+def dc_phase_covariance(grid: Grid, stats: InjectionStats) -> np.ndarray:
+    """Cov(theta) = H_b^{-1} diag(sigma_pp) H_b^{-1} over non-reference buses."""
+    return _gram(np.linalg.inv(whitened_system(grid, stats, "dc")).T)
+
+
+def dc_concentration(grid: Grid, stats: InjectionStats) -> ConcentrationMatrix:
+    """Inverse phase covariance J = H_b diag(1/sigma_pp) H_b.
+
+    Entry (i, j) couples i and j only through H_b's sparsity pattern, so J is
+    negative at direct lines (unless common neighbors overcome the direct
+    term), positive at two-hop pairs, and exactly zero further apart.
+    """
+    return ConcentrationMatrix(_gram(whitened_system(grid, stats, "dc")), dc_labels(grid), "dc")
+
+
 def solve_lc(grid: Grid, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Voltage magnitudes & angles with [p; q] = S [v; theta].
 
     Accepts (N,) or (n, N) arrays; S is invertible for any connected grid
     because H_b is positive definite.
     """
-    S = lc_system_matrix(grid)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    rhs = np.concatenate([p.T, q.T], axis=0)
-    sol = np.linalg.solve(S, rhs)
+    rhs = np.concatenate([np.asarray(p, dtype=float).T, np.asarray(q, dtype=float).T], axis=0)
+    sol = np.linalg.solve(lc_system_matrix(grid), rhs)
     n = len(grid.non_reference_buses)
     return sol[:n].T, sol[n:].T
 
 
-def _injection_covariance(stats: InjectionStats) -> np.ndarray:
-    n = stats.n
-    cov = np.zeros((2 * n, 2 * n))
-    idx = np.arange(n)
-    cov[idx, idx] = stats.sigma_pp
-    cov[n + idx, n + idx] = stats.sigma_qq
-    cov[idx, n + idx] = stats.sigma_pq
-    cov[n + idx, idx] = stats.sigma_pq
-    return cov
-
-
 def lc_voltage_covariance(grid: Grid, stats: InjectionStats) -> np.ndarray:
     """Cov([v; theta]) = S^{-1} Cov([p; q]) S^{-1}, labels ``lc_labels``."""
-    check_stats(grid, stats)
-    S = lc_system_matrix(grid)
-    X = np.linalg.solve(S, _injection_covariance(stats))
-    cov = np.linalg.solve(S, X.T).T
-    return (cov + cov.T) / 2.0
+    return _gram(np.linalg.inv(whitened_system(grid, stats, "lc")).T)
 
 
 def lc_concentration(grid: Grid, stats: InjectionStats) -> ConcentrationMatrix:
@@ -261,24 +264,7 @@ def lc_concentration(grid: Grid, stats: InjectionStats) -> ConcentrationMatrix:
     Cov([p;q])^{-1} is per-bus 2x2, so J keeps the distance-1-or-2 support
     structure of the DC concentration in each of its four blocks.
     """
-    check_stats(grid, stats)
-    return ConcentrationMatrix(_lc_gram(grid, stats), lc_labels(grid), "lc")
-
-
-def _lc_gram(grid: Grid, stats: InjectionStats) -> np.ndarray:
-    """J = M^T M with M = L^{-1} S, L the per-bus Cholesky factor of Cov([p; q]).
-
-    The rows of S are whitened in place, bus by bus:
-    [p_i; q_i] -> [p_i / l11; (q_i - l21 p_i / l11) / l22].  A helper so that
-    M is freed before the caller validates J.
-    """
-    M = lc_system_matrix(grid)
-    l11, l21, l22 = stats.cholesky
-    top, bottom = M[:stats.n], M[stats.n:]
-    top /= l11[:, None]
-    bottom -= l21[:, None] * top
-    bottom /= l22[:, None]
-    return M.T @ M
+    return ConcentrationMatrix(_gram(whitened_system(grid, stats, "lc")), lc_labels(grid), "lc")
 
 
 def lc_threshold_statistic(conc: ConcentrationMatrix, entries: np.ndarray | None = None) -> np.ndarray:

@@ -164,6 +164,21 @@ def test_estimate_rejects_non_finite_sample(runner, tmp_path, method):
     assert "row 7, column theta_1: 'nan' is not a finite number" in payload["message"]
 
 
+def test_estimate_rejects_sample_labels_out_of_layout(runner, tmp_path):
+    csv_path = tmp_path / "s.csv"
+    invoke_ok(runner, ["sample", "--grid", "radial20", "--n", "100", "--out", str(csv_path)])
+    text = csv_path.read_text()
+    csv_path.write_text(text.replace("theta_2,", "theta_1,", 1))
+    result = runner.invoke(main, ["estimate", "--samples", str(csv_path),
+                                  "--out", str(tmp_path / "e.json")])
+    assert result.stderr.count("\n") == 1
+    payload = stderr_error(result)
+    assert payload["error"] == "SampleFormatError"
+    assert payload["message"].startswith(f"{csv_path}: dc variables must be theta_<bus> labels")
+    assert payload["message"].endswith("theta_1, theta_1, theta_3, theta_4, theta_5, theta_6, "
+                                       "theta_7, theta_8, ...")
+
+
 ESTIMATE_DOC = '{"matrix": %s, "labels": [%s], "model": "dc", "method": "direct", "n_samples": 5}'
 
 
@@ -178,9 +193,13 @@ ESTIMATE_DOC = '{"matrix": %s, "labels": [%s], "model": "dc", "method": "direct"
         (ESTIMATE_DOC % ('[["a"]]', '"theta_1"'), "could not convert"),
         (ESTIMATE_DOC.replace('"n_samples": 5', '"n_samples": 0') % ('[[1.0]]', '"theta_1"'),
          "n_samples must be positive"),
+        (ESTIMATE_DOC.replace('"dc"', '"lc"') % ('[[1.0, 0.0], [0.0, 1.0]]', '"theta_1", "theta_2"'),
+         "lc variables must be v_<bus> labels"),
+        (ESTIMATE_DOC % ('[[1.0, 0.0], [0.0, 1.0]]', '"theta_1", "theta_1"'),
+         "dc variables must be theta_<bus> labels on distinct buses"),
     ],
     ids=["invalid-json", "missing-field", "asymmetric", "not-pd", "bad-label", "non-numeric",
-         "zero-samples"],
+         "zero-samples", "lc-without-v", "repeated-bus"],
 )
 def test_learn_rejects_malformed_estimate(runner, tmp_path, text, match):
     path = tmp_path / "bad.json"
@@ -204,6 +223,23 @@ def test_learn_exact_counting(runner):
         "learn", "--conc", "exact", "--grid", "loopy20_c7", "--model", "lc",
         "--algo", "counting", "--compare-truth",
     ])
+    assert "fp=0 fn=0 total=0" in result.output
+
+
+@pytest.mark.parametrize("model", ["dc", "lc"])
+@pytest.mark.parametrize("lines", [
+    [(0, 1, 0.05, 0.1)],
+    [(0, 1, 0.05, 0.1), (0, 2, 0.03, 0.2)],
+], ids=["two-bus", "star"])
+def test_learn_exact_on_a_grid_without_bus_pairs(runner, tmp_path, lines, model):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({
+        "reference": 0, "buses": list(range(len(lines) + 1)),
+        "lines": [{"i": i, "j": j, "r": r, "x": x} for i, j, r, x in lines],
+    }))
+    result = invoke_ok(runner, ["learn", "--conc", "exact", "--grid", str(path),
+                                "--model", model, "--compare-truth"])
+    assert f"learned 0 edges over {len(lines)} buses" in result.output
     assert "fp=0 fn=0 total=0" in result.output
 
 
@@ -329,6 +365,36 @@ def test_wrong_sign_tau_is_rejected_up_front(runner, tmp_path, args, config, mat
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps(config))
         args = args + ["--config", str(cfg)]
+    out = tmp_path / "out"
+    payload = stderr_error(runner.invoke(main, args + ["--out", str(out)]))
+    assert payload["error"] == "ConfigError"
+    assert match in payload["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args,config,match",
+    [
+        (["experiment", "--estimator", "glasso", "--lambda", "-1"], None,
+         "--lambda must be a finite number >= 0 or 'auto', got -1.0"),
+        (["experiment", "--estimator", "glasso", "--lambda", "nan"], None,
+         "--lambda must be a finite number >= 0 or 'auto', got nan"),
+        (["experiment", "--estimator", "glasso"], {"glasso_lambda": -1},
+         "glasso_lambda must be a finite number >= 0 or 'auto', got -1"),
+        (["estimate", "--lambda", "-1"], None,
+         "--lambda must be a finite number >= 0 or 'auto', got -1.0"),
+    ],
+    ids=["experiment-negative", "experiment-nan", "experiment-config", "estimate-negative"],
+)
+def test_bad_lambda_is_rejected_up_front(runner, tmp_path, args, config, match):
+    if config is not None:
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps(config))
+        args = args + ["--config", str(cfg)]
+    if args[0] == "estimate":
+        samples = tmp_path / "s.csv"
+        samples.write_text("")
+        args = args + ["--samples", str(samples)]
     out = tmp_path / "out"
     payload = stderr_error(runner.invoke(main, args + ["--out", str(out)]))
     assert payload["error"] == "ConfigError"

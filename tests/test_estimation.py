@@ -12,6 +12,7 @@ from gridtopo.estimation import (
     invert_covariance,
     kkt_violations,
     load_estimate_json,
+    parse_lambda,
     select_lambda,
     write_estimate_json,
 )
@@ -160,6 +161,39 @@ def test_glasso_config_validation():
 # ----------------------------------------------------------------------
 
 
+def test_parse_lambda_accepts_auto_and_non_negative_numbers():
+    assert parse_lambda("auto", "lambda") == "auto"
+    assert parse_lambda("0.25", "lambda") == 0.25
+    assert parse_lambda(0, "lambda") == 0 and isinstance(parse_lambda(0, "lambda"), int)
+    assert parse_lambda(0.1, "lambda") == 0.1
+
+
+@pytest.mark.parametrize(
+    "value,match",
+    [
+        ("x", "knob must be a number or 'auto', got 'x'"),
+        ("-1", "knob must be a finite number >= 0 or 'auto', got -1.0"),
+        (-0.5, "knob must be a finite number >= 0 or 'auto', got -0.5"),
+        ("nan", "knob must be a finite number >= 0 or 'auto', got nan"),
+        (float("inf"), "knob must be a finite number >= 0 or 'auto', got inf"),
+        (True, "knob must be a finite number >= 0 or 'auto', got True"),
+        (None, "knob must be a finite number >= 0 or 'auto', got None"),
+    ],
+)
+def test_parse_lambda_rejects(value, match):
+    with pytest.raises(ConfigError) as exc:
+        parse_lambda(value, "knob")
+    assert str(exc.value) == match
+
+
+@pytest.mark.parametrize("method", ["auto", "direct", "glasso"])
+@pytest.mark.parametrize("lam", ["x", -1.0, float("nan")])
+def test_estimate_rejects_bad_lambda_up_front(radial20, method, lam):
+    s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), "dc", 50, seed=1)
+    with pytest.raises(ConfigError, match="lambda must be"):
+        estimate_concentration(s, method=method, lam=lam)
+
+
 def test_select_lambda_rate(radial20):
     s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), "dc", 400, seed=0)
     assert select_lambda(s, grid_size_hint=40) == pytest.approx(0.0480160, abs=1e-6)
@@ -249,9 +283,13 @@ ESTIMATE_DOC = '{"matrix": %s, "labels": [%s], "model": "dc", "method": "direct"
         (ESTIMATE_DOC % ('[["a"]]', '"theta_1"'), "could not convert"),
         (ESTIMATE_DOC.replace('"n_samples": 5', '"n_samples": 0') % ('[[1.0]]', '"theta_1"'),
          "n_samples must be positive"),
+        (ESTIMATE_DOC.replace('"dc"', '"lc"') % ('[[1.0, 0.0], [0.0, 1.0]]', '"theta_1", "theta_2"'),
+         "lc variables must be v_<bus> labels"),
+        (ESTIMATE_DOC % ('[[1.0, 0.0], [0.0, 1.0]]', '"theta_1", "theta_1"'),
+         "dc variables must be theta_<bus> labels on distinct buses"),
     ],
     ids=["invalid-json", "missing-labels", "asymmetric", "not-pd", "bad-label", "non-numeric",
-         "zero-samples"],
+         "zero-samples", "lc-without-v", "repeated-bus"],
 )
 def test_load_estimate_json_rejects_malformed_files(tmp_path, text, match):
     path = tmp_path / "bad.json"

@@ -60,6 +60,8 @@ def test_spec_defaults_roundtrip():
         ({"tau1": "0"}, "tau1 must be a positive number"),
         ({"tau2": 0.5}, "tau2 must be a negative number"),
         ({"tau2": None}, "tau2 must be a negative number"),
+        ({"glasso_lambda": -1.0}, "glasso_lambda must be a finite number >= 0"),
+        ({"glasso_lambda": float("nan")}, "glasso_lambda must be a finite number >= 0"),
     ],
 )
 def test_spec_validation(kw, match):
@@ -72,6 +74,11 @@ def test_spec_keeps_tau_numbers_as_given():
     assert spec.tau1 == 3 and isinstance(spec.tau1, int)
     assert spec.tau2 == -0.5
     assert spec.to_dict()["tau1"] == 3 and isinstance(spec.to_dict()["tau1"], int)
+
+
+def test_spec_reads_a_lambda_string_as_a_number():
+    assert ExperimentSpec.from_dict({"glasso_lambda": "0.5"}).glasso_lambda == 0.5
+    assert ExperimentSpec.from_dict({"glasso_lambda": 0}).to_dict()["glasso_lambda"] == 0
 
 
 def test_spec_rejects_unknown_fields():

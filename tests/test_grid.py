@@ -26,7 +26,6 @@ from gridtopo.grid import (
     grid_from_dict,
     grid_hash,
     grid_to_dict,
-    line_weight,
     load_grid,
     load_line_csv,
     make_grid,
@@ -55,12 +54,9 @@ def test_weight_formulas():
     assert conductance(0.0, 0.5) == 0.0
 
 
-def test_line_weight_kinds():
-    ln = Line(0, 1, 2.0, 4.0)
-    assert line_weight(ln, "susceptance") == pytest.approx(0.2)
-    assert line_weight(ln, "conductance") == pytest.approx(0.1)
-    with pytest.raises(ValueError, match="unknown weight kind"):
-        line_weight(ln, "bogus")
+def test_reduced_laplacian_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown weight kind 'bogus'"):
+        reduced_laplacian(path_grid(3), "bogus")
 
 
 def test_line_key_is_sorted():
@@ -83,7 +79,7 @@ def incidence_laplacian(grid, kind):
             B[k, idx[ln.i]] = 1.0
         if ln.j != grid.reference:
             B[k, idx[ln.j]] = -1.0
-        w[k] = line_weight(ln, kind)
+        w[k] = (susceptance if kind == "susceptance" else conductance)(ln.r, ln.x)
     return B.T @ (w[:, None] * B)
 
 

@@ -76,6 +76,30 @@ def test_default_exact_tau2_uses_lc_statistic(radial20):
     assert default_exact_tau2(conc) == pytest.approx(-1e-4 * off)
 
 
+#: grids with no bus pair to learn: one line to the reference, and a star
+#: of two lines around it
+NO_PAIR_GRIDS = {
+    "two-bus": [(0, 1, 0.05, 0.1)],
+    "star": [(0, 1, 0.05, 0.1), (0, 2, 0.03, 0.2)],
+}
+
+
+@pytest.mark.parametrize("model", ["dc", "lc"])
+@pytest.mark.parametrize("name", sorted(NO_PAIR_GRIDS))
+def test_default_exact_taus_without_bus_pairs_use_the_diagonal(name, model):
+    # the largest off-diagonal entry is 0, so the scale falls back to the
+    # diagonal; thresholding then learns no line and misses none
+    lines = NO_PAIR_GRIDS[name]
+    g = make_grid(0, range(len(lines) + 1), lines)
+    conc = (dc_concentration if model == "dc" else lc_concentration)(g, InjectionStats.uniform(g))
+    stat = conc.matrix if model == "dc" else conc.block("v", "v") + conc.block("theta", "theta")
+    assert default_exact_tau2(conc) == -1e-4 * np.abs(np.diag(stat)).max()
+    assert default_exact_tau1(conc) > 0
+    topo = learn_by_thresholding(conc, default_exact_tau2(conc))
+    assert topo.edges == frozenset()
+    assert edge_errors(topo, g).total == 0
+
+
 def test_build_graphical_model_path4():
     g = path_grid(4)
     conc = dc_concentration(g, unit_stats(g))

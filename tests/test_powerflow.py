@@ -127,6 +127,32 @@ def test_concentration_matrix_checks_gram_products_too(radial20):
             ConcentrationMatrix(indefinite, labels, "dc")
 
 
+@pytest.mark.parametrize(
+    "model,labels",
+    [
+        ("dc", ("v_1", "v_2")),
+        ("dc", ("theta_1", "theta_1")),
+        ("lc", ("theta_1", "theta_2")),
+        ("lc", ("v_1", "v_2", "theta_2", "theta_1")),
+        ("lc", ("v_1", "v_1", "theta_1", "theta_1")),
+        ("lc", ("theta_1", "theta_2", "v_1", "v_2")),
+    ],
+)
+def test_concentration_matrix_checks_label_layout(model, labels):
+    # block() pairs the i-th v label with the i-th theta label, so a layout
+    # it cannot read is rejected up front
+    labels = tuple(parse_label(t) for t in labels)
+    with pytest.raises(ValueError, match=f"{model} variables must be"):
+        ConcentrationMatrix(np.eye(len(labels)), labels, model)
+
+
+def test_concentration_matrix_accepts_model_layouts(radial20):
+    for labels, model in ((dc_labels(radial20), "dc"), (lc_labels(radial20), "lc")):
+        conc = ConcentrationMatrix(np.eye(len(labels)), labels, model)
+        assert conc.buses == radial20.non_reference_buses
+    assert ConcentrationMatrix(np.eye(0), (), "lc").buses == ()
+
+
 def test_concentration_blocks(radial20):
     conc = lc_concentration(radial20, InjectionStats.uniform(radial20))
     vv = conc.block("v", "v")
@@ -214,6 +240,44 @@ def test_dc_closed_form_equals_product_form():
         want = dc_closed_form(g, st)
         got = dc_concentration(g, st).matrix
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def injection_covariance(stats):
+    """Dense Cov([p; q]): each bus's 2x2 covariance spread over the four
+    n x n diagonal blocks."""
+    n = stats.n
+    out = np.zeros((2 * n, 2 * n))
+    idx = np.arange(n)
+    out[idx, idx] = stats.sigma_pp
+    out[n + idx, n + idx] = stats.sigma_qq
+    out[idx, n + idx] = out[n + idx, idx] = stats.sigma_pq
+    return out
+
+
+def two_solve_covariance(grid, stats, model):
+    """The voltage covariance by its definition, S^{-1} Cov(injections) S^{-1},
+    as two solves against the dense injection covariance; returns it with S."""
+    if model == "dc":
+        S, cov = reduced_laplacian(grid, "susceptance"), np.diag(stats.sigma_pp)
+    else:
+        S, cov = lc_system_matrix(grid), injection_covariance(stats)
+    X = np.linalg.solve(S, cov)
+    return np.linalg.solve(S, X.T).T, S
+
+
+@pytest.mark.parametrize("stats_kind", ["uniform", "random"])
+@pytest.mark.parametrize("model", ["dc", "lc"])
+@pytest.mark.parametrize("name", GRID_NAMES)
+def test_covariances_match_the_two_solve_route(name, model, stats_kind):
+    # M^{-1} M^{-T} is one symmetric product, so exactly symmetric; both
+    # routes lie within about cond(S) * eps of the exact covariance
+    g = builtin_grid(name)
+    st = InjectionStats.uniform(g) if stats_kind == "uniform" else random_stats(g, np.random.default_rng(23))
+    cov = (dc_phase_covariance if model == "dc" else lc_voltage_covariance)(g, st)
+    want, S = two_solve_covariance(g, st, model)
+    assert np.array_equal(cov, cov.T)
+    tol = max(1e-12, np.finfo(float).eps * np.linalg.cond(S))
+    assert np.abs(cov - want).max() <= tol * np.abs(want).max()
 
 
 def injection_concentration(stats):

@@ -6,17 +6,23 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridtopo.estimation import empirical_covariance
-from gridtopo.exceptions import ModelMismatchError, SampleFormatError
+from gridtopo.exceptions import InvalidInjectionStatsError, ModelMismatchError, SampleFormatError
 from gridtopo.grid import BUILTIN_GRIDS, builtin_grid, grid_hash, make_grid, reduced_laplacian
 from gridtopo.powerflow import (
     InjectionStats,
+    dc_concentration,
     dc_labels,
     dc_phase_covariance,
+    lc_concentration,
     lc_system_matrix,
+    lc_voltage_covariance,
+    parse_label,
     solve_dc,
     solve_lc,
+    whitened_system,
 )
 from gridtopo.sampling import (
     SampleSet,
@@ -118,6 +124,45 @@ def test_samples_match_the_per_snapshot_solve_on_a_deep_feeder(model):
     _assert_matches_solve_route(grid, _random_stats(grid, rng), model, 200, seed=4)
 
 
+@st.composite
+def grids_with_stats(draw):
+    """A random tree on 2-20 buses (reference 0) plus 0-4 chords, with
+    random line impedances and random per-bus injection statistics."""
+    n = draw(st.integers(2, 20))
+    lines = {(draw(st.integers(0, b - 1)), b) for b in range(1, n)}
+    if n > 2:
+        for _ in range(draw(st.integers(0, 4))):
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            lines.add((min(i, j), max(i, j)))
+    impedance = st.tuples(st.floats(0.005, 0.1), st.floats(0.01, 0.3))
+    grid = make_grid(0, range(n), [(i, j, *draw(impedance)) for i, j in sorted(lines)])
+    k = n - 1
+    pp = np.array(draw(st.lists(st.floats(0.2, 5.0), min_size=k, max_size=k)))
+    qq = np.array(draw(st.lists(st.floats(0.2, 5.0), min_size=k, max_size=k)))
+    rho = np.array(draw(st.lists(st.floats(-0.95, 0.95), min_size=k, max_size=k)))
+    return grid, InjectionStats(pp, qq, rho * np.sqrt(pp * qq))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(grids_with_stats(), st.sampled_from(["dc", "lc"]))
+def test_concentration_covariance_and_samples_share_one_system(case, model):
+    # J = M^T M inverts Cov = M^{-1} M^{-T}: each entry of J @ Cov - I lies
+    # within a small multiple of d * cond(M) * eps, the forward error of the
+    # computed inverse; the samples agree with the per-snapshot solve
+    grid, stats = case
+    J = (dc_concentration if model == "dc" else lc_concentration)(grid, stats).matrix
+    cov = (dc_phase_covariance if model == "dc" else lc_voltage_covariance)(grid, stats)
+    assert np.array_equal(cov, cov.T)
+    bound = 10 * len(J) * np.linalg.cond(whitened_system(grid, stats, model)) * np.finfo(float).eps
+    assert np.abs(J @ cov - np.eye(len(J))).max() <= bound
+    _assert_matches_solve_route(grid, stats, model, 50, seed=len(J))
+
+
+def test_generate_rejects_stats_of_another_grid(radial20, ieee14):
+    with pytest.raises(InvalidInjectionStatsError, match="19 non-reference"):
+        generate_voltage_samples(radial20, InjectionStats.uniform(ieee14), "dc", 10)
+
+
 def test_sample_covariance_tracks_analytic(radial20):
     st = InjectionStats.uniform(radial20)
     s = generate_voltage_samples(radial20, st, "dc", 50_000, seed=2)
@@ -166,6 +211,23 @@ def test_sampleset_validation(radial20):
         SampleSet(np.zeros((4, 3)), labels, "dc", 0, "h")
     with pytest.raises(ModelMismatchError):
         SampleSet(np.zeros((4, 19)), labels, "ac", 0, "h")
+
+
+@pytest.mark.parametrize(
+    "model,labels",
+    [
+        ("dc", ("v_1", "v_2")),
+        ("dc", ("theta_1", "theta_1")),
+        ("lc", ("theta_1", "theta_2")),
+        ("lc", ("v_1", "v_2", "theta_2", "theta_1")),
+        ("lc", ("v_1", "v_1", "theta_1", "theta_1")),
+        ("lc", ("v_1", "theta_1", "theta_2")),
+    ],
+)
+def test_sampleset_rejects_labels_out_of_layout(model, labels):
+    labels = tuple(parse_label(t) for t in labels)
+    with pytest.raises(SampleFormatError, match=f"{model} variables must be"):
+        SampleSet(np.zeros((4, len(labels))), labels, model, 0, "h")
 
 
 # ----------------------------------------------------------------------

@@ -39,6 +39,13 @@ def conductance(r: float, x: float) -> float:
     return r / (r * r + x * x)
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``arrays``, flagged read-only: a grid's cached arrays are shared."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 @dataclass(frozen=True)
 class Line:
     """One branch with series resistance r and reactance x (per unit)."""
@@ -68,9 +75,44 @@ class Grid:
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         nbrs: dict[int, list[int]] = {b: [] for b in self.buses}
         for ln in self.lines:
+            if ln.i not in nbrs or ln.j not in nbrs:  # a Grid(...) built directly
+                missing = ln.i if ln.i not in nbrs else ln.j
+                raise GridStructureError(f"line ({ln.i},{ln.j}): endpoint {missing} is not a listed bus")
             nbrs[ln.i].append(ln.j)
             nbrs[ln.j].append(ln.i)
         return {b: tuple(sorted(v)) for b, v in nbrs.items()}
+
+    @cached_property
+    def laplacian_index(self) -> tuple[np.ndarray, ...]:
+        """Where line weights land in :func:`laplacian_entries`: the triples'
+        (rows, cols); the (bus index, line) of every diagonal addend, in line
+        order; and the line of every off-diagonal triple."""
+        order = self.index_of
+        n, m = len(order), len(self.lines)
+        ends = np.array([(order.get(ln.i, -1), order.get(ln.j, -1)) for ln in self.lines],
+                        dtype=np.intp).reshape(m, 2)
+        inner = np.flatnonzero((ends >= 0).all(axis=1))
+        i, j = ends[inner].T
+        on = ends.reshape(-1) >= 0
+        return _read_only(np.concatenate([np.arange(n), np.stack([i, j], axis=1).reshape(-1)]),
+                          np.concatenate([np.arange(n), np.stack([j, i], axis=1).reshape(-1)]),
+                          ends.reshape(-1)[on], np.repeat(np.arange(m), 2)[on], np.repeat(inner, 2))
+
+    @cached_property
+    def line_weights(self) -> dict[str, np.ndarray]:
+        """Per-line ``"susceptance"`` and ``"conductance"`` arrays, in line
+        order (a ``Grid(...)`` built directly may hold non-finite ones)."""
+        r = np.array([ln.r for ln in self.lines], dtype=float)
+        x = np.array([ln.x for ln in self.lines], dtype=float)
+        with np.errstate(all="ignore"):
+            b, g = _read_only(susceptance(r, x), conductance(r, x))
+        return {"susceptance": b, "conductance": g}
+
+    @cached_property
+    def stranded_buses(self) -> tuple[int, ...]:
+        """Buses no path of lines joins to the reference, sorted."""
+        reached = _bfs_distances(self.adjacency, self.reference)
+        return tuple(sorted(b for b in self.buses if b not in reached))
 
     @cached_property
     def line_by_key(self) -> dict[tuple[int, int], Line]:
@@ -160,14 +202,12 @@ def _validate(reference: int, buses: Iterable[int], lines: list[Line]) -> None:
         if ln.x <= 0.0:
             raise InvalidLineError(f"{ctx}: reactance must be positive, got x={ln.x}")
 
-    # connectivity from the reference
-    adj: dict[int, list[int]] = {b: [] for b in seen}
-    for ln in lines:
-        adj[ln.i].append(ln.j)
-        adj[ln.j].append(ln.i)
-    reached = _bfs_distances(adj, reference)
-    if len(reached) != len(seen):
-        stranded = sorted(seen - reached.keys())
+
+def check_connected(grid: Grid) -> None:
+    """Raise :class:`GridStructureError` naming the first bus that does not
+    reach the reference."""
+    stranded = grid.stranded_buses
+    if stranded:
         raise GridStructureError(
             f"grid is not connected: {len(stranded)} bus(es) unreachable from the "
             f"reference, first {stranded[0]}"
@@ -189,7 +229,9 @@ def make_grid(
         norm.append(ln)
     buses = tuple(buses)
     _validate(reference, buses, norm)
-    return Grid(reference=reference, buses=buses, lines=tuple(norm), name=name)
+    grid = Grid(reference=reference, buses=buses, lines=tuple(norm), name=name)
+    check_connected(grid)
+    return grid
 
 
 def grid_from_dict(doc: dict, name: str = "") -> Grid:
@@ -298,6 +340,28 @@ def builtin_grid(name: str) -> Grid:
 # ----------------------------------------------------------------------
 
 
+def laplacian_entries(grid: Grid, kind: str = "susceptance") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reduced Laplacian as (rows, cols, vals) triples, one per position.
+
+    ``kind`` names the line weight, ``"susceptance"`` or ``"conductance"``.
+    First the diagonal, bus by bus, each entry its lines' weights summed in
+    line order; then (i, j, -w) and (j, i, -w) for each line w between
+    non-reference buses i and j, in line order.
+    """
+    w = grid.line_weights.get(kind)
+    if w is None:
+        raise ValueError(f"unknown weight kind {kind!r}; expected 'susceptance' or 'conductance'")
+    rows, cols, diag_bus, diag_line, off_line = grid.laplacian_index
+    diag = np.bincount(diag_bus, weights=w[diag_line], minlength=len(grid.non_reference_buses))
+    return rows, cols, np.concatenate([diag, -w[off_line]])
+
+
+def dense_from_entries(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, d: int) -> np.ndarray:
+    """The d x d array of (rows, cols, vals) triples, each position summed
+    in triple order (``np.bincount``)."""
+    return np.bincount(rows * d + cols, weights=vals, minlength=d * d).reshape(d, d)
+
+
 def reduced_laplacian(grid: Grid, kind: str = "susceptance") -> np.ndarray:
     """Weighted graph Laplacian with the reference row/column removed.
 
@@ -305,24 +369,7 @@ def reduced_laplacian(grid: Grid, kind: str = "susceptance") -> np.ndarray:
     Rows/columns follow ``grid.non_reference_buses``.  Positive definite for
     any connected grid and positive weights.
     """
-    weight = {"susceptance": susceptance, "conductance": conductance}.get(kind)
-    if weight is None:
-        raise ValueError(f"unknown weight kind {kind!r}; expected 'susceptance' or 'conductance'")
-    order = grid.index_of
-    n = len(order)
-    H = np.zeros((n, n))
-    for ln in grid.lines:
-        w = weight(ln.r, ln.x)
-        ii = order.get(ln.i)
-        jj = order.get(ln.j)
-        if ii is not None:
-            H[ii, ii] += w
-        if jj is not None:
-            H[jj, jj] += w
-        if ii is not None and jj is not None:
-            H[ii, jj] -= w
-            H[jj, ii] -= w
-    return H
+    return dense_from_entries(*laplacian_entries(grid, kind), len(grid.non_reference_buses))
 
 
 # ----------------------------------------------------------------------

@@ -86,14 +86,19 @@ def thresholding_statistic(conc: ConcentrationMatrix, entries: np.ndarray) -> np
 
 
 def _off_diagonal(M: np.ndarray) -> np.ndarray:
-    return M[~np.eye(M.shape[0], dtype=bool)]
+    """The off-diagonal entries of square M as a (d - 1, d + 1) array (a
+    view of a contiguous M): dropping the first entry of the flat M leaves
+    each diagonal entry at the end of a row of d + 1."""
+    d = M.shape[0]
+    return M.reshape(-1)[1:].reshape(max(d - 1, 0), d + 1)[:, :d]
 
 
 def _exact_scale(M: np.ndarray) -> float:
     """Largest |off-diagonal| entry of M, or its largest |diagonal| entry
     when no two variables couple (a grid with no bus pair to learn)."""
-    off = float(np.abs(_off_diagonal(M)).max(initial=0.0))
-    return off if off > 0 else float(np.abs(M.diagonal()).max(initial=0.0))
+    off = _off_diagonal(M)
+    largest = max(float(off.max(initial=0.0)), -float(off.min(initial=0.0)))
+    return largest if largest > 0 else float(np.abs(M.diagonal()).max(initial=0.0))
 
 
 def default_exact_tau1(conc: ConcentrationMatrix) -> float:
@@ -132,14 +137,14 @@ def thresholding_noise_scale(est: EstimatedConcentration) -> np.ndarray:
 
 
 def largest_gap_threshold(magnitudes: np.ndarray) -> float:
-    """Cut a positive 1-d magnitude array at its largest relative gap.
+    """Cut an array of magnitudes (read flat) at its largest relative gap.
 
     Returns the geometric mean of the two values straddling the largest
     ratio when sorted descending (values below 1e-12 of the maximum are
     treated as zero).  A documented heuristic fallback; the noise-adaptive
     default is preferred for estimated matrices.
     """
-    v = np.sort(np.abs(np.asarray(magnitudes, dtype=float)))[::-1]
+    v = np.sort(np.abs(np.asarray(magnitudes, dtype=float)).reshape(-1))[::-1]
     if v.size == 0 or v[0] <= 0.0:
         return 0.0
     floor = 1e-12 * v[0]
@@ -201,7 +206,9 @@ def _scaled(values: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
 
 def _upper_pairs(mask: np.ndarray, keys) -> frozenset:
     """Ordered ``keys`` pairs at the upper-triangle positions where ``mask`` holds."""
-    rows, cols = np.nonzero(np.triu(mask, k=1))
+    rows, cols = np.nonzero(mask)
+    upper = rows < cols
+    rows, cols = rows[upper], cols[upper]
     return frozenset(_pair(keys[a], keys[b]) for a, b in zip(rows.tolist(), cols.tolist()))
 
 
@@ -395,7 +402,8 @@ def learn_by_counting(graph: GraphicalModel | HybridGraph) -> LearnedTopology:
         if u in discovered:
             continue
         want = adj[u] & discovered
-        candidates = [i for i in discovered if want == ({i} | skel_adj[i])]
+        # i is in {i} | skel(i), so every candidate lies in want
+        candidates = [i for i in want if want == ({i} | skel_adj[i])]
         if len(candidates) != 1:
             raise AmbiguousLeafError(
                 f"leaf bus {u} has {len(candidates)} attachment candidates "

@@ -16,7 +16,10 @@ both sides: J = H_b diag(1/sigma_pp) H_b (DC) or J = S Cov([p; q])^{-1} S
 (LC).  Everything derives from one whitened system matrix M = L^{-1} S,
 where L L^T = Cov([p; q]) per bus (:func:`whitened_system`): J = M^T M, the
 voltage covariance M^{-1} M^{-T} (each one symmetric product, exactly
-symmetric) and the sampling map M^{-T}.
+symmetric) and the sampling map M^{-T}.  M is built as (row, col, value)
+triples from the line list, checked non-singular there, and J is summed from
+the triples' row-wise products, at graph cost: J is non-zero only between
+variables whose buses are at most two lines apart.
 """
 from __future__ import annotations
 
@@ -25,8 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import InvalidInjectionStatsError, ModelMismatchError
-from .grid import Grid, reduced_laplacian
+from .exceptions import InvalidInjectionStatsError, InvalidLineError, ModelMismatchError
+from .grid import Grid, check_connected, dense_from_entries, laplacian_entries, reduced_laplacian
 
 
 class VarLabel(NamedTuple):
@@ -143,10 +146,8 @@ class ConcentrationMatrix:
         M = np.asarray(self.matrix, dtype=float)
         object.__setattr__(self, "matrix", M)
         object.__setattr__(self, "labels", tuple(self.labels))
-        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] != len(self.labels):
-            raise ValueError("concentration matrix shape does not match labels")
-        check_layout(self.labels, self.model)
-        # Gram products and symmetrised inverses arrive exactly symmetric
+        self._check_shape_and_layout()
+        # symmetrised inverses arrive exactly symmetric
         if not np.array_equal(M, M.T):
             scale = np.abs(M).max()
             if not np.allclose(M, M.T, atol=1e-8 * max(scale, 1.0)):
@@ -156,6 +157,23 @@ class ConcentrationMatrix:
             np.linalg.cholesky(self.matrix)
         except np.linalg.LinAlgError:
             raise ValueError("concentration matrix is not positive definite") from None
+
+    @classmethod
+    def _of_gram(cls, matrix: np.ndarray, labels: tuple[VarLabel, ...], model: str) -> "ConcentrationMatrix":
+        """J = M^T M of a whitened system M checked non-singular where it is
+        built (:func:`_whitened_entries`): exactly symmetric and positive
+        definite by construction, so only shape and layout are checked."""
+        conc = object.__new__(cls)
+        for name, value in (("matrix", matrix), ("labels", labels), ("model", model)):
+            object.__setattr__(conc, name, value)
+        conc._check_shape_and_layout()
+        return conc
+
+    def _check_shape_and_layout(self) -> None:
+        M = self.matrix
+        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] != len(self.labels):
+            raise ValueError("concentration matrix shape does not match labels")
+        check_layout(self.labels, self.model)
 
     @property
     def buses(self) -> tuple[int, ...]:
@@ -167,10 +185,12 @@ class ConcentrationMatrix:
 
     def block(self, kind_row: str, kind_col: str, entries: np.ndarray | None = None) -> np.ndarray:
         """Sub-matrix of all (kind_row, kind_col) label pairs, bus-ordered, of
-        this matrix or of ``entries``, an array indexed like it."""
-        rows = [k for k, lab in enumerate(self.labels) if lab.kind == kind_row]
-        cols = [k for k, lab in enumerate(self.labels) if lab.kind == kind_col]
-        return (self.matrix if entries is None else entries)[np.ix_(rows, cols)]
+        this matrix or of ``entries``, an array indexed like it: a slice, as
+        the layout puts any v labels first and the theta labels after them
+        in the same bus order."""
+        h = self.dim // 2 if self.model == "lc" else 0
+        span = {"v": slice(0, h), "theta": slice(h, self.dim)}
+        return (self.matrix if entries is None else entries)[span[kind_row], span[kind_col]]
 
 
 def check_stats(grid: Grid, stats: InjectionStats) -> None:
@@ -187,11 +207,62 @@ def check_stats(grid: Grid, stats: InjectionStats) -> None:
 # ----------------------------------------------------------------------
 
 
+def _system_entries(grid: Grid, model: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Triples of the model's system matrix, one per position: H_b's for DC;
+    for LC, S's four blocks H_g, H_b, H_b, -H_g in turn, each on H_b's
+    positions (zeros included), so the bottom half of the triples lies
+    N rows below the top half, column for column."""
+    rows, cols, b = laplacian_entries(grid, "susceptance")
+    if model == "dc":
+        return rows, cols, b
+    g = laplacian_entries(grid, "conductance")[2]
+    n = len(grid.non_reference_buses)
+    return (np.concatenate([rows, rows, rows + n, rows + n]),
+            np.concatenate([cols, cols + n, cols, cols + n]),
+            np.concatenate([g, b, b, -g]))
+
+
 def lc_system_matrix(grid: Grid) -> np.ndarray:
     """S = [[H_g, H_b], [H_b, -H_g]] mapping [v; theta] to [p; q]."""
-    Hb = reduced_laplacian(grid, "susceptance")
-    Hg = reduced_laplacian(grid, "conductance")
-    return np.block([[Hg, Hb], [Hb, -Hg]])
+    return dense_from_entries(*_system_entries(grid, "lc"), 2 * len(grid.non_reference_buses))
+
+
+def _check_nonsingular(grid: Grid) -> None:
+    """Raise unless H_b is positive definite: every susceptance finite and
+    positive (:class:`InvalidLineError`) and every bus joined to the
+    reference (:class:`GridStructureError`).  S is then non-singular too:
+    S [v; theta] = 0 gives v^T H_b v + theta^T H_b theta = 0."""
+    b = grid.line_weights["susceptance"]
+    bad = np.flatnonzero(~(np.isfinite(b) & (b > 0)))  # NaN fails both
+    if bad.size:
+        ln = grid.lines[bad[0]]
+        raise InvalidLineError(
+            f"line ({ln.i},{ln.j}): susceptance must be finite and positive, "
+            f"got {b[bad[0]]} from r={ln.r} x={ln.x}"
+        )
+    check_connected(grid)
+
+
+def _whitened_entries(grid: Grid, stats: InjectionStats, model: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Triples of M = L^{-1} S, one per position; see :func:`whitened_system`.
+
+    M is non-singular: S is (:func:`_check_nonsingular`), and
+    :class:`InjectionStats` keeps l11 and l22 positive.  Top row k becomes
+    S_k / l11_k and LC bottom row N + k becomes (S_{N+k} - l21_k M_k) / l22_k,
+    the same float operations as on the dense rows.
+    """
+    if model not in ("dc", "lc"):
+        raise ModelMismatchError(f"model must be 'dc' or 'lc', got {model!r}")
+    check_stats(grid, stats)
+    _check_nonsingular(grid)
+    rows, cols, vals = _system_entries(grid, model)
+    l11, l21, l22 = stats.cholesky
+    if model == "dc":
+        return rows, cols, vals / l11[rows]
+    half = vals.size // 2
+    k = rows[:half]
+    m_top = vals[:half] / l11[k]
+    return rows, cols, np.concatenate([m_top, (vals[half:] - l21[k] * m_top) / l22[k]])
 
 
 def whitened_system(grid: Grid, stats: InjectionStats, model: str) -> np.ndarray:
@@ -201,23 +272,35 @@ def whitened_system(grid: Grid, stats: InjectionStats, model: str) -> np.ndarray
     Row by row, bus by bus: [p_i; q_i] -> [p_i / l11; (q_i - l21 p_i / l11) / l22]
     (DC keeps only the p rows).  Then J = M^T M, Cov = M^{-1} M^{-T}, and
     voltages are M^{-1} z for a standard normal z in (z_p; z_q) block order.
+    Raises :class:`InvalidLineError` or :class:`GridStructureError` where M
+    would be singular.
     """
-    if model not in ("dc", "lc"):
-        raise ModelMismatchError(f"model must be 'dc' or 'lc', got {model!r}")
-    check_stats(grid, stats)
-    M = reduced_laplacian(grid, "susceptance") if model == "dc" else lc_system_matrix(grid)
-    l11, l21, l22 = stats.cholesky
-    top, bottom = M[:stats.n], M[stats.n:]
-    top /= l11[:, None]
-    if model == "lc":
-        bottom -= l21[:, None] * top
-        bottom /= l22[:, None]
-    return M
+    d = stats.n * (2 if model == "lc" else 1)
+    return dense_from_entries(*_whitened_entries(grid, stats, model), d)
+
+
+def _gram_of_entries(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, d: int) -> np.ndarray:
+    """M^T M (d x d) from M's triples, one per position: every row's outer
+    product, summed by position in row order, so exactly symmetric, and zero
+    wherever no row of M holds both columns."""
+    by_row = np.argsort(rows, kind="stable")
+    cols, vals = cols[by_row], vals[by_row]
+    counts = np.bincount(rows, minlength=d)
+    per = np.repeat(counts, counts)  # entry e pairs with every entry of its row
+    left = np.repeat(np.arange(per.size), per)
+    first = np.repeat(np.cumsum(counts) - counts, counts)  # first entry of e's row
+    right = first[left] + np.arange(left.size) - (np.cumsum(per) - per)[left]
+    return dense_from_entries(cols[left], cols[right], vals[left] * vals[right], d)
+
+
+def _concentration(grid: Grid, stats: InjectionStats, model: str,
+                   labels: tuple[VarLabel, ...]) -> ConcentrationMatrix:
+    J = _gram_of_entries(*_whitened_entries(grid, stats, model), len(labels))
+    return ConcentrationMatrix._of_gram(J, labels, model)
 
 
 def _gram(A: np.ndarray) -> np.ndarray:
-    """A^T A as one SYRK, exactly symmetric: J for A = M, Cov for A = M^{-T}.
-    Callers pass M as a temporary, so it is freed before J is validated."""
+    """A^T A as one SYRK, exactly symmetric: Cov for A = M^{-T}."""
     return A.T @ A
 
 
@@ -238,7 +321,7 @@ def dc_concentration(grid: Grid, stats: InjectionStats) -> ConcentrationMatrix:
     negative at direct lines (unless common neighbors overcome the direct
     term), positive at two-hop pairs, and exactly zero further apart.
     """
-    return ConcentrationMatrix(_gram(whitened_system(grid, stats, "dc")), dc_labels(grid), "dc")
+    return _concentration(grid, stats, "dc", dc_labels(grid))
 
 
 def solve_lc(grid: Grid, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,7 +347,7 @@ def lc_concentration(grid: Grid, stats: InjectionStats) -> ConcentrationMatrix:
     Cov([p;q])^{-1} is per-bus 2x2, so J keeps the distance-1-or-2 support
     structure of the DC concentration in each of its four blocks.
     """
-    return ConcentrationMatrix(_gram(whitened_system(grid, stats, "lc")), lc_labels(grid), "lc")
+    return _concentration(grid, stats, "lc", lc_labels(grid))
 
 
 def lc_threshold_statistic(conc: ConcentrationMatrix, entries: np.ndarray | None = None) -> np.ndarray:

@@ -26,6 +26,7 @@ from gridtopo.grid import (
     grid_from_dict,
     grid_hash,
     grid_to_dict,
+    laplacian_entries,
     load_grid,
     load_line_csv,
     make_grid,
@@ -95,6 +96,41 @@ def test_reduced_laplacian_matches_incidence_form(name, kind):
 def test_reduced_laplacian_3bus_path():
     g = path_grid(3)
     np.testing.assert_allclose(reduced_laplacian(g), [[2.0, -1.0], [-1.0, 1.0]])
+
+
+def loop_laplacian(grid, kind):
+    """The reduced Laplacian summed line by line into a dense array."""
+    weight = susceptance if kind == "susceptance" else conductance
+    order = grid.index_of
+    H = np.zeros((len(order), len(order)))
+    for ln in grid.lines:
+        w = weight(ln.r, ln.x)
+        ii, jj = order.get(ln.i), order.get(ln.j)
+        if ii is not None:
+            H[ii, ii] += w
+        if jj is not None:
+            H[jj, jj] += w
+        if ii is not None and jj is not None:
+            H[ii, jj] -= w
+            H[jj, ii] -= w
+    return H
+
+
+@pytest.mark.parametrize("name", BUILTIN_GRIDS)
+@pytest.mark.parametrize("kind", ["susceptance", "conductance"])
+def test_reduced_laplacian_equals_the_line_loop(name, kind):
+    # the triples sum each position in line order, as the loop does
+    g = builtin_grid(name)
+    assert np.array_equal(reduced_laplacian(g, kind), loop_laplacian(g, kind))
+    rows, cols, _ = laplacian_entries(g, kind)
+    assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size
+    assert not (rows.flags.writeable or cols.flags.writeable or g.line_weights[kind].flags.writeable)
+
+
+def test_stranded_buses_of_a_directly_built_grid():
+    lines = (Line(0, 1, 0.1, 0.2), Line(3, 2, 0.1, 0.2))
+    assert Grid(reference=0, buses=(0, 1, 2, 3, 4), lines=lines).stranded_buses == (2, 3, 4)
+    assert path_grid(4).stranded_buses == ()
 
 
 # ----------------------------------------------------------------------

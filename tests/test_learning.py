@@ -33,6 +33,8 @@ from gridtopo.learning import (
     learn_by_thresholding,
     learn_parameters,
     load_topology_json,
+    resolve_tau1,
+    resolve_tau2,
     thresholding_noise_scale,
     write_sufficiency_csv,
     write_topology_json,
@@ -192,6 +194,26 @@ def test_counting_needs_a_skeleton():
     gm = build_graphical_model(conc, default_exact_tau1(conc))
     with pytest.raises(ReconstructionError, match="no non-leaf skeleton"):
         learn_by_counting(gm)
+
+
+@pytest.mark.parametrize("model", ["dc", "lc"])
+def test_pair_scans_match_the_masked_copies(all_builtins, model):
+    # the off-diagonal view and the rows < cols filter read the same entries
+    # as a boolean-mask copy and np.triu
+    for g in all_builtins:
+        conc = (dc_concentration if model == "dc" else lc_concentration)(g, InjectionStats.uniform(g))
+        J = conc.matrix
+        off = J[~np.eye(len(J), dtype=bool)]
+        assert default_exact_tau1(conc) == 1e-4 * np.abs(off).max()
+        assert resolve_tau1("gap", conc, None)[0] == largest_gap_threshold(np.abs(off))
+        stat = J if model == "dc" else conc.block("v", "v") + conc.block("theta", "theta")
+        stat_off = stat[~np.eye(len(stat), dtype=bool)]
+        assert default_exact_tau2(conc) == -1e-4 * np.abs(stat_off).max()
+        assert resolve_tau2("gap", conc, None)[0] == -largest_gap_threshold(np.abs(stat_off[stat_off < 0]))
+        tau1 = default_exact_tau1(conc)
+        rows, cols = np.nonzero(np.triu(np.abs(J) >= tau1, k=1))
+        want = {tuple(sorted((conc.labels[a], conc.labels[b]))) for a, b in zip(rows, cols)}
+        assert build_graphical_model(conc, tau1).edges == want
 
 
 def test_counting_ambiguous_leaf_is_named():

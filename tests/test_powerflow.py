@@ -2,12 +2,15 @@
 import numpy as np
 import pytest
 
+from gridtopo import powerflow
 from gridtopo.exceptions import (
+    GridStructureError,
     InvalidInjectionStatsError,
+    InvalidLineError,
     ModelMismatchError,
     UnknownBusError,
 )
-from gridtopo.grid import builtin_grid, bus_distance, make_grid, reduced_laplacian, susceptance
+from gridtopo.grid import Grid, Line, builtin_grid, bus_distance, make_grid, reduced_laplacian, susceptance
 from gridtopo.powerflow import (
     ConcentrationMatrix,
     InjectionStats,
@@ -23,7 +26,9 @@ from gridtopo.powerflow import (
     parse_label,
     solve_dc,
     solve_lc,
+    whitened_system,
 )
+from gridtopo.sampling import generate_voltage_samples
 
 GRID_NAMES = ("radial20", "loopy20_c4", "loopy20_c7", "ieee14")
 
@@ -160,6 +165,9 @@ def test_concentration_blocks(radial20):
     assert vv.shape == tt.shape == (19, 19)
     np.testing.assert_allclose(conc.matrix[:19, :19], vv)
     np.testing.assert_allclose(conc.matrix[19:, 19:], tt)
+    dc = dc_concentration(radial20, InjectionStats.uniform(radial20))
+    assert np.array_equal(dc.block("theta", "theta"), dc.matrix)
+    assert dc.block("v", "theta").shape == (0, 19)
 
 
 # ----------------------------------------------------------------------
@@ -405,3 +413,92 @@ def test_lc_support_distance_pattern(loopy20_c4):
                 assert abs(conc.matrix[a, b]) < 1e-9 * scale
             if d == 1:
                 assert abs(conc.matrix[a, b]) > 1e-9 * scale
+
+
+# ----------------------------------------------------------------------
+# the whitened system as triples
+# ----------------------------------------------------------------------
+
+
+def dense_whitened(grid, stats, model):
+    """M = L^{-1} S whitened row by row on the dense S = [[H_g, H_b], [H_b, -H_g]]
+    (H_b for DC)."""
+    Hb = reduced_laplacian(grid, "susceptance")
+    M = Hb if model == "dc" else np.block([[reduced_laplacian(grid, "conductance"), Hb],
+                                          [Hb, -reduced_laplacian(grid, "conductance")]])
+    l11, l21, l22 = stats.cholesky
+    top, bottom = M[:stats.n], M[stats.n:]
+    top /= l11[:, None]
+    if model == "lc":
+        bottom -= l21[:, None] * top
+        bottom /= l22[:, None]
+    return M
+
+
+@pytest.mark.parametrize("name", GRID_NAMES)
+def test_system_matrices_equal_the_dense_builders(name):
+    # the triples carry the dense builders' float operations, so the
+    # matrices every covariance and sample is drawn from stay bit-identical
+    g = builtin_grid(name)
+    Hb, Hg = reduced_laplacian(g, "susceptance"), reduced_laplacian(g, "conductance")
+    assert np.array_equal(lc_system_matrix(g), np.block([[Hg, Hb], [Hb, -Hg]]))
+    for seed in range(3):
+        st = random_stats(g, np.random.default_rng(seed))
+        for model in ("dc", "lc"):
+            assert np.array_equal(whitened_system(g, st, model), dense_whitened(g, st, model))
+
+
+def meshed_tree(rng, make_random_tree, n_buses, n_chords):
+    tree = make_random_tree(rng, n_buses)
+    lines = set(tree.edge_set)
+    while len(lines) < n_buses - 1 + n_chords:
+        i, j = sorted(int(b) for b in rng.choice(n_buses, size=2, replace=False))
+        lines.add((i, j))
+    extra = [(i, j, 0.05, 0.1) for i, j in sorted(lines - tree.edge_set)]
+    return make_grid(0, range(n_buses), list(tree.lines) + extra)
+
+
+def test_exact_concentrations_skip_the_dense_product_and_cholesky(make_random_tree, monkeypatch):
+    # J = M^T M is summed from M's non-zeros, and positive definite because
+    # M is checked non-singular where it is built
+    g = meshed_tree(np.random.default_rng(3), make_random_tree, 600, 60)
+    st = random_stats(g, np.random.default_rng(4))
+
+    def dense_path(*args, **kwargs):
+        raise AssertionError("the exact path took a dense O(d^3) step")
+
+    monkeypatch.setattr(np.linalg, "cholesky", dense_path)
+    monkeypatch.setattr(powerflow, "_gram", dense_path)
+    assert dc_concentration(g, st).matrix.shape == (599, 599)
+    assert lc_concentration(g, st).matrix.shape == (1198, 1198)
+
+
+SYSTEM_BUILDERS = {
+    "dc_concentration": dc_concentration,
+    "lc_concentration": lc_concentration,
+    "dc_phase_covariance": dc_phase_covariance,
+    "lc_voltage_covariance": lc_voltage_covariance,
+    "dc_samples": lambda g, st: generate_voltage_samples(g, st, "dc", 5),
+    "lc_samples": lambda g, st: generate_voltage_samples(g, st, "lc", 5),
+}
+
+
+@pytest.mark.parametrize("builder", SYSTEM_BUILDERS)
+@pytest.mark.parametrize(
+    "lines,error,match",
+    [
+        # buses 2-3 form an island the reference does not reach
+        ((Line(0, 1, 0.1, 0.2), Line(2, 3, 0.1, 0.2)), GridStructureError, "unreachable from the reference, first 2"),
+        ((Line(0, 1, 0.1, 0.2), Line(1, 2, 0.1, 0.2), Line(2, 3, 0.1, -0.2)), InvalidLineError,
+         r"line \(2,3\): susceptance must be finite and positive"),
+        ((Line(0, 1, 0.1, 0.2), Line(1, 2, 0.0, 0.0), Line(2, 3, 0.1, 0.2)), InvalidLineError, r"line \(1,2\)"),
+        ((Line(0, 1, 0.1, 0.2), Line(1, 2, 0.1, 0.2), Line(2, 7, 0.1, 0.2)), GridStructureError,
+         "endpoint 7 is not a listed bus"),
+    ],
+    ids=["island", "negative-x", "zero-impedance", "unlisted-endpoint"],
+)
+def test_singular_systems_fail_where_they_are_built(builder, lines, error, match):
+    # Grid(...) skips make_grid's checks; M would be singular or H_b indefinite
+    g = Grid(reference=0, buses=(0, 1, 2, 3), lines=lines)
+    with pytest.raises(error, match=match):
+        SYSTEM_BUILDERS[builder](g, InjectionStats.uniform(g))

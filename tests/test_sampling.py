@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from gridtopo.estimation import empirical_covariance
 from gridtopo.exceptions import InvalidInjectionStatsError, ModelMismatchError, SampleFormatError
-from gridtopo.grid import BUILTIN_GRIDS, builtin_grid, grid_hash, make_grid, reduced_laplacian
+from gridtopo.grid import BUILTIN_GRIDS, builtin_grid, bus_distance, grid_hash, make_grid, reduced_laplacian
 from gridtopo.powerflow import (
     InjectionStats,
     dc_concentration,
@@ -156,6 +156,24 @@ def test_concentration_covariance_and_samples_share_one_system(case, model):
     bound = 10 * len(J) * np.linalg.cond(whitened_system(grid, stats, model)) * np.finfo(float).eps
     assert np.abs(J @ cov - np.eye(len(J))).max() <= bound
     _assert_matches_solve_route(grid, stats, model, 50, seed=len(J))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(grids_with_stats(), st.sampled_from(["dc", "lc"]))
+def test_exact_concentration_is_the_gram_of_the_whitened_system(case, model):
+    # summed from M's non-zeros: exactly symmetric, within rounding of the
+    # dense M^T M, and zero between buses more than two lines apart once
+    # the reference is removed (DC: non-zero at every pair within two)
+    grid, stats = case
+    J = (dc_concentration if model == "dc" else lc_concentration)(grid, stats).matrix
+    M = whitened_system(grid, stats, model)
+    assert np.array_equal(J, J.T)
+    assert np.abs(J - M.T @ M).max() <= 10 * np.finfo(float).eps * np.abs(J).max()
+    buses = grid.non_reference_buses * (2 if model == "lc" else 1)
+    hops = np.array([[bus_distance(grid, a, b, through_reference=False) for b in buses] for a in buses])
+    assert np.all(J[hops > 2] == 0)
+    if model == "dc":
+        assert np.array_equal(J != 0, hops <= 2)
 
 
 def test_generate_rejects_stats_of_another_grid(radial20, ieee14):

@@ -27,13 +27,15 @@ import numpy as np
 
 from .estimation import EstimatedConcentration
 from .exceptions import AmbiguousLeafError, ConfigError, GridStructureError, ReconstructionError
-from .grid import Grid, reduced_laplacian
+from .grid import Grid, laplacian_entries
 from .powerflow import (
     ConcentrationMatrix,
     InjectionStats,
+    Pairs,
     VarLabel,
     check_stats,
-    lc_threshold_statistic,
+    lc_bus_pairs,
+    lc_threshold_statistic,  # noqa: F401  (the traced benchmark run looks it up here)
 )
 
 #: relative level of the fixed thresholds used on exact (analytic) matrices
@@ -79,37 +81,28 @@ def parse_tau(value, name: str):
     return check_tau(value, name)
 
 
-def thresholding_statistic(conc: ConcentrationMatrix, entries: np.ndarray) -> np.ndarray:
-    """``entries`` (indexed like ``conc``) as the bus-pair array tau2 reads:
-    themselves for DC, their v-v plus theta-theta block sum for LC."""
-    return entries if conc.model == "dc" else lc_threshold_statistic(conc, entries)
+def thresholding_statistic(conc: ConcentrationMatrix) -> Pairs:
+    """The bus-pair statistic tau2 reads: J itself for DC, its v-v plus
+    theta-theta block sum for LC."""
+    return conc.pairs if conc.model == "dc" else lc_bus_pairs(conc.pairs)
 
 
-def _off_diagonal(M: np.ndarray) -> np.ndarray:
-    """The off-diagonal entries of square M as a (d - 1, d + 1) array (a
-    view of a contiguous M): dropping the first entry of the flat M leaves
-    each diagonal entry at the end of a row of d + 1."""
-    d = M.shape[0]
-    return M.reshape(-1)[1:].reshape(max(d - 1, 0), d + 1)[:, :d]
-
-
-def _exact_scale(M: np.ndarray) -> float:
-    """Largest |off-diagonal| entry of M, or its largest |diagonal| entry
-    when no two variables couple (a grid with no bus pair to learn)."""
-    off = _off_diagonal(M)
-    largest = max(float(off.max(initial=0.0)), -float(off.min(initial=0.0)))
-    return largest if largest > 0 else float(np.abs(M.diagonal()).max(initial=0.0))
+def _exact_scale(pairs: Pairs) -> float:
+    """Largest |off-diagonal| entry, or the largest |diagonal| entry when no
+    two variables couple (a grid with no bus pair to learn)."""
+    largest = float(np.abs(pairs.vals).max(initial=0.0))
+    return largest if largest > 0 else float(np.abs(pairs.diagonal).max(initial=0.0))
 
 
 def default_exact_tau1(conc: ConcentrationMatrix) -> float:
     """Fixed GM threshold for analytic matrices: 1e-4 x max |off-diagonal|."""
-    return EXACT_TAU_REL * _exact_scale(conc.matrix)
+    return EXACT_TAU_REL * _exact_scale(conc.pairs)
 
 
 def default_exact_tau2(conc: ConcentrationMatrix) -> float:
     """Fixed edge threshold for analytic matrices (negative mirror of tau1),
     measured on the statistic thresholding actually inspects."""
-    return -EXACT_TAU_REL * _exact_scale(thresholding_statistic(conc, conc.matrix))
+    return -EXACT_TAU_REL * _exact_scale(thresholding_statistic(conc))
 
 
 def concentration_standard_error(conc: np.ndarray, n: int) -> np.ndarray:
@@ -127,13 +120,15 @@ def gm_noise_scale(est: EstimatedConcentration) -> np.ndarray:
 
 
 def thresholding_noise_scale(est: EstimatedConcentration) -> np.ndarray:
-    """Per-entry standard error of the thresholding statistic (for tau2).
+    """Per-entry standard error of the thresholding statistic (for tau2),
+    indexed by bus pairs.
 
     For LC the errors of the two diagonal blocks are combined by their
     standard-error sum, an upper bound that holds regardless of their
     correlation.
     """
-    return thresholding_statistic(est.concentration, gm_noise_scale(est))
+    se = gm_noise_scale(est)
+    return se if est.model == "dc" else lc_bus_pairs(est.concentration.pairs.at(se)).dense()
 
 
 def largest_gap_threshold(magnitudes: np.ndarray) -> float:
@@ -156,6 +151,16 @@ def largest_gap_threshold(magnitudes: np.ndarray) -> float:
     return float(math.sqrt(v[k] * lo[k]))
 
 
+def _gap_threshold(magnitudes: np.ndarray, pairs: Pairs, unlisted: bool) -> float:
+    """:func:`largest_gap_threshold` of off-diagonal ``magnitudes`` read from
+    ``pairs`` as the dense array gives it: each entry twice, as (i, j) and
+    (j, i), and, if ``unlisted``, the 0 of the positions not listed (one 0
+    cuts like many).  A cut of 0 (no pair to read) falls back to the
+    diagonal scale, as the exact default does."""
+    cut = largest_gap_threshold(np.concatenate([np.repeat(magnitudes, 2), np.zeros(int(unlisted))]))
+    return cut if cut > 0 else EXACT_TAU_REL * _exact_scale(pairs)
+
+
 def resolve_tau1(
     tau1: float | str,
     conc: ConcentrationMatrix,
@@ -170,7 +175,8 @@ def resolve_tau1(
     """
     tau1 = parse_tau(tau1, "tau1")
     if tau1 == "gap":
-        return largest_gap_threshold(np.abs(_off_diagonal(conc.matrix))), None
+        J = conc.pairs
+        return _gap_threshold(np.abs(J.vals), J, J.vals.size < J.dim * (J.dim - 1) // 2), None
     if tau1 == "auto":
         if est is not None:
             return DEFAULT_Z, gm_noise_scale(est)
@@ -187,8 +193,8 @@ def resolve_tau2(
     read on the thresholding statistic."""
     tau2 = parse_tau(tau2, "tau2")
     if tau2 == "gap":
-        off = _off_diagonal(thresholding_statistic(conc, conc.matrix))
-        return -largest_gap_threshold(np.abs(off[off < 0])), None
+        stat = thresholding_statistic(conc)
+        return -_gap_threshold(-stat.vals[stat.vals < 0], stat, False), None
     if tau2 == "auto":
         if est is not None:
             return -DEFAULT_Z, thresholding_noise_scale(est)
@@ -196,20 +202,22 @@ def resolve_tau2(
     return float(tau2), None
 
 
-def _scaled(values: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
+def _scaled(pairs: Pairs, values: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
+    """``values``, given at the positions of ``pairs``, divided by ``scale``,
+    an optional array indexed like the array ``pairs`` stands for, read at
+    the same positions."""
     if scale is None:
         return values
-    if scale.shape != values.shape:
-        raise ConfigError(f"scale shape {scale.shape} does not match the array {values.shape}")
-    return values / scale
+    d = pairs.dim
+    if scale.shape != (d, d):
+        raise ConfigError(f"scale shape {scale.shape} does not match the array {(d, d)}")
+    return values / scale[pairs.rows, pairs.cols]
 
 
-def _upper_pairs(mask: np.ndarray, keys) -> frozenset:
-    """Ordered ``keys`` pairs at the upper-triangle positions where ``mask`` holds."""
-    rows, cols = np.nonzero(mask)
-    upper = rows < cols
-    rows, cols = rows[upper], cols[upper]
-    return frozenset(_pair(keys[a], keys[b]) for a, b in zip(rows.tolist(), cols.tolist()))
+def _pairs_where(pairs: Pairs, mask: np.ndarray, keys) -> frozenset:
+    """Ordered ``keys`` pairs at the positions of ``pairs`` where ``mask`` holds."""
+    at = np.flatnonzero(mask)
+    return frozenset(_pair(keys[a], keys[b]) for a, b in zip(pairs.rows[at].tolist(), pairs.cols[at].tolist()))
 
 
 # ----------------------------------------------------------------------
@@ -239,8 +247,8 @@ def build_graphical_model(
     plain scalar rule.
     """
     check_tau(tau1, "tau1")
-    M = _scaled(np.abs(conc.matrix), scale)
-    edges = _upper_pairs(M >= tau1, conc.labels)
+    J = conc.pairs
+    edges = _pairs_where(J, _scaled(J, np.abs(J.vals), scale) >= tau1, conc.labels)
     return GraphicalModel(labels=conc.labels, edges=edges, model=conc.model, tau1=tau1)
 
 
@@ -439,11 +447,11 @@ def learn_by_thresholding(
     ``scale=None`` keeps the plain scalar rule.
     """
     check_tau(tau2, "tau2")
-    stat = _scaled(thresholding_statistic(conc, conc.matrix), scale)
+    stat = thresholding_statistic(conc)
     buses = conc.buses
     return LearnedTopology(
         buses=buses,
-        edges=_upper_pairs(stat <= tau2, buses),
+        edges=_pairs_where(stat, _scaled(stat, stat.vals, scale) <= tau2, buses),
         algorithm="thresholding",
         params={"tau2": tau2, "model": conc.model},
     )
@@ -499,11 +507,14 @@ def check_sufficiency(grid: Grid, stats: InjectionStats) -> SufficiencyReport:
     """
     check_stats(grid, stats)
     order = grid.index_of
-    H = reduced_laplacian(grid, "susceptance")
-    w_total = H.diagonal().tolist()  # total line weight per bus, indexed like H
+    # total line weight per bus, summed as the reduced Laplacian's diagonal
+    w_total = laplacian_entries(grid, "susceptance")[2][:len(order)].tolist()
+    weight: dict[tuple[int, int], float] = {}  # parallel lines add up, as in the Laplacian
+    for ln, b in zip(grid.lines, grid.line_weights["susceptance"].tolist()):
+        weight[ln.key] = weight.get(ln.key, 0.0) + b
 
     def w(a: int, b: int) -> float:
-        return -float(H[order[a], order[b]])
+        return weight[_pair(a, b)]
 
     sigma = stats.sigma_pp
     certs = []

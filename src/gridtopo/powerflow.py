@@ -19,11 +19,13 @@ voltage covariance M^{-1} M^{-T} (each one symmetric product, exactly
 symmetric) and the sampling map M^{-T}.  M is built as (row, col, value)
 triples from the line list, checked non-singular there, and J is summed from
 the triples' row-wise products, at graph cost: J is non-zero only between
-variables whose buses are at most two lines apart.
+variables whose buses are at most two lines apart, and it is stored as those
+entries (:class:`Pairs`); the dense d x d view is built only when read.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -134,46 +136,83 @@ class InjectionStats:
         return cls(np.full(n, sigma_pp), np.full(n, sigma_qq), np.full(n, sigma_pq))
 
 
-@dataclass(frozen=True, eq=False)
+class Pairs(NamedTuple):
+    """A symmetric d x d array as its diagonal and its upper-triangle entries
+    (rows < cols, in row-major order); positions not listed hold 0."""
+
+    diagonal: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @classmethod
+    def of_dense(cls, A: np.ndarray) -> "Pairs":
+        """Every upper-triangle position of the symmetric array A."""
+        rows, cols = np.nonzero(~np.tri(A.shape[0], dtype=bool))
+        return cls(A.diagonal().copy(), rows, cols, A[rows, cols])
+
+    def at(self, A: np.ndarray) -> "Pairs":
+        """The entries of A, an array indexed like this one, at the same positions."""
+        return self._replace(diagonal=A.diagonal().copy(), vals=A[self.rows, self.cols])
+
+    @property
+    def dim(self) -> int:
+        return self.diagonal.size
+
+    def dense(self) -> np.ndarray:
+        """The d x d array these pairs stand for."""
+        A = np.zeros((self.dim, self.dim))
+        A[self.rows, self.cols] = self.vals
+        A[self.cols, self.rows] = self.vals
+        A[np.diag_indices(self.dim)] = self.diagonal
+        return A
+
+
 class ConcentrationMatrix:
-    """Symmetric positive-definite inverse covariance with variable labels."""
+    """Symmetric positive-definite inverse covariance with variable labels.
 
-    matrix: np.ndarray
-    labels: tuple[VarLabel, ...]
-    model: str  # "dc" or "lc"
+    Held as :attr:`pairs` (exact matrices) or as :attr:`matrix`, the dense
+    d x d array (matrices from outside); the other form is built from it on
+    first access and then kept.
+    """
 
-    def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=float)
-        object.__setattr__(self, "matrix", M)
-        object.__setattr__(self, "labels", tuple(self.labels))
-        self._check_shape_and_layout()
+    def __init__(self, matrix: np.ndarray, labels, model: str):
+        M = np.asarray(matrix, dtype=float)
+        labels = tuple(labels)
+        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] != len(labels):
+            raise ValueError("concentration matrix shape does not match labels")
+        check_layout(labels, model)
         # symmetrised inverses arrive exactly symmetric
         if not np.array_equal(M, M.T):
             scale = np.abs(M).max()
             if not np.allclose(M, M.T, atol=1e-8 * max(scale, 1.0)):
                 raise ValueError("concentration matrix is not symmetric")
-            object.__setattr__(self, "matrix", (M + M.T) / 2.0)
+            M = (M + M.T) / 2.0
         try:
-            np.linalg.cholesky(self.matrix)
+            np.linalg.cholesky(M)
         except np.linalg.LinAlgError:
             raise ValueError("concentration matrix is not positive definite") from None
+        self.labels, self.model = labels, model
+        self.__dict__["matrix"] = M
 
     @classmethod
-    def _of_gram(cls, matrix: np.ndarray, labels: tuple[VarLabel, ...], model: str) -> "ConcentrationMatrix":
+    def _of_pairs(cls, pairs: Pairs, labels: tuple[VarLabel, ...], model: str) -> "ConcentrationMatrix":
         """J = M^T M of a whitened system M checked non-singular where it is
-        built (:func:`_whitened_entries`): exactly symmetric and positive
-        definite by construction, so only shape and layout are checked."""
+        built (:func:`_whitened_entries`), labelled by ``dc_labels`` or
+        ``lc_labels``: exactly symmetric, positive definite and laid out as
+        its model needs by construction, so nothing is checked."""
         conc = object.__new__(cls)
-        for name, value in (("matrix", matrix), ("labels", labels), ("model", model)):
-            object.__setattr__(conc, name, value)
-        conc._check_shape_and_layout()
+        conc.labels, conc.model = labels, model
+        conc.__dict__["pairs"] = pairs
         return conc
 
-    def _check_shape_and_layout(self) -> None:
-        M = self.matrix
-        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] != len(self.labels):
-            raise ValueError("concentration matrix shape does not match labels")
-        check_layout(self.labels, self.model)
+    @cached_property
+    def pairs(self) -> Pairs:
+        return Pairs.of_dense(self.matrix)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return self.pairs.dense()
 
     @property
     def buses(self) -> tuple[int, ...]:
@@ -181,16 +220,15 @@ class ConcentrationMatrix:
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.labels)
 
-    def block(self, kind_row: str, kind_col: str, entries: np.ndarray | None = None) -> np.ndarray:
-        """Sub-matrix of all (kind_row, kind_col) label pairs, bus-ordered, of
-        this matrix or of ``entries``, an array indexed like it: a slice, as
-        the layout puts any v labels first and the theta labels after them
-        in the same bus order."""
+    def block(self, kind_row: str, kind_col: str) -> np.ndarray:
+        """Sub-matrix of all (kind_row, kind_col) label pairs, bus-ordered: a
+        slice of :attr:`matrix`, as the layout puts any v labels first and
+        the theta labels after them in the same bus order."""
         h = self.dim // 2 if self.model == "lc" else 0
         span = {"v": slice(0, h), "theta": slice(h, self.dim)}
-        return (self.matrix if entries is None else entries)[span[kind_row], span[kind_col]]
+        return self.matrix[span[kind_row], span[kind_col]]
 
 
 def check_stats(grid: Grid, stats: InjectionStats) -> None:
@@ -279,10 +317,10 @@ def whitened_system(grid: Grid, stats: InjectionStats, model: str) -> np.ndarray
     return dense_from_entries(*_whitened_entries(grid, stats, model), d)
 
 
-def _gram_of_entries(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, d: int) -> np.ndarray:
+def _gram_of_entries(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, d: int) -> Pairs:
     """M^T M (d x d) from M's triples, one per position: every row's outer
-    product, summed by position in row order, so exactly symmetric, and zero
-    wherever no row of M holds both columns."""
+    product, summed by position in row order, so exactly symmetric, and
+    listed only where some row of M holds both columns."""
     by_row = np.argsort(rows, kind="stable")
     cols, vals = cols[by_row], vals[by_row]
     counts = np.bincount(rows, minlength=d)
@@ -290,13 +328,21 @@ def _gram_of_entries(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, d: in
     left = np.repeat(np.arange(per.size), per)
     first = np.repeat(np.cumsum(counts) - counts, counts)  # first entry of e's row
     right = first[left] + np.arange(left.size) - (np.cumsum(per) - per)[left]
-    return dense_from_entries(cols[left], cols[right], vals[left] * vals[right], d)
+    a, b = cols[left], cols[right]
+    upper = a <= b
+    pos, at = np.unique(a[upper] * d + b[upper], return_inverse=True)
+    sums = np.bincount(at, weights=vals[left[upper]] * vals[right[upper]])
+    r, c = np.divmod(pos, d)
+    on = r == c
+    diagonal = np.zeros(d)
+    diagonal[r[on]] = sums[on]
+    return Pairs(diagonal, r[~on], c[~on], sums[~on])
 
 
 def _concentration(grid: Grid, stats: InjectionStats, model: str,
                    labels: tuple[VarLabel, ...]) -> ConcentrationMatrix:
     J = _gram_of_entries(*_whitened_entries(grid, stats, model), len(labels))
-    return ConcentrationMatrix._of_gram(J, labels, model)
+    return ConcentrationMatrix._of_pairs(J, labels, model)
 
 
 def _gram(A: np.ndarray) -> np.ndarray:
@@ -350,15 +396,29 @@ def lc_concentration(grid: Grid, stats: InjectionStats) -> ConcentrationMatrix:
     return _concentration(grid, stats, "lc", lc_labels(grid))
 
 
-def lc_threshold_statistic(conc: ConcentrationMatrix, entries: np.ndarray | None = None) -> np.ndarray:
-    """J_vv + J_theta,theta, the bus-pair statistic used for edge detection.
+def lc_bus_pairs(pairs: Pairs) -> Pairs:
+    """The v-v plus theta-theta block sum of an array indexed like an LC
+    concentration, as bus pairs: the layout puts the v labels first and the
+    theta labels after them in the same bus order, so each block's upper
+    entries are bus pairs, summed by position (v-v first)."""
+    n = pairs.dim // 2
+    key = pairs.rows * n + pairs.cols
+    vv, tt = pairs.cols < n, pairs.rows >= n  # rows < cols
+    pos, at = np.unique(np.concatenate([key[vv], key[tt] - n * (n + 1)]), return_inverse=True)
+    sums = np.bincount(at, weights=np.concatenate([pairs.vals[vv], pairs.vals[tt]]))
+    r, c = np.divmod(pos, n)
+    return Pairs(pairs.diagonal[:n] + pairs.diagonal[n:], r, c, sums)
+
+
+def lc_threshold_statistic(conc: ConcentrationMatrix) -> np.ndarray:
+    """J_vv + J_theta,theta, the bus-pair statistic used for edge detection,
+    as a dense array.
 
     The per-bus sigma_pq/D cross terms cancel in the sum, leaving
     Hg (A+C) Hg + Hb (A+C) Hb with A + C = (sigma_pp + sigma_qq)/D (D the
     per-bus covariance determinant), which has strictly negative entries at
-    direct lines of any grid without triangles.  ``entries``, an array
-    indexed like ``conc``, is summed over the same blocks in place of J.
+    direct lines of any grid without triangles.
     """
     if conc.model != "lc":
         raise ModelMismatchError("lc_threshold_statistic needs an LC concentration")
-    return conc.block("v", "v", entries) + conc.block("theta", "theta", entries)
+    return lc_bus_pairs(conc.pairs).dense()

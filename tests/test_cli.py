@@ -243,6 +243,25 @@ def test_learn_exact_on_a_grid_without_bus_pairs(runner, tmp_path, lines, model)
     assert "fp=0 fn=0 total=0" in result.output
 
 
+@pytest.mark.parametrize("knob,algo", [("--tau2", "thresholding"), ("--tau1", "counting")])
+@pytest.mark.parametrize("model", ["dc", "lc"])
+def test_learn_exact_gap_on_a_grid_without_bus_pairs(runner, tmp_path, model, knob, algo):
+    # gap has no entry to cut between, so it takes auto's diagonal scale
+    # instead of a threshold of 0; counting then meets its own limit
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"reference": 0, "buses": [0, 1],
+                                "lines": [{"i": 0, "j": 1, "r": 0.05, "x": 0.1}]}))
+    args = ["learn", "--conc", "exact", "--grid", str(path), "--model", model, "--algo", algo,
+            knob, "gap", "--compare-truth"]
+    if algo == "thresholding":
+        result = invoke_ok(runner, args)
+        assert "learned 0 edges over 1 buses" in result.output
+        assert "fp=0 fn=0 total=0" in result.output
+    else:
+        payload = stderr_error(runner.invoke(main, args))
+        assert payload["error"] == "ReconstructionError"
+
+
 def test_learn_exact_prints_topology_json(runner):
     result = invoke_ok(runner, ["learn", "--conc", "exact", "--grid", "radial20"])
     doc = json.loads(result.output.split("\n", 1)[1])

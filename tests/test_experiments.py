@@ -297,13 +297,13 @@ def test_results_csv_layout_and_sidecar(tmp_path):
 
 def test_lc_thresholding_trial_validates_one_concentration(radial20, monkeypatch):
     built = []
-    validate = ConcentrationMatrix.__post_init__
+    validate = ConcentrationMatrix.__init__
 
-    def counting_validate(self):
+    def counting_validate(self, *args):
+        validate(self, *args)
         built.append(self.model)
-        validate(self)
 
-    monkeypatch.setattr(ConcentrationMatrix, "__post_init__", counting_validate)
+    monkeypatch.setattr(ConcentrationMatrix, "__init__", counting_validate)
     spec = ExperimentSpec(model="lc", estimator="direct", seed=1)
     rec = run_single_trial(radial20, spec.stats_for(radial20), spec, 2000, 0)
     assert rec.error is None

@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gridtopo import grid as grid_module, powerflow
 from gridtopo.estimation import estimate_concentration
 from gridtopo.exceptions import (
     AmbiguousLeafError,
@@ -14,7 +16,8 @@ from gridtopo.exceptions import (
     InvalidInjectionStatsError,
     ReconstructionError,
 )
-from gridtopo.grid import builtin_grid, make_grid, reduced_laplacian
+from gridtopo.experiments import reconstruct
+from gridtopo.grid import builtin_grid, bus_distance, make_grid, reduced_laplacian
 from gridtopo.learning import (
     EdgeErrors,
     GraphicalModel,
@@ -40,7 +43,9 @@ from gridtopo.learning import (
     write_topology_json,
 )
 from gridtopo.powerflow import (
+    ConcentrationMatrix,
     InjectionStats,
+    Pairs,
     VarLabel,
     dc_concentration,
     dc_phase_covariance,
@@ -214,6 +219,173 @@ def test_pair_scans_match_the_masked_copies(all_builtins, model):
         rows, cols = np.nonzero(np.triu(np.abs(J) >= tau1, k=1))
         want = {tuple(sorted((conc.labels[a], conc.labels[b]))) for a, b in zip(rows, cols)}
         assert build_graphical_model(conc, tau1).edges == want
+
+
+# The dense oracle: every tau rule and scan as it reads ``conc.matrix``.
+
+
+def dense_statistic(conc):
+    J = conc.matrix
+    return J if conc.model == "dc" else conc.block("v", "v") + conc.block("theta", "theta")
+
+
+def dense_off(M):
+    return M[~np.eye(len(M), dtype=bool)]
+
+
+def dense_tau(conc, knob, rule):
+    """The exact-matrix tau1/tau2 rules as they read the dense statistic."""
+    M = conc.matrix if knob == "tau1" else dense_statistic(conc)
+    off = dense_off(M)
+    default = 1e-4 * (np.abs(off).max(initial=0.0) or np.abs(np.diag(M)).max(initial=0.0))
+    if knob == "tau1":
+        return (largest_gap_threshold(np.abs(off)) if rule == "gap" else 0.0) or default
+    return -((largest_gap_threshold(np.abs(off[off < 0])) if rule == "gap" else 0.0) or default)
+
+
+def dense_edges(mask, keys):
+    rows, cols = np.nonzero(np.triu(mask, k=1))
+    return {tuple(sorted((keys[a], keys[b]))) for a, b in zip(rows, cols)}
+
+
+def assert_pairs_read_like_the_dense_matrix(conc, est=None):
+    for knob, resolve in (("tau1", resolve_tau1), ("tau2", resolve_tau2)):
+        for rule in ("gap",) if est is not None else ("auto", "gap"):
+            assert resolve(rule, conc, est) == (dense_tau(conc, knob, rule), None), (knob, rule)
+    t1, s1 = resolve_tau1("auto", conc, est)  # on an estimate: z-scores against per-entry scales
+    t2, s2 = resolve_tau2("auto", conc, est)
+    J, stat = conc.matrix, dense_statistic(conc)
+    gm_want = dense_edges(np.abs(J) / (1.0 if s1 is None else s1) >= t1, conc.labels)
+    assert build_graphical_model(conc, t1, s1).edges == gm_want
+    thr_want = dense_edges(stat / (1.0 if s2 is None else s2) <= t2, conc.buses)
+    assert learn_by_thresholding(conc, t2, s2).edges == thr_want
+
+
+@st.composite
+def exact_concentrations(draw):
+    """An exact concentration of a random meshed tree (tree plus 0-4 chords)
+    or triangle grid, with uniform or random stats, DC or LC."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 24))
+    lines = {(int(rng.integers(0, b)), b) for b in range(1, n)}
+    if draw(st.booleans()) and n > 2:  # triangle grid: close 1-3 two-hop pairs
+        two_hop = sorted({(min(a, c), max(a, c)) for b, a in lines for c in range(n)
+                          if (c, b) in lines or (b, c) in lines} - lines - {(a, a) for a in range(n)})
+        lines |= {two_hop[k] for k in rng.choice(len(two_hop), min(3, len(two_hop)), replace=False)}
+    elif n > 3:
+        for _ in range(draw(st.integers(0, 4))):
+            i, j = sorted(int(b) for b in rng.choice(n, size=2, replace=False))
+            lines.add((i, j))
+    g = make_grid(0, range(n), [(i, j, float(rng.uniform(0.02, 0.08)), float(rng.uniform(0.05, 0.12)))
+                                for i, j in sorted(lines)])
+    k = n - 1
+    if draw(st.booleans()):
+        pp, qq = rng.uniform(0.5, 2.0, k), rng.uniform(0.5, 2.0, k)
+        stats = InjectionStats(pp, qq, rng.uniform(-0.9, 0.9, k) * np.sqrt(pp * qq))
+    else:
+        stats = InjectionStats.uniform(g)
+    model = draw(st.sampled_from(["dc", "lc"]))
+    return g, (dc_concentration if model == "dc" else lc_concentration)(g, stats)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(exact_concentrations())
+def test_pair_reads_equal_the_dense_oracle(case):
+    # tau rules, GM edges and thresholding edges read J's stored pairs; they
+    # equal the same reads of the dense view bit for bit, and every stored
+    # pair lies within two lines once the reference is removed
+    g, conc = case
+    assert_pairs_read_like_the_dense_matrix(conc)
+    J = conc.pairs
+    assert np.array_equal(Pairs(J.diagonal, J.rows, J.cols, J.vals).dense(), conc.matrix)
+    assert np.all(J.rows < J.cols)
+    for a, b in zip(J.rows.tolist(), J.cols.tolist()):
+        i, j = conc.labels[a].bus, conc.labels[b].bus
+        assert i == j or bus_distance(g, i, j, through_reference=False) <= 2
+
+
+@pytest.mark.parametrize("model", ["dc", "lc"])
+@pytest.mark.parametrize("name,n,seed", [("radial20", 400, 0), ("radial20", 2000, 1), ("ieee14", 600, 2)])
+def test_pair_reads_of_estimates_equal_the_dense_oracle(name, n, seed, model):
+    # estimates list every upper-triangle entry; the z-score rule reads the
+    # per-entry standard errors at the same positions
+    g = builtin_grid(name)
+    est = estimate_concentration(generate_voltage_samples(g, InjectionStats.uniform(g), model, n, seed=seed))
+    assert est.concentration.pairs.vals.size == est.matrix.shape[0] * (est.matrix.shape[0] - 1) // 2
+    assert_pairs_read_like_the_dense_matrix(est.concentration, est)
+
+
+@pytest.mark.parametrize("pairs", [
+    # d = 2: one pair, read twice by the dense gap cut
+    Pairs(np.array([2.0, 3.0]), np.array([0]), np.array([1]), np.array([-1.0])),
+    # all magnitudes equal, every position listed
+    Pairs(np.full(4, 4.0), np.array([0, 0, 0, 1, 1, 2]), np.array([1, 2, 3, 2, 3, 3]),
+          np.array([-1.0, 1.0, -1.0, -1.0, 1.0, -1.0])),
+    # all magnitudes equal, with positions not listed (zeros)
+    Pairs(np.full(4, 4.0), np.array([0, 2]), np.array([1, 3]), np.array([-1.0, -1.0])),
+    # a listed zero next to unlisted ones
+    Pairs(np.full(4, 4.0), np.array([0, 1, 2]), np.array([1, 2, 3]), np.array([-1.0, 0.0, -0.5])),
+], ids=["d2", "equal-full", "equal-sparse", "listed-zero"])
+@pytest.mark.parametrize("model", ["dc", "lc"])
+def test_pair_gap_corners_equal_the_dense_oracle(pairs, model):
+    buses = range(1, (pairs.dim if model == "dc" else pairs.dim // 2) + 1)
+    labels = tuple(VarLabel("theta", b) for b in buses)
+    if model == "lc":
+        labels = tuple(VarLabel("v", b) for b in buses) + labels
+    conc = powerflow.ConcentrationMatrix._of_pairs(pairs, labels, model)
+    assert_pairs_read_like_the_dense_matrix(conc)
+    dense = ConcentrationMatrix(conc.matrix, labels, model)
+    assert_pairs_read_like_the_dense_matrix(dense)
+    assert resolve_tau1("gap", dense, None) == resolve_tau1("gap", conc, None)
+
+
+@pytest.mark.parametrize("knob,algo", [("tau1", "counting"), ("tau2", "thresholding")])
+@pytest.mark.parametrize("model", ["dc", "lc"])
+@pytest.mark.parametrize("name", sorted(NO_PAIR_GRIDS))
+def test_gap_without_bus_pairs_falls_back_to_the_diagonal(name, model, knob, algo):
+    # no coupled bus pair to cut between: gap takes the exact default's
+    # diagonal scale instead of a cut of 0, which no learner accepts
+    lines = NO_PAIR_GRIDS[name]
+    g = make_grid(0, range(len(lines) + 1), lines)
+    conc = (dc_concentration if model == "dc" else lc_concentration)(g, InjectionStats.uniform(g))
+    resolve, default = (resolve_tau1, default_exact_tau1) if knob == "tau1" else (resolve_tau2, default_exact_tau2)
+    if model == "dc" or knob == "tau2":
+        assert resolve("gap", conc, None) == (default(conc), None)
+    if algo == "thresholding":
+        assert edge_errors(reconstruct(conc, algo, tau2="gap"), g).total == 0
+    else:
+        with pytest.raises(ReconstructionError, match="no non-leaf skeleton"):
+            reconstruct(conc, algo, tau1="gap")
+
+
+def test_exact_path_never_builds_the_dense_view(make_random_tree, monkeypatch):
+    # J is read as its stored pairs and certify as line weights: no d x d
+    # array is made by learning, thresholds or certificates
+    rng = np.random.default_rng(3)
+    tree = make_random_tree(rng, 600)
+    lines = set(tree.edge_set)
+    while len(lines) < 599 + 60:
+        lines.add(tuple(sorted(int(b) for b in rng.choice(600, size=2, replace=False))))
+    g = make_grid(0, range(600), list(tree.lines) + [(i, j, 0.05, 0.1) for i, j in sorted(lines - tree.edge_set)])
+    stats = InjectionStats.uniform(g)
+
+    def dense(*args, **kwargs):
+        raise AssertionError("the exact path built a d x d array")
+
+    monkeypatch.setattr(Pairs, "dense", dense)
+    for module in (grid_module, powerflow):
+        monkeypatch.setattr(module, "reduced_laplacian", dense)
+        monkeypatch.setattr(module, "dense_from_entries", dense)
+    for model in ("dc", "lc"):
+        conc = (dc_concentration if model == "dc" else lc_concentration)(g, stats)
+        for algo in ("thresholding", "counting"):
+            for rule in ("auto", "gap"):
+                try:
+                    reconstruct(conc, algo, tau1=rule, tau2=rule)
+                except (AmbiguousLeafError, ReconstructionError):
+                    pass  # counting's own limits, met after the scan
+        assert "matrix" not in vars(conc)
+    assert check_sufficiency(g, stats).certificates
 
 
 def test_counting_ambiguous_leaf_is_named():

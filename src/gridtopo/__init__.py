@@ -42,7 +42,6 @@ from .estimation import (
 )
 from .learning import (
     GraphicalModel,
-    HybridGraph,
     LearnedTopology,
     SufficiencyReport,
     build_graphical_model,

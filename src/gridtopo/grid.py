@@ -62,12 +62,65 @@ class Line:
 
 @dataclass(frozen=True)
 class Grid:
-    """Immutable bus/line model with a designated reference bus."""
+    """Immutable bus/line model with a designated reference bus.
+
+    Valid by construction: ``Grid(...)`` raises on the first violation, so
+    every grid is connected with finite, positive line susceptances and its
+    reduced Laplacian H_b is positive definite.
+    """
 
     reference: int
     buses: tuple[int, ...]
     lines: tuple[Line, ...]
     name: str = ""
+
+    def __post_init__(self):
+        if not self.buses:
+            raise GridStructureError("grid has no buses")
+        seen: set[int] = set()
+        for b in self.buses:
+            if not isinstance(b, int) or isinstance(b, bool):
+                raise GridStructureError(f"bus id {b!r} is not an integer")
+            if b in seen:
+                raise GridStructureError(f"duplicate bus id {b}")
+            seen.add(b)
+        if self.reference not in seen:
+            raise GridStructureError(f"reference bus {self.reference} is not listed in buses")
+
+        keys: set[tuple[int, int]] = set()
+        for k, ln in enumerate(self.lines):
+            ctx = f"lines[{k}] ({ln.i},{ln.j})"
+            if ln.i not in seen or ln.j not in seen:
+                missing = ln.i if ln.i not in seen else ln.j
+                raise GridStructureError(f"{ctx}: endpoint {missing} is not a listed bus")
+            if ln.i == ln.j:
+                raise GridStructureError(f"{ctx}: self-loop")
+            if ln.key in keys:
+                raise GridStructureError(f"{ctx}: duplicate of an earlier line")
+            keys.add(ln.key)
+            if not (math.isfinite(ln.r) and math.isfinite(ln.x)):
+                raise InvalidLineError(f"{ctx}: non-finite impedance r={ln.r} x={ln.x}")
+            if ln.r < 0.0:
+                raise InvalidLineError(f"{ctx}: negative resistance r={ln.r}")
+            if ln.x <= 0.0:
+                raise InvalidLineError(f"{ctx}: reactance must be positive, got x={ln.x}")
+
+        reached = _bfs_distances(self.adjacency, self.reference)
+        if len(reached) < len(self.buses):
+            stranded = sorted(b for b in self.buses if b not in reached)
+            raise GridStructureError(
+                f"grid is not connected: {len(stranded)} bus(es) unreachable from the "
+                f"reference, first {stranded[0]}"
+            )
+
+        b = self.line_weights["susceptance"]
+        bad = np.flatnonzero(~(np.isfinite(b) & (b > 0)))
+        if bad.size:  # r*r + x*x over- or underflows
+            ln = self.lines[bad[0]]
+            raise InvalidLineError(
+                f"line ({ln.i},{ln.j}): susceptance must be finite and positive, "
+                f"got {b[bad[0]]} from r={ln.r} x={ln.x}"
+            )
 
     # -- derived views -------------------------------------------------
 
@@ -75,9 +128,6 @@ class Grid:
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         nbrs: dict[int, list[int]] = {b: [] for b in self.buses}
         for ln in self.lines:
-            if ln.i not in nbrs or ln.j not in nbrs:  # a Grid(...) built directly
-                missing = ln.i if ln.i not in nbrs else ln.j
-                raise GridStructureError(f"line ({ln.i},{ln.j}): endpoint {missing} is not a listed bus")
             nbrs[ln.i].append(ln.j)
             nbrs[ln.j].append(ln.i)
         return {b: tuple(sorted(v)) for b, v in nbrs.items()}
@@ -101,18 +151,12 @@ class Grid:
     @cached_property
     def line_weights(self) -> dict[str, np.ndarray]:
         """Per-line ``"susceptance"`` and ``"conductance"`` arrays, in line
-        order (a ``Grid(...)`` built directly may hold non-finite ones)."""
+        order; built before the grid checks them, so overflow stays silent."""
         r = np.array([ln.r for ln in self.lines], dtype=float)
         x = np.array([ln.x for ln in self.lines], dtype=float)
         with np.errstate(all="ignore"):
             b, g = _read_only(susceptance(r, x), conductance(r, x))
         return {"susceptance": b, "conductance": g}
-
-    @cached_property
-    def stranded_buses(self) -> tuple[int, ...]:
-        """Buses no path of lines joins to the reference, sorted."""
-        reached = _bfs_distances(self.adjacency, self.reference)
-        return tuple(sorted(b for b in self.buses if b not in reached))
 
     @cached_property
     def line_by_key(self) -> dict[tuple[int, int], Line]:
@@ -137,9 +181,8 @@ class Grid:
 
     @cached_property
     def is_radial(self) -> bool:
-        """A tree: one line fewer than buses and no cycle (a ``Grid(...)``
-        built directly skips the connectivity check)."""
-        return len(self.lines) == len(self.buses) - 1 and girth(self) == math.inf
+        """A tree: a connected grid with one line fewer than buses."""
+        return len(self.lines) == len(self.buses) - 1
 
     @cached_property
     def content_hash(self) -> str:
@@ -170,68 +213,21 @@ class Grid:
 # ----------------------------------------------------------------------
 
 
-def _validate(reference: int, buses: Iterable[int], lines: list[Line]) -> None:
-    buses = list(buses)
-    if not buses:
-        raise GridStructureError("grid has no buses")
-    seen: set[int] = set()
-    for b in buses:
-        if not isinstance(b, int) or isinstance(b, bool):
-            raise GridStructureError(f"bus id {b!r} is not an integer")
-        if b in seen:
-            raise GridStructureError(f"duplicate bus id {b}")
-        seen.add(b)
-    if reference not in seen:
-        raise GridStructureError(f"reference bus {reference} is not listed in buses")
-
-    keys: set[tuple[int, int]] = set()
-    for k, ln in enumerate(lines):
-        ctx = f"lines[{k}] ({ln.i},{ln.j})"
-        if ln.i not in seen or ln.j not in seen:
-            missing = ln.i if ln.i not in seen else ln.j
-            raise GridStructureError(f"{ctx}: endpoint {missing} is not a listed bus")
-        if ln.i == ln.j:
-            raise GridStructureError(f"{ctx}: self-loop")
-        if ln.key in keys:
-            raise GridStructureError(f"{ctx}: duplicate of an earlier line")
-        keys.add(ln.key)
-        if not (math.isfinite(ln.r) and math.isfinite(ln.x)):
-            raise InvalidLineError(f"{ctx}: non-finite impedance r={ln.r} x={ln.x}")
-        if ln.r < 0.0:
-            raise InvalidLineError(f"{ctx}: negative resistance r={ln.r}")
-        if ln.x <= 0.0:
-            raise InvalidLineError(f"{ctx}: reactance must be positive, got x={ln.x}")
-
-
-def check_connected(grid: Grid) -> None:
-    """Raise :class:`GridStructureError` naming the first bus that does not
-    reach the reference."""
-    stranded = grid.stranded_buses
-    if stranded:
-        raise GridStructureError(
-            f"grid is not connected: {len(stranded)} bus(es) unreachable from the "
-            f"reference, first {stranded[0]}"
-        )
-
-
 def make_grid(
     reference: int,
     buses: Iterable[int],
     lines: Iterable[Line | tuple],
     name: str = "",
 ) -> Grid:
-    """Build a validated :class:`Grid`; raises on the first violation found."""
+    """A :class:`Grid` from bus ids and lines, each a :class:`Line` or an
+    (i, j, r, x) tuple."""
     norm: list[Line] = []
     for ln in lines:
         if not isinstance(ln, Line):
             i, j, r, x = ln
             ln = Line(int(i), int(j), float(r), float(x))
         norm.append(ln)
-    buses = tuple(buses)
-    _validate(reference, buses, norm)
-    grid = Grid(reference=reference, buses=buses, lines=tuple(norm), name=name)
-    check_connected(grid)
-    return grid
+    return Grid(reference=reference, buses=tuple(buses), lines=tuple(norm), name=name)
 
 
 def grid_from_dict(doc: dict, name: str = "") -> Grid:

@@ -252,35 +252,18 @@ def build_graphical_model(
     return GraphicalModel(labels=conc.labels, edges=edges, model=conc.model, tau1=tau1)
 
 
-@dataclass(frozen=True, eq=False)
-class HybridGraph:
-    """Bus-level graph obtained by merging each bus's v/theta GM vertices."""
-
-    buses: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
-    model: str
-    tau1: float
-
-    def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {b: set() for b in self.buses}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
-
-
-def hybridize(gm: GraphicalModel) -> HybridGraph:
-    """Collapse GM vertices bus-wise; buses join when any of their variables do.
+def hybridize(gm: GraphicalModel) -> dict[int, set[int]]:
+    """The bus adjacency of ``gm``: buses join when any of their variables do.
 
     The interesting case is LC (two variables per bus); for a DC model this
     is a plain relabeling since every bus has a single theta variable.
     """
-    buses = tuple(sorted({lab.bus for lab in gm.labels}))
-    edges = set()
+    adj: dict[int, set[int]] = {b: set() for b in sorted({lab.bus for lab in gm.labels})}
     for a, b in gm.edges:
         if a.bus != b.bus:
-            edges.add(_pair(a.bus, b.bus))
-    return HybridGraph(buses=buses, edges=frozenset(edges), model=gm.model, tau1=gm.tau1)
+            adj[a.bus].add(b.bus)
+            adj[b.bus].add(a.bus)
+    return adj
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +350,7 @@ def edge_errors(learned: LearnedTopology, truth: Grid) -> EdgeErrors:
 # ----------------------------------------------------------------------
 
 
-def learn_by_counting(graph: GraphicalModel | HybridGraph) -> LearnedTopology:
+def learn_by_counting(gm: GraphicalModel) -> LearnedTopology:
     """Separate true lines from two-hop GM artifacts by neighborhood counting.
 
     A GM edge (i,j) is kept as a line iff two distinct common GM-neighbors
@@ -382,17 +365,14 @@ def learn_by_counting(graph: GraphicalModel | HybridGraph) -> LearnedTopology:
     rule needs >= 3 non-leaf buses) and :class:`AmbiguousLeafError` naming
     the vertex when a leaf has no or several attachment candidates.
     """
-    if isinstance(graph, GraphicalModel):
-        graph = hybridize(graph)
-    adj = graph.adjacency()
-    vertices = graph.buses
+    adj = hybridize(gm)
+    vertices = tuple(adj)
 
     # k and l both neighbour i, so they sit at GM distance 2 unless adjacent
-    skeleton: set[tuple[int, int]] = set()
-    for i, j in graph.edges:
-        common = (adj[i] & adj[j]) - {i, j}
-        if any(l not in adj[k] for k, l in combinations(common, 2)):
-            skeleton.add(_pair(i, j))
+    skeleton = {
+        (i, j) for i in vertices for j in adj[i]
+        if i < j and any(l not in adj[k] for k, l in combinations(adj[i] & adj[j], 2))
+    }
 
     skel_adj: dict[int, set[int]] = {v: set() for v in vertices}
     for i, j in skeleton:
@@ -423,7 +403,7 @@ def learn_by_counting(graph: GraphicalModel | HybridGraph) -> LearnedTopology:
         buses=vertices,
         edges=frozenset(edges),
         algorithm="counting",
-        params={"tau1": graph.tau1, "model": graph.model},
+        params={"tau1": gm.tau1, "model": gm.model},
     )
 
 
@@ -509,9 +489,7 @@ def check_sufficiency(grid: Grid, stats: InjectionStats) -> SufficiencyReport:
     order = grid.index_of
     # total line weight per bus, summed as the reduced Laplacian's diagonal
     w_total = laplacian_entries(grid, "susceptance")[2][:len(order)].tolist()
-    weight: dict[tuple[int, int], float] = {}  # parallel lines add up, as in the Laplacian
-    for ln, b in zip(grid.lines, grid.line_weights["susceptance"].tolist()):
-        weight[ln.key] = weight.get(ln.key, 0.0) + b
+    weight = dict(zip((ln.key for ln in grid.lines), grid.line_weights["susceptance"].tolist()))
 
     def w(a: int, b: int) -> float:
         return weight[_pair(a, b)]

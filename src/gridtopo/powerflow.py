@@ -17,10 +17,10 @@ both sides: J = H_b diag(1/sigma_pp) H_b (DC) or J = S Cov([p; q])^{-1} S
 where L L^T = Cov([p; q]) per bus (:func:`whitened_system`): J = M^T M, the
 voltage covariance M^{-1} M^{-T} (each one symmetric product, exactly
 symmetric) and the sampling map M^{-T}.  M is built as (row, col, value)
-triples from the line list, checked non-singular there, and J is summed from
-the triples' row-wise products, at graph cost: J is non-zero only between
-variables whose buses are at most two lines apart, and it is stored as those
-entries (:class:`Pairs`); the dense d x d view is built only when read.
+triples from the line list, and J is summed from the triples' row-wise
+products, at graph cost: J is non-zero only between variables whose buses
+are at most two lines apart, and it is stored as those entries
+(:class:`Pairs`); the dense d x d view is built only when read.
 """
 from __future__ import annotations
 
@@ -30,8 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import InvalidInjectionStatsError, InvalidLineError, ModelMismatchError
-from .grid import Grid, check_connected, dense_from_entries, laplacian_entries, reduced_laplacian
+from .exceptions import InvalidInjectionStatsError, ModelMismatchError
+from .grid import Grid, dense_from_entries, laplacian_entries, reduced_laplacian
 
 
 class VarLabel(NamedTuple):
@@ -47,7 +47,7 @@ class VarLabel(NamedTuple):
 
 def parse_label(text: str) -> VarLabel:
     kind, _, bus = text.rpartition("_")
-    if kind not in ("v", "theta") or not bus.isdigit():
+    if kind not in ("v", "theta") or not bus.removeprefix("-").isdigit():
         raise ValueError(f"bad variable label {text!r}; expected v_<bus> or theta_<bus>")
     return VarLabel(kind, int(bus))
 
@@ -197,8 +197,8 @@ class ConcentrationMatrix:
 
     @classmethod
     def _of_pairs(cls, pairs: Pairs, labels: tuple[VarLabel, ...], model: str) -> "ConcentrationMatrix":
-        """J = M^T M of a whitened system M checked non-singular where it is
-        built (:func:`_whitened_entries`), labelled by ``dc_labels`` or
+        """J = M^T M of a whitened system M, non-singular for every grid
+        (:func:`_whitened_entries`), labelled by ``dc_labels`` or
         ``lc_labels``: exactly symmetric, positive definite and laid out as
         its model needs by construction, so nothing is checked."""
         conc = object.__new__(cls)
@@ -265,26 +265,11 @@ def lc_system_matrix(grid: Grid) -> np.ndarray:
     return dense_from_entries(*_system_entries(grid, "lc"), 2 * len(grid.non_reference_buses))
 
 
-def _check_nonsingular(grid: Grid) -> None:
-    """Raise unless H_b is positive definite: every susceptance finite and
-    positive (:class:`InvalidLineError`) and every bus joined to the
-    reference (:class:`GridStructureError`).  S is then non-singular too:
-    S [v; theta] = 0 gives v^T H_b v + theta^T H_b theta = 0."""
-    b = grid.line_weights["susceptance"]
-    bad = np.flatnonzero(~(np.isfinite(b) & (b > 0)))  # NaN fails both
-    if bad.size:
-        ln = grid.lines[bad[0]]
-        raise InvalidLineError(
-            f"line ({ln.i},{ln.j}): susceptance must be finite and positive, "
-            f"got {b[bad[0]]} from r={ln.r} x={ln.x}"
-        )
-    check_connected(grid)
-
-
 def _whitened_entries(grid: Grid, stats: InjectionStats, model: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Triples of M = L^{-1} S, one per position; see :func:`whitened_system`.
 
-    M is non-singular: S is (:func:`_check_nonsingular`), and
+    M is non-singular: H_b is positive definite for every :class:`Grid`, so
+    S is too (S [v; theta] = 0 gives v^T H_b v + theta^T H_b theta = 0), and
     :class:`InjectionStats` keeps l11 and l22 positive.  Top row k becomes
     S_k / l11_k and LC bottom row N + k becomes (S_{N+k} - l21_k M_k) / l22_k,
     the same float operations as on the dense rows.
@@ -292,7 +277,6 @@ def _whitened_entries(grid: Grid, stats: InjectionStats, model: str) -> tuple[np
     if model not in ("dc", "lc"):
         raise ModelMismatchError(f"model must be 'dc' or 'lc', got {model!r}")
     check_stats(grid, stats)
-    _check_nonsingular(grid)
     rows, cols, vals = _system_entries(grid, model)
     l11, l21, l22 = stats.cholesky
     if model == "dc":
@@ -310,8 +294,6 @@ def whitened_system(grid: Grid, stats: InjectionStats, model: str) -> np.ndarray
     Row by row, bus by bus: [p_i; q_i] -> [p_i / l11; (q_i - l21 p_i / l11) / l22]
     (DC keeps only the p rows).  Then J = M^T M, Cov = M^{-1} M^{-T}, and
     voltages are M^{-1} z for a standard normal z in (z_p; z_q) block order.
-    Raises :class:`InvalidLineError` or :class:`GridStructureError` where M
-    would be singular.
     """
     d = stats.n * (2 if model == "lc" else 1)
     return dense_from_entries(*_whitened_entries(grid, stats, model), d)
@@ -373,8 +355,8 @@ def dc_concentration(grid: Grid, stats: InjectionStats) -> ConcentrationMatrix:
 def solve_lc(grid: Grid, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Voltage magnitudes & angles with [p; q] = S [v; theta].
 
-    Accepts (N,) or (n, N) arrays; S is invertible for any connected grid
-    because H_b is positive definite.
+    Accepts (N,) or (n, N) arrays; S is invertible because H_b is positive
+    definite.
     """
     rhs = np.concatenate([np.asarray(p, dtype=float).T, np.asarray(q, dtype=float).T], axis=0)
     sol = np.linalg.solve(lc_system_matrix(grid), rhs)

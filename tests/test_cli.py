@@ -53,6 +53,28 @@ def test_grid_validate_missing_path(runner):
     assert payload["error"] == "FileNotFoundError"
 
 
+@pytest.mark.parametrize("command", [
+    ["grid", "validate", "{grid}"],
+    ["grid", "info", "{grid}"],
+    ["certify", "--grid", "{grid}"],
+    ["sample", "--grid", "{grid}", "--n", "10", "--out", "{tmp}/s.csv"],
+    ["learn", "--conc", "exact", "--grid", "{grid}"],
+], ids=["validate", "info", "certify", "sample", "learn"])
+@pytest.mark.parametrize("r,x,b", [(0.0, 1e-200, "inf"), (1e200, 1.0, "0.0")],
+                         ids=["susceptance-inf", "susceptance-zero"])
+def test_every_command_rejects_a_line_whose_susceptance_overflows(runner, tmp_path, command, r, x, b):
+    # r^2 + x^2 underflows to 0 or overflows to inf on line (1,2), inside a triangle
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"reference": 0, "buses": [0, 1, 2, 3], "lines": [
+        {"i": 0, "j": 1, "r": 0.1, "x": 0.2}, {"i": 1, "j": 2, "r": r, "x": x},
+        {"i": 2, "j": 3, "r": 0.1, "x": 0.2}, {"i": 1, "j": 3, "r": 0.1, "x": 0.3},
+    ]}))
+    args = [a.format(grid=path, tmp=tmp_path) for a in command]
+    payload = stderr_error(runner.invoke(main, args))
+    assert payload["error"] == "InvalidLineError"
+    assert payload["message"].startswith(f"line (1,2): susceptance must be finite and positive, got {b}")
+
+
 @pytest.mark.parametrize(
     "name,lines",
     [
@@ -99,6 +121,20 @@ def test_pipeline_recovers_topology(runner, tmp_path):
     assert "learned 18 edges over 19 buses" in result.output
     assert "fp=0 fn=0 total=0" in result.output
     assert len(load_topology_json(topo_path).edges) == 18
+
+
+@pytest.mark.parametrize("model", ["dc", "lc"])
+def test_pipeline_on_negative_bus_ids(runner, tmp_path, model):
+    # labels such as theta_-2 survive the sample CSV and the estimate JSON
+    grid_path, csv_path, est_path = tmp_path / "g.json", tmp_path / "s.csv", tmp_path / "e.json"
+    grid_path.write_text(json.dumps({"reference": 0, "buses": [-2, -1, 0, 1], "lines": [
+        {"i": i, "j": j, "r": 0.05, "x": 0.1} for i, j in [(0, -1), (-1, -2), (0, 1)]
+    ]}))
+    invoke_ok(runner, ["sample", "--grid", str(grid_path), "--model", model, "--n", "400", "--out", str(csv_path)])
+    invoke_ok(runner, ["estimate", "--samples", str(csv_path), "--out", str(est_path)])
+    result = invoke_ok(runner, ["learn", "--conc", str(est_path), "--grid", str(grid_path), "--compare-truth"])
+    assert "learned 1 edges over 3 buses" in result.output
+    assert "fp=0 fn=0 total=0" in result.output
 
 
 def test_estimate_glasso_path(runner, tmp_path):

@@ -2,12 +2,15 @@
 import itertools
 import json
 import math
+import re
 from collections import deque
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from gridtopo.cli import main
 from gridtopo.exceptions import (
     GridFileError,
     GridStructureError,
@@ -129,8 +132,9 @@ def test_reduced_laplacian_equals_the_line_loop(name, kind):
 
 def test_stranded_buses_of_a_directly_built_grid():
     lines = (Line(0, 1, 0.1, 0.2), Line(3, 2, 0.1, 0.2))
-    assert Grid(reference=0, buses=(0, 1, 2, 3, 4), lines=lines).stranded_buses == (2, 3, 4)
-    assert path_grid(4).stranded_buses == ()
+    with pytest.raises(GridStructureError, match=r"3 bus\(es\) unreachable from the reference, first 2"):
+        Grid(reference=0, buses=(0, 1, 2, 3, 4), lines=lines)
+    path_grid(4)
 
 
 # ----------------------------------------------------------------------
@@ -301,14 +305,14 @@ def test_girth_ignores_long_radial_tails():
     assert girth(g) == 5 == girth_by_edge_deletion(g)
 
 
-def test_girth_of_a_disconnected_grid_built_directly():
-    # Grid(...) skips the connectivity check: a 6-line tree at the reference
-    # next to a 4-cycle, with the tree's buses listed first and then last
+def test_girth_of_a_cycle_hung_off_a_tree():
+    # a 6-line tree at the reference, its far end joined to a 4-cycle, with
+    # the tree's buses listed first and then last
     tree = tuple(Line(b - 1, b, 0.01, 0.05) for b in range(1, 7))
     cycle = tuple(Line(10 + b, 10 + (b + 1) % 4, 0.01, 0.05) for b in range(4))
     for buses in (tuple(range(7)) + tuple(range(10, 14)), tuple(range(10, 14)) + tuple(range(7))):
-        g = Grid(reference=0, buses=buses, lines=tree + cycle)
-        assert not g.is_radial  # 10 lines on 11 buses, but one is on a cycle
+        g = Grid(reference=0, buses=buses, lines=tree + (Line(6, 12, 0.01, 0.05),) + cycle)
+        assert not g.is_radial
         assert girth(g) == 4 == girth_by_edge_deletion(g)
     tree_only = Grid(reference=0, buses=tuple(range(7)), lines=tree)
     assert girth(tree_only) == math.inf and tree_only.is_radial
@@ -337,6 +341,43 @@ def test_girth_of_a_disconnected_grid_built_directly():
 def test_make_grid_rejects_bad_input(reference, buses, lines, exc, match):
     with pytest.raises(exc, match=match):
         make_grid(reference, buses, lines)
+
+
+# line sets on buses 0-3 whose H_b would be singular or undefined: the error
+# and the words naming the line or the first stranded bus
+SINGULAR_GRIDS = {
+    "unlisted-endpoint": ((Line(0, 1, 0.1, 0.2), Line(1, 2, 0.1, 0.2), Line(2, 7, 0.1, 0.2)),
+                          GridStructureError, r"\(2,7\): endpoint 7 is not a listed bus"),
+    "island": ((Line(0, 1, 0.1, 0.2), Line(2, 3, 0.1, 0.2)),
+               GridStructureError, r"2 bus\(es\) unreachable from the reference, first 2"),
+    "negative-x": ((Line(0, 1, 0.1, 0.2), Line(1, 2, 0.1, 0.2), Line(2, 3, 0.1, -0.2)),
+                   InvalidLineError, r"\(2,3\): reactance must be positive"),
+    "zero-impedance": ((Line(0, 1, 0.1, 0.2), Line(1, 2, 0.0, 0.0), Line(2, 3, 0.1, 0.2)),
+                       InvalidLineError, r"\(1,2\): reactance must be positive"),
+    # r^2 + x^2 underflows to 0 or overflows to inf
+    "susceptance-inf": ((Line(0, 1, 0.1, 0.2), Line(1, 2, 0.0, 1e-200), Line(2, 3, 0.1, 0.2)),
+                        InvalidLineError, r"line \(1,2\): susceptance must be finite and positive, got inf"),
+    "susceptance-zero": ((Line(0, 1, 0.1, 0.2), Line(1, 2, 1e200, 1.0), Line(2, 3, 0.1, 0.2)),
+                         InvalidLineError, r"line \(1,2\): susceptance must be finite and positive, got 0.0"),
+}
+
+
+@pytest.mark.parametrize("case", SINGULAR_GRIDS)
+def test_every_way_in_rejects_a_singular_grid(case, tmp_path):
+    lines, error, match = SINGULAR_GRIDS[case]
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"reference": 0, "buses": [0, 1, 2, 3],
+                                "lines": [{"i": ln.i, "j": ln.j, "r": ln.r, "x": ln.x} for ln in lines]}))
+    for build in (lambda: Grid(reference=0, buses=(0, 1, 2, 3), lines=lines),
+                  lambda: make_grid(0, range(4), lines),
+                  lambda: load_grid(path)):
+        with pytest.raises(error, match=match):
+            build()
+    result = CliRunner().invoke(main, ["grid", "validate", str(path)])
+    assert result.exit_code == 1
+    payload = json.loads(result.stderr.strip().splitlines()[-1])
+    assert payload["error"] == error.__name__
+    assert re.search(match, payload["message"])
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from gridtopo.grid import builtin_grid, bus_distance, make_grid, reduced_laplaci
 from gridtopo.learning import (
     EdgeErrors,
     GraphicalModel,
-    HybridGraph,
     LearnedTopology,
     build_graphical_model,
     check_sufficiency,
@@ -153,9 +152,8 @@ def test_hybridize_merges_lc_vertices(loopy20_c4):
         default_exact_tau1(dc_concentration(loopy20_c4, st)),
     )
     hybrid = hybridize(lc_gm)
-    dc_buses = hybridize(dc_gm)
-    assert hybrid.buses == dc_buses.buses == loopy20_c4.non_reference_buses
-    assert hybrid.edges == dc_buses.edges
+    assert tuple(hybrid) == loopy20_c4.non_reference_buses
+    assert hybrid == hybridize(dc_gm)
 
 
 def test_largest_gap_threshold():
@@ -389,19 +387,20 @@ def test_exact_path_never_builds_the_dense_view(make_random_tree, monkeypatch):
 
 
 def test_counting_ambiguous_leaf_is_named():
-    # hand-built GM: skeleton triangle {1,2,3}; 4 and 9 attach to all of it,
+    # hand-built DC GM: skeleton triangle {1,2,3}; 4 and 9 attach to all of it,
     # so neither has a unique attachment vertex
     buses = (1, 2, 3, 4, 9)
     edges = {(1, 2), (1, 3), (2, 3)}
     edges |= {(b, 4) for b in (1, 2, 3)} | {(b, 9) for b in (1, 2, 3)}
-    graph = HybridGraph(
-        buses=buses,
-        edges=frozenset((min(a, b), max(a, b)) for a, b in edges),
+    theta = {b: VarLabel("theta", b) for b in buses}
+    gm = GraphicalModel(
+        labels=tuple(theta.values()),
+        edges=frozenset((theta[min(a, b)], theta[max(a, b)]) for a, b in edges),
         model="dc",
         tau1=1.0,
     )
     with pytest.raises(AmbiguousLeafError, match="bus 4 has 3 attachment candidates"):
-        learn_by_counting(graph)
+        learn_by_counting(gm)
 
 
 # ----------------------------------------------------------------------

@@ -57,7 +57,8 @@ def test_labels_and_parse(radial20):
     assert lc[0] == VarLabel("v", 1) and lc[19] == VarLabel("theta", 1)
     assert parse_label("theta_12") == VarLabel("theta", 12)
     assert parse_label("v_3").text == "v_3"
-    for bad in ("x_1", "theta_", "v_one", "12"):
+    assert parse_label("theta_-3") == VarLabel("theta", -3)  # bus ids may be negative
+    for bad in ("x_1", "theta_", "v_one", "12", "theta_--3", "theta_+3"):
         with pytest.raises(ValueError):
             parse_label(bad)
 
@@ -489,16 +490,21 @@ SYSTEM_BUILDERS = {
     [
         # buses 2-3 form an island the reference does not reach
         ((Line(0, 1, 0.1, 0.2), Line(2, 3, 0.1, 0.2)), GridStructureError, "unreachable from the reference, first 2"),
-        ((Line(0, 1, 0.1, 0.2), Line(1, 2, 0.1, 0.2), Line(2, 3, 0.1, -0.2)), InvalidLineError,
-         r"line \(2,3\): susceptance must be finite and positive"),
-        ((Line(0, 1, 0.1, 0.2), Line(1, 2, 0.0, 0.0), Line(2, 3, 0.1, 0.2)), InvalidLineError, r"line \(1,2\)"),
+        ((Line(0, 1, 0.1, 0.2), Line(1, 2, 0.1, 0.2), Line(2, 3, 0.1, -0.2)), InvalidLineError, r"\(2,3\)"),
+        ((Line(0, 1, 0.1, 0.2), Line(1, 2, 0.0, 0.0), Line(2, 3, 0.1, 0.2)), InvalidLineError, r"\(1,2\)"),
         ((Line(0, 1, 0.1, 0.2), Line(1, 2, 0.1, 0.2), Line(2, 7, 0.1, 0.2)), GridStructureError,
          "endpoint 7 is not a listed bus"),
+        # r^2 + x^2 underflows to 0 or overflows to inf
+        ((Line(0, 1, 0.1, 0.2), Line(1, 2, 0.0, 1e-200), Line(2, 3, 0.1, 0.2)), InvalidLineError,
+         r"line \(1,2\): susceptance must be finite and positive, got inf"),
+        ((Line(0, 1, 0.1, 0.2), Line(1, 2, 1e200, 1.0), Line(2, 3, 0.1, 0.2)), InvalidLineError,
+         r"line \(1,2\): susceptance must be finite and positive, got 0.0"),
     ],
-    ids=["island", "negative-x", "zero-impedance", "unlisted-endpoint"],
+    ids=["island", "negative-x", "zero-impedance", "unlisted-endpoint", "susceptance-inf", "susceptance-zero"],
 )
 def test_singular_systems_fail_where_they_are_built(builder, lines, error, match):
-    # Grid(...) skips make_grid's checks; M would be singular or H_b indefinite
-    g = Grid(reference=0, buses=(0, 1, 2, 3), lines=lines)
+    # M would be singular or H_b indefinite: the grid itself fails to build,
+    # so no system builder ever sees it
     with pytest.raises(error, match=match):
+        g = Grid(reference=0, buses=(0, 1, 2, 3), lines=lines)
         SYSTEM_BUILDERS[builder](g, InjectionStats.uniform(g))

@@ -140,8 +140,11 @@ def sample(grid_ref, model, n, seed, out, sigma_pp, sigma_qq, sigma_pq):
               default="auto", show_default=True)
 @click.option("--lambda", "lam", default="auto", show_default=True,
               help="Glasso penalty (number or 'auto').")
-@click.option("--tol", type=float, default=1e-6, show_default=True)
-@click.option("--max-iters", type=int, default=500, show_default=True)
+@click.option("--tol", type=float, default=1e-6, show_default=True,
+              help="Glasso stops when its KKT residual, scaled by max(1, max|cov|), "
+                   "is at most 1e-2 * tol.")
+@click.option("--max-iters", type=int, default=10_000, show_default=True,
+              help="Glasso limit in ADMM steps.")
 @click.option("--penalize-diagonal", is_flag=True, default=False)
 @click.option("--out", type=click.Path(), required=True, help="Output JSON path.")
 @_cli_errors

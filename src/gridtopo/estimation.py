@@ -8,10 +8,9 @@ Two estimators behind one interface:
 
       minimize_S  -log det S + <S, cov> + lam * ||S||_1(off-diagonal)
 
-  solved by block coordinate descent over columns.  Each column update is an
-  exact lasso subproblem solved by coordinate descent, so every step
-  decreases the primal objective; the recorded objective trace is
-  monotonically non-increasing.
+  solved by ADMM with residual-balanced step size.  The solver returns the
+  best positive-definite iterate it has seen and records the best objective
+  so far, so the objective trace is monotonically non-increasing.
 
 Samples are treated as zero-mean (fluctuations around an operating point),
 so the empirical covariance is X^T X / n without mean subtraction.
@@ -70,34 +69,31 @@ class GlassoConfig:
     """Solver knobs; defaults follow the package contract."""
 
     tol: float = 1e-6
-    max_iters: int = 500
+    max_iters: int = 10_000
     diagonal_penalized: bool = False
 
     def __post_init__(self):
-        if not (self.tol > 0 and math.isfinite(self.tol)):
+        if (isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real)
+                or not (self.tol > 0 and math.isfinite(self.tol))):
             raise ConfigError(f"tol must be a positive number, got {self.tol!r}")
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters!r}")
+        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral)
+                or self.max_iters < 1):
+            raise ConfigError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
 def glasso_objective(S: np.ndarray, cov: np.ndarray, lam: float,
                      diagonal_penalized: bool = False) -> float:
-    """Penalized negative log-likelihood -log det S + <S, cov> + lam*||S||_1."""
-    sign, logdet = np.linalg.slogdet(S)
-    if sign <= 0:
+    """Penalized negative log-likelihood -log det S + <S, cov> + lam*||S||_1;
+    ``inf`` when S is not positive definite (its Cholesky factor fails)."""
+    try:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
         return math.inf
+    logdet = 2.0 * np.log(np.diag(L)).sum()
     penalty = np.abs(S).sum() - np.abs(np.diag(S)).sum()
     if diagonal_penalized:
         penalty += np.abs(np.diag(S)).sum()
     return float(-logdet + (S * cov).sum() + lam * penalty)
-
-
-def _soft(v: float, t: float) -> float:
-    if v > t:
-        return v - t
-    if v < -t:
-        return v + t
-    return 0.0
 
 
 def graphical_lasso(
@@ -105,20 +101,27 @@ def graphical_lasso(
     lam: float,
     config: GlassoConfig | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """Solve the l1-penalized inverse covariance problem.
+    """Solve the l1-penalized inverse covariance problem by ADMM.
 
-    Returns ``(S, info)`` where info records iterations, convergence flag,
-    termination reason and the per-sweep objective trace.  The iterate stays
-    positive definite throughout: each column update writes the diagonal
-    through the Schur complement 1/(cov_cc + lam*delta) > 0.
+    Each step splits S into a smooth part X and a sparse part Z (Boyd et al.
+    2011, section 6.5): X solves rho*X - X^{-1} = rho*(Z - U) - cov through
+    one eigendecomposition, Z soft-thresholds X + U at lam/rho, U adds the
+    gap X - Z, and rho follows residual balancing.
 
-    Convergence is declared when no entry of S moves more than ``tol`` in a
-    full sweep; hitting ``max_iters`` first sets ``converged=False`` (no
-    exception), matching the documented estimator contract.
+    Returns ``(S, info)``.  S is the best iterate seen: the diagonal start
+    1/(cov_ii + lam*delta) or a later Z of lower objective, so S is positive
+    definite (its Cholesky factor exists).  info records the steps taken,
+    the convergence flag, the termination reason and the objective trace:
+    the start's objective, then the best objective so far after each step,
+    so the trace never increases.
+
+    Convergence is declared when :func:`kkt_violations` of S is at most
+    1e-2 * tol * max(1, max|cov|); hitting ``max_iters`` steps first sets
+    ``converged=False`` (no exception), matching the documented estimator
+    contract.
     """
     config = config or GlassoConfig()
     cov = np.asarray(cov, dtype=float)
-    d = cov.shape[0]
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ConfigError(f"covariance must be square, got shape {cov.shape}")
     if not np.all(np.isfinite(cov)):
@@ -130,59 +133,45 @@ def graphical_lasso(
     if np.any(np.diag(cov) <= 0):
         raise ConfigError("covariance diagonal must be positive")
 
-    delta_diag = 1.0 if config.diagonal_penalized else 0.0
-    S = np.diag(1.0 / (np.diag(cov) + lam))
-    trace = [glasso_objective(S, cov, lam, config.diagonal_penalized)]
+    penalized = config.diagonal_penalized
+    d = cov.shape[0]
+    # soft-threshold level per entry, in units of lam
+    weight = np.ones((d, d)) if penalized else 1.0 - np.eye(d)
+    budget = 1e-2 * config.tol * max(1.0, float(np.abs(cov).max()))
 
-    if d == 1:
-        info = {"iterations": 0, "converged": True, "termination": "tol",
-                "objective_trace": trace}
-        return S, info
+    def done(S):
+        return max(kkt_violations(cov, S, lam, penalized).values()) <= budget
 
-    inner_tol = max(config.tol * 1e-2, 1e-14)
-    converged = False
-    sweeps = 0
-    idx = np.arange(d)
-    for sweeps in range(1, config.max_iters + 1):
-        max_change = 0.0
-        for c in range(d):
-            rest = idx[idx != c]
-            S11 = S[np.ix_(rest, rest)]
-            Q = np.linalg.inv(S11)
-            c12 = cov[rest, c]
-            c22 = cov[c, c] + lam * delta_diag
-            V = c22 * Q
-            alpha = S[rest, c].copy()
-            Valpha = V @ alpha
-            for _ in range(200):
-                inner_change = 0.0
-                for k in range(d - 1):
-                    old = alpha[k]
-                    # exact minimizer of the lasso subproblem in coordinate k
-                    new = _soft(-c12[k] - (Valpha[k] - V[k, k] * old), lam) / V[k, k]
-                    if new != old:
-                        alpha[k] = new
-                        Valpha += (new - old) * V[:, k]
-                        inner_change = max(inner_change, abs(new - old))
-                if inner_change < inner_tol:
-                    break
-            gamma = 1.0 / c22
-            s22 = gamma + alpha @ Q @ alpha
-            max_change = max(
-                max_change,
-                float(np.abs(alpha - S[rest, c]).max(initial=0.0)),
-                abs(s22 - S[c, c]),
-            )
-            S[rest, c] = alpha
-            S[c, rest] = alpha
-            S[c, c] = s22
-        trace.append(glasso_objective(S, cov, lam, config.diagonal_penalized))
-        if max_change < config.tol:
-            converged = True
-            break
+    S = np.diag(1.0 / (np.diag(cov) + lam * penalized))
+    best = glasso_objective(S, cov, lam, penalized)
+    trace = [best]
+    converged = done(S)
+    steps = 0
+    # rho = 0.1 took fewer steps than 1 or 10 on the bundled grids
+    Z, U, rho = S, np.zeros_like(S), 0.1
+    while not converged and steps < config.max_iters:
+        steps += 1
+        w, Q = np.linalg.eigh(rho * (Z - U) - cov)
+        X = (Q * ((w + np.sqrt(w * w + 4.0 * rho)) / (2.0 * rho))) @ Q.T
+        X = (X + X.T) / 2.0
+        Z_old, V = Z, X + U
+        Z = np.sign(V) * np.maximum(np.abs(V) - (lam / rho) * weight, 0.0)
+        U = V - Z
+        obj = glasso_objective(Z, cov, lam, penalized)
+        if obj <= best:
+            S, best = Z, obj
+            converged = done(S)
+        trace.append(best)
+        # residual balancing with mu = 10, tau = 2 (Boyd et al., section 3.4.1)
+        r = np.linalg.norm(X - Z)
+        s = rho * np.linalg.norm(Z - Z_old)
+        if r > 10.0 * s:
+            rho, U = rho * 2.0, U / 2.0
+        elif s > 10.0 * r:
+            rho, U = rho / 2.0, U * 2.0
 
     info = {
-        "iterations": sweeps,
+        "iterations": steps,
         "converged": converged,
         "termination": "tol" if converged else "max_iters",
         "objective_trace": trace,

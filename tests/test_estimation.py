@@ -92,7 +92,8 @@ def test_glasso_large_penalty_gives_diagonal():
 
 def test_glasso_1x1_shortcut():
     S, info = graphical_lasso(np.array([[2.0]]), 0.5)
-    np.testing.assert_allclose(S, [[1.0 / 2.5]])
+    np.testing.assert_allclose(S, [[1.0 / 2.0]])
+    assert max(kkt_violations(np.array([[2.0]]), S, 0.5).values()) == 0.0
     assert info == {
         "iterations": 0,
         "converged": True,
@@ -127,6 +128,24 @@ def test_glasso_penalized_diagonal_kkt():
     assert max(kkt.values()) <= 1e-4 * np.abs(cov).max()
 
 
+def test_glasso_objective_is_infinite_off_the_positive_definite_cone():
+    # det = +1, so a sign test on slogdet alone would call this feasible
+    assert glasso_objective(np.diag([-1.0, -1.0, 1.0]), np.eye(3), 0.1) == np.inf
+    S = np.array([[2.0, -0.5], [-0.5, 1.0]])
+    want = -np.log(np.linalg.det(S)) + np.trace(S) + 0.1 * 1.0
+    assert glasso_objective(S, np.eye(2), 0.1) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n,lam", [(150, "auto"), (300, 0.1)])
+def test_glasso_converges_on_lc_estimates(radial20, n, lam):
+    s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), "lc", n, seed=2)
+    est = estimate_concentration(s, method="glasso", lam=lam)
+    scale = max(1.0, np.abs(empirical_covariance(s.data)).max())
+    assert est.converged and max(est.kkt.values()) / scale <= 1e-6
+    np.linalg.cholesky(est.matrix)
+    assert np.all(np.diff(est.objective_trace) <= 0.0)
+
+
 def test_glasso_hits_max_iters():
     cov = random_pd_cov(np.random.default_rng(5), 8)
     S, info = graphical_lasso(cov, 0.01, GlassoConfig(tol=1e-12, max_iters=2))
@@ -154,6 +173,10 @@ def test_glasso_config_validation():
         GlassoConfig(tol=0.0)
     with pytest.raises(ConfigError):
         GlassoConfig(max_iters=0)
+    for bad in ({"max_iters": True}, {"max_iters": 2.5}, {"max_iters": "10"},
+                {"tol": True}, {"tol": "1e-6"}):
+        with pytest.raises(ConfigError):
+            GlassoConfig(**bad)
 
 
 # ----------------------------------------------------------------------

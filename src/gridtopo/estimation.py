@@ -220,13 +220,10 @@ def parse_lambda(value, name: str):
     return value
 
 
-def select_lambda(samples: SampleSet, grid_size_hint: int | None = None,
-                  c: float = 0.5) -> float:
-    """Rate-driven penalty lam = c * sqrt(log d / n) (natural log)."""
-    d = grid_size_hint if grid_size_hint is not None else samples.dim
-    if d < 2:
-        return 0.0
-    return c * math.sqrt(math.log(d) / samples.n)
+def select_lambda(samples: SampleSet) -> float:
+    """Rate-driven penalty lam = 0.5 * sqrt(log d / n) (natural log), so 0.0
+    for a single variable."""
+    return 0.5 * math.sqrt(math.log(samples.dim) / samples.n)
 
 
 # ----------------------------------------------------------------------
@@ -278,12 +275,15 @@ class EstimatedConcentration:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EstimatedConcentration":
+        n = doc["n_samples"]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"n_samples must be an integer, got {n!r}")
         return cls(
             matrix=np.asarray(doc["matrix"], dtype=float),
             labels=tuple(parse_label(t) for t in doc["labels"]),
             model=str(doc["model"]),
             method=str(doc["method"]),
-            n_samples=int(doc["n_samples"]),
+            n_samples=n,
             lam=float(doc.get("lambda", 0.0)),
             iterations=int(doc.get("iterations", 0)),
             converged=bool(doc.get("converged", True)),

@@ -4,15 +4,19 @@ An :class:`ExperimentSpec` pins everything that affects results (grid, model,
 algorithm, estimator, sample counts, trial count, seed, thresholds), so a
 sweep is reproducible bit-for-bit: per-trial seeds derive from
 (seed, n, trial) and result CSVs carry no timestamps (wall-clock metadata
-lives in a JSON sidecar next to the CSV).
+lives in a JSON sidecar next to the CSV).  Every trial goes through
+:func:`run_single_trial`; an exact run is the one trial n = 0, which learns
+from the analytic concentration matrix instead of samples.
 """
 from __future__ import annotations
 
 import csv
 import datetime
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from itertools import product, repeat
 
 import numpy as np
 
@@ -45,6 +49,14 @@ ESTIMATORS = ("auto", "direct", "glasso")
 RESULT_COLUMNS = ("grid", "model", "algo", "estimator", "n", "trial", "fp", "fn", "total")
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a bool or any other non-integer (a config file
+    may hold 2.5 or "3") raises :class:`ConfigError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Complete description of one sweep; mirrors the config-file JSON."""
@@ -66,7 +78,14 @@ class ExperimentSpec:
     workers: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "sample_counts", tuple(int(n) for n in self.sample_counts))
+        try:
+            counts = tuple(_integer(n, "each sample count") for n in self.sample_counts)
+        except TypeError:
+            raise ConfigError(f"sample_counts must be a list of integers, "
+                              f"got {self.sample_counts!r}") from None
+        object.__setattr__(self, "sample_counts", counts)
+        for name in ("trials", "seed", "workers"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.algorithm not in ALGORITHMS:
@@ -186,81 +205,56 @@ class ExperimentResult:
         return out
 
 
-def _empty_topology(grid: Grid, algorithm: str) -> LearnedTopology:
-    return LearnedTopology(
-        buses=grid.non_reference_buses, edges=frozenset(), algorithm=algorithm
-    )
-
-
 def run_single_trial(grid: Grid, stats: InjectionStats, spec: ExperimentSpec,
                      n: int, trial: int) -> TrialRecord:
-    """Sample -> estimate -> learn -> score, one trial.
+    """One trial, scored against the grid's lines.
+
+    ``n = 0`` is the exact trial: learning runs on the analytic
+    concentration matrix, with no seed and method ``"exact"``.  Any other n
+    samples, estimates and learns, seeded from (spec.seed, n, trial).
 
     Failures of any stage that raise a package error are recorded in the
     trial and scored as a reconstruction with no edges (everything missed);
     the sweep carries on.
     """
-    seed = derive_trial_seed(spec.seed, n, trial)
+    seed = None if n == 0 else derive_trial_seed(spec.seed, n, trial)
     error = None
-    method = None
+    method = "exact" if n == 0 else None
     try:
-        samples = generate_voltage_samples(grid, stats, spec.model, n, seed)
-        est = estimate_concentration(
-            samples, method=spec.estimator, lam=spec.glasso_lambda
-        )
-        method = est.method
-        topo = reconstruct(est.concentration, spec.algorithm, spec.tau1, spec.tau2, est=est)
+        if n == 0:
+            conc = (dc_concentration if spec.model == "dc" else lc_concentration)(grid, stats)
+            est = None
+        else:
+            samples = generate_voltage_samples(grid, stats, spec.model, n, seed)
+            est = estimate_concentration(samples, method=spec.estimator, lam=spec.glasso_lambda)
+            conc, method = est.concentration, est.method
+        topo = reconstruct(conc, spec.algorithm, spec.tau1, spec.tau2, est=est)
     except GridTopoError as exc:
         error = f"{type(exc).__name__}: {exc}"
-        topo = _empty_topology(grid, spec.algorithm)
+        topo = LearnedTopology(buses=grid.non_reference_buses, edges=frozenset(),
+                               algorithm=spec.algorithm)
     err = edge_errors(topo, grid)
     return TrialRecord(n=n, trial=trial, fp=err.false_positives,
                        fn=err.false_negatives, total=err.total, seed=seed,
                        error=error, method=method)
 
 
-def run_exact_trial(grid: Grid, stats: InjectionStats, spec: ExperimentSpec) -> TrialRecord:
-    """Learning applied to the analytic concentration matrix (n recorded as 0)."""
-    error = None
-    try:
-        conc = (dc_concentration if spec.model == "dc" else lc_concentration)(grid, stats)
-        topo = reconstruct(conc, spec.algorithm, spec.tau1, spec.tau2, est=None)
-    except GridTopoError as exc:
-        error = f"{type(exc).__name__}: {exc}"
-        topo = _empty_topology(grid, spec.algorithm)
-    err = edge_errors(topo, grid)
-    return TrialRecord(n=0, trial=0, fp=err.false_positives, fn=err.false_negatives,
-                       total=err.total, seed=None, error=error, method="exact")
-
-
-def _trial_task(args) -> TrialRecord:
-    grid, stats, spec, n, trial = args
-    return run_single_trial(grid, stats, spec, n, trial)
-
-
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Execute the full sweep described by ``spec`` deterministically.
 
-    With ``exact=True`` the sweep collapses to a single trial on the
-    analytic concentration matrix.  ``workers > 1`` distributes trials over
-    processes; results are identical to the sequential order.
+    With ``exact=True`` the sweep collapses to the one exact trial (n = 0).
+    ``workers > 1`` distributes trials over processes; either way records
+    come back in sweep order, (n, trial) ascending.
     """
     grid = resolve_grid(spec.grid)
     stats = spec.stats_for(grid)
-    if spec.exact:
-        records = [run_exact_trial(grid, stats, spec)]
+    tasks = [(0, 0)] if spec.exact else list(product(spec.sample_counts, range(spec.trials)))
+    args = (repeat(grid), repeat(stats), repeat(spec), *zip(*tasks))
+    if spec.workers > 1:
+        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+            records = list(pool.map(run_single_trial, *args, chunksize=1))
     else:
-        tasks = [
-            (grid, stats, spec, n, trial)
-            for n in spec.sample_counts
-            for trial in range(spec.trials)
-        ]
-        if spec.workers > 1:
-            with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-                records = list(pool.map(_trial_task, tasks, chunksize=1))
-        else:
-            records = [_trial_task(t) for t in tasks]
-        records.sort(key=lambda r: (r.n, r.trial))
+        records = list(map(run_single_trial, *args))
     return ExperimentResult(spec=spec, grid_hash=grid_hash(grid), records=tuple(records))
 
 

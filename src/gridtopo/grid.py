@@ -159,10 +159,6 @@ class Grid:
         return {"susceptance": b, "conductance": g}
 
     @cached_property
-    def line_by_key(self) -> dict[tuple[int, int], Line]:
-        return {ln.key: ln for ln in self.lines}
-
-    @cached_property
     def non_reference_buses(self) -> tuple[int, ...]:
         return tuple(b for b in sorted(self.buses) if b != self.reference)
 
@@ -174,10 +170,6 @@ class Grid:
     @property
     def n_buses(self) -> int:
         return len(self.buses)
-
-    @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(ln.key for ln in self.lines)
 
     @cached_property
     def is_radial(self) -> bool:
@@ -197,15 +189,9 @@ class Grid:
         blob = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
-    def has_bus(self, bus: int) -> bool:
-        return bus in self.adjacency
-
     def require_bus(self, bus: int) -> None:
-        if not self.has_bus(bus):
+        if bus not in self.adjacency:
             raise UnknownBusError(f"bus {bus} is not part of grid {self.name or '?'}")
-
-    def line_between(self, i: int, j: int) -> Line | None:
-        return self.line_by_key.get((i, j) if i < j else (j, i))
 
 
 # ----------------------------------------------------------------------
@@ -256,11 +242,10 @@ def grid_from_dict(doc: dict, name: str = "") -> Grid:
         i, j = entry["i"], entry["j"]
         if not isinstance(i, int) or not isinstance(j, int) or isinstance(i, bool) or isinstance(j, bool):
             raise GridFileError(f"{ctx}: endpoints must be integer bus ids")
-        try:
-            r, x = float(entry["r"]), float(entry["x"])
-        except (TypeError, ValueError):
-            raise GridFileError(f"{ctx}: r and x must be numbers") from None
-        lines.append(Line(i, j, r, x))
+        r, x = entry["r"], entry["x"]
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (r, x)):
+            raise GridFileError(f"{ctx}: r and x must be numbers")
+        lines.append(Line(i, j, float(r), float(x)))
     return make_grid(ref, doc["buses"], lines, name=name or str(doc.get("name", "")))
 
 

@@ -171,9 +171,11 @@ class Pairs(NamedTuple):
 class ConcentrationMatrix:
     """Symmetric positive-definite inverse covariance with variable labels.
 
-    Held as :attr:`pairs` (exact matrices) or as :attr:`matrix`, the dense
-    d x d array (matrices from outside); the other form is built from it on
-    first access and then kept.
+    Stored one way, as :attr:`pairs`, its diagonal and upper-triangle
+    entries: every entry of a matrix from outside, and for an exact J
+    (:func:`dc_concentration`, :func:`lc_concentration`) only the variable
+    pairs whose buses are at most two lines apart.  :attr:`matrix`, the dense
+    d x d array, is built from the pairs on first access and kept.
     """
 
     def __init__(self, matrix: np.ndarray, labels, model: str):
@@ -192,8 +194,7 @@ class ConcentrationMatrix:
             np.linalg.cholesky(M)
         except np.linalg.LinAlgError:
             raise ValueError("concentration matrix is not positive definite") from None
-        self.labels, self.model = labels, model
-        self.__dict__["matrix"] = M
+        self.labels, self.model, self.pairs = labels, model, Pairs.of_dense(M)
 
     @classmethod
     def _of_pairs(cls, pairs: Pairs, labels: tuple[VarLabel, ...], model: str) -> "ConcentrationMatrix":
@@ -202,13 +203,8 @@ class ConcentrationMatrix:
         ``lc_labels``: exactly symmetric, positive definite and laid out as
         its model needs by construction, so nothing is checked."""
         conc = object.__new__(cls)
-        conc.labels, conc.model = labels, model
-        conc.__dict__["pairs"] = pairs
+        conc.labels, conc.model, conc.pairs = labels, model, pairs
         return conc
-
-    @cached_property
-    def pairs(self) -> Pairs:
-        return Pairs.of_dense(self.matrix)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -221,14 +217,6 @@ class ConcentrationMatrix:
     @property
     def dim(self) -> int:
         return len(self.labels)
-
-    def block(self, kind_row: str, kind_col: str) -> np.ndarray:
-        """Sub-matrix of all (kind_row, kind_col) label pairs, bus-ordered: a
-        slice of :attr:`matrix`, as the layout puts any v labels first and
-        the theta labels after them in the same bus order."""
-        h = self.dim // 2 if self.model == "lc" else 0
-        span = {"v": slice(0, h), "theta": slice(h, self.dim)}
-        return self.matrix[span[kind_row], span[kind_col]]
 
 
 def check_stats(grid: Grid, stats: InjectionStats) -> None:

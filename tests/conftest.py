@@ -1,8 +1,30 @@
-"""Shared fixtures: bundled grids and random-grid factories."""
+"""Shared fixtures and helpers: bundled grids, random-grid factories, and
+plain lookups that only the tests need."""
 import numpy as np
 import pytest
 
-from gridtopo.grid import Grid, builtin_grid, make_grid
+from gridtopo.grid import Grid, Line, builtin_grid, make_grid
+from gridtopo.powerflow import ConcentrationMatrix
+
+
+def edge_set(grid: Grid) -> frozenset[tuple[int, int]]:
+    """The grid's lines as (low, high) bus pairs."""
+    return frozenset(ln.key for ln in grid.lines)
+
+
+def line_between(grid: Grid, i: int, j: int) -> Line | None:
+    """The line joining buses i and j, or None."""
+    key = (i, j) if i < j else (j, i)
+    return next((ln for ln in grid.lines if ln.key == key), None)
+
+
+def block(conc: ConcentrationMatrix, kind_row: str, kind_col: str) -> np.ndarray:
+    """Sub-matrix of all (kind_row, kind_col) label pairs, bus-ordered: a
+    slice of ``conc.matrix``, as the layout puts any v labels first and the
+    theta labels after them in the same bus order."""
+    h = conc.dim // 2 if conc.model == "lc" else 0
+    span = {"v": slice(0, h), "theta": slice(h, conc.dim)}
+    return conc.matrix[span[kind_row], span[kind_col]]
 
 
 @pytest.fixture(scope="session")

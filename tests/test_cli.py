@@ -463,3 +463,12 @@ def test_experiment_rejects_bad_counts(runner, tmp_path):
     ]))
     assert payload["error"] == "ConfigError"
     assert "comma-separated" in payload["message"]
+
+
+def test_experiment_config_rejects_a_count_that_is_not_an_integer(runner, tmp_path):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"trials": 2.5, "sample_counts": [500]}))
+    out = tmp_path / "r.csv"
+    payload = stderr_error(runner.invoke(main, ["experiment", "--config", str(cfg), "--out", str(out)]))
+    assert payload == {"error": "ConfigError", "message": "trials must be an integer, got 2.5"}
+    assert not out.exists()

@@ -17,6 +17,7 @@ from gridtopo.estimation import (
     write_estimate_json,
 )
 from gridtopo.exceptions import ConfigError, RankDeficiencyError
+from gridtopo.grid import make_grid
 from gridtopo.learning import gm_noise_scale
 from gridtopo.powerflow import InjectionStats, dc_concentration
 from gridtopo.sampling import generate_voltage_samples
@@ -219,9 +220,10 @@ def test_estimate_rejects_bad_lambda_up_front(radial20, method, lam):
 
 def test_select_lambda_rate(radial20):
     s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), "dc", 400, seed=0)
-    assert select_lambda(s, grid_size_hint=40) == pytest.approx(0.0480160, abs=1e-6)
     assert select_lambda(s) == pytest.approx(0.5 * np.sqrt(np.log(19) / 400))
-    assert select_lambda(s, grid_size_hint=1) == 0.0
+    two_bus = make_grid(0, [0, 1], [(0, 1, 0.01, 0.1)])
+    one = generate_voltage_samples(two_bus, InjectionStats.uniform(two_bus), "dc", 10, seed=0)
+    assert one.dim == 1 and select_lambda(one) == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -310,9 +312,16 @@ ESTIMATE_DOC = '{"matrix": %s, "labels": [%s], "model": "dc", "method": "direct"
          "lc variables must be v_<bus> labels"),
         (ESTIMATE_DOC % ('[[1.0, 0.0], [0.0, 1.0]]', '"theta_1", "theta_1"'),
          "dc variables must be theta_<bus> labels on distinct buses"),
+        (ESTIMATE_DOC.replace('"n_samples": 5', '"n_samples": 400.9') % ('[[1.0]]', '"theta_1"'),
+         "n_samples must be an integer, got 400.9"),
+        (ESTIMATE_DOC.replace('"n_samples": 5', '"n_samples": "400"') % ('[[1.0]]', '"theta_1"'),
+         "n_samples must be an integer, got '400'"),
+        (ESTIMATE_DOC.replace('"n_samples": 5', '"n_samples": true') % ('[[1.0]]', '"theta_1"'),
+         "n_samples must be an integer, got True"),
     ],
     ids=["invalid-json", "missing-labels", "asymmetric", "not-pd", "bad-label", "non-numeric",
-         "zero-samples", "lc-without-v", "repeated-bus"],
+         "zero-samples", "lc-without-v", "repeated-bus", "fractional-samples", "string-samples",
+         "bool-samples"],
 )
 def test_load_estimate_json_rejects_malformed_files(tmp_path, text, match):
     path = tmp_path / "bad.json"

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import edge_set
 from gridtopo import __version__, experiments
 from gridtopo.exceptions import ConfigError
 from gridtopo.experiments import (
@@ -62,6 +63,14 @@ def test_spec_defaults_roundtrip():
         ({"tau2": None}, "tau2 must be a negative number"),
         ({"glasso_lambda": -1.0}, "glasso_lambda must be a finite number >= 0"),
         ({"glasso_lambda": float("nan")}, "glasso_lambda must be a finite number >= 0"),
+        ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+        ({"trials": "3"}, "trials must be an integer, got '3'"),
+        ({"trials": True}, "trials must be an integer, got True"),
+        ({"workers": 1.5}, "workers must be an integer, got 1.5"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"sample_counts": (500.7,)}, "each sample count must be an integer, got 500.7"),
+        ({"sample_counts": (500, False)}, "each sample count must be an integer, got False"),
+        ({"sample_counts": 500}, "sample_counts must be a list of integers"),
     ],
 )
 def test_spec_validation(kw, match):
@@ -114,7 +123,7 @@ def test_load_experiment_config(tmp_path):
 
 
 def test_resolve_grid(tmp_path, loopy20_c7):
-    assert resolve_grid("loopy20_c7").edge_set == loopy20_c7.edge_set
+    assert edge_set(resolve_grid("loopy20_c7")) == edge_set(loopy20_c7)
     p = tmp_path / "g.json"
     save_grid(loopy20_c7, p)
     assert grid_hash(resolve_grid(str(p))) == grid_hash(loopy20_c7)
@@ -197,14 +206,24 @@ def fail_reconstruct(*args, **kwargs):
     raise ConfigError("forced reconstruction failure")
 
 
-def test_failed_trials_score_as_empty_topology(monkeypatch):
+@pytest.mark.parametrize(
+    "spec,n,method,seeds",
+    [
+        (ExperimentSpec(exact=True), 0, "exact", [None]),
+        (ExperimentSpec(sample_counts=(300,), trials=2), 300, "direct",
+         [derive_trial_seed(0, 300, 0), derive_trial_seed(0, 300, 1)]),
+    ],
+    ids=["exact", "sampled"],
+)
+def test_failed_trials_score_as_empty_topology(monkeypatch, spec, n, method, seeds):
     # a package error inside the trial; the record keeps the sweep alive
     monkeypatch.setattr(experiments, "reconstruct", fail_reconstruct)
-    res = run_experiment(ExperimentSpec(exact=True))
-    rec = res.records[0]
-    assert (rec.fp, rec.fn, rec.total) == (0, 18, 18)
-    assert "ConfigError" in rec.error
-    assert res.summary()[0]["failures"] == 1
+    res = run_experiment(spec)
+    error = "ConfigError: forced reconstruction failure"
+    assert [(r.n, r.fp, r.fn, r.total, r.method, r.seed, r.error) for r in res.records] == [
+        (n, 0, 18, 18, method, seed, error) for seed in seeds
+    ]
+    assert res.summary()[n]["failures"] == len(seeds)
 
 
 _NO_SKELETON = ("ReconstructionError: counting found no non-leaf skeleton edges; "

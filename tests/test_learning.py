@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import block, edge_set
 from gridtopo import grid as grid_module, powerflow
 from gridtopo.estimation import estimate_concentration
 from gridtopo.exceptions import (
@@ -98,7 +99,7 @@ def test_default_exact_taus_without_bus_pairs_use_the_diagonal(name, model):
     lines = NO_PAIR_GRIDS[name]
     g = make_grid(0, range(len(lines) + 1), lines)
     conc = (dc_concentration if model == "dc" else lc_concentration)(g, InjectionStats.uniform(g))
-    stat = conc.matrix if model == "dc" else conc.block("v", "v") + conc.block("theta", "theta")
+    stat = conc.matrix if model == "dc" else block(conc, "v", "v") + block(conc, "theta", "theta")
     assert default_exact_tau2(conc) == -1e-4 * np.abs(np.diag(stat)).max()
     assert default_exact_tau1(conc) > 0
     topo = learn_by_thresholding(conc, default_exact_tau2(conc))
@@ -209,7 +210,7 @@ def test_pair_scans_match_the_masked_copies(all_builtins, model):
         off = J[~np.eye(len(J), dtype=bool)]
         assert default_exact_tau1(conc) == 1e-4 * np.abs(off).max()
         assert resolve_tau1("gap", conc, None)[0] == largest_gap_threshold(np.abs(off))
-        stat = J if model == "dc" else conc.block("v", "v") + conc.block("theta", "theta")
+        stat = J if model == "dc" else block(conc, "v", "v") + block(conc, "theta", "theta")
         stat_off = stat[~np.eye(len(stat), dtype=bool)]
         assert default_exact_tau2(conc) == -1e-4 * np.abs(stat_off).max()
         assert resolve_tau2("gap", conc, None)[0] == -largest_gap_threshold(np.abs(stat_off[stat_off < 0]))
@@ -224,7 +225,7 @@ def test_pair_scans_match_the_masked_copies(all_builtins, model):
 
 def dense_statistic(conc):
     J = conc.matrix
-    return J if conc.model == "dc" else conc.block("v", "v") + conc.block("theta", "theta")
+    return J if conc.model == "dc" else block(conc, "v", "v") + block(conc, "theta", "theta")
 
 
 def dense_off(M):
@@ -361,10 +362,10 @@ def test_exact_path_never_builds_the_dense_view(make_random_tree, monkeypatch):
     # array is made by learning, thresholds or certificates
     rng = np.random.default_rng(3)
     tree = make_random_tree(rng, 600)
-    lines = set(tree.edge_set)
+    lines = set(edge_set(tree))
     while len(lines) < 599 + 60:
         lines.add(tuple(sorted(int(b) for b in rng.choice(600, size=2, replace=False))))
-    g = make_grid(0, range(600), list(tree.lines) + [(i, j, 0.05, 0.1) for i, j in sorted(lines - tree.edge_set)])
+    g = make_grid(0, range(600), list(tree.lines) + [(i, j, 0.05, 0.1) for i, j in sorted(lines - edge_set(tree))])
     stats = InjectionStats.uniform(g)
 
     def dense(*args, **kwargs):

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from conftest import block, edge_set, line_between
 from gridtopo import powerflow
 from gridtopo.exceptions import (
     GridStructureError,
@@ -145,8 +146,8 @@ def test_concentration_matrix_checks_gram_products_too(radial20):
     ],
 )
 def test_concentration_matrix_checks_label_layout(model, labels):
-    # block() pairs the i-th v label with the i-th theta label, so a layout
-    # it cannot read is rejected up front
+    # lc_bus_pairs pairs the i-th v label with the i-th theta label, so a
+    # layout it cannot read is rejected up front
     labels = tuple(parse_label(t) for t in labels)
     with pytest.raises(ValueError, match=f"{model} variables must be"):
         ConcentrationMatrix(np.eye(len(labels)), labels, model)
@@ -161,14 +162,14 @@ def test_concentration_matrix_accepts_model_layouts(radial20):
 
 def test_concentration_blocks(radial20):
     conc = lc_concentration(radial20, InjectionStats.uniform(radial20))
-    vv = conc.block("v", "v")
-    tt = conc.block("theta", "theta")
+    vv = block(conc, "v", "v")
+    tt = block(conc, "theta", "theta")
     assert vv.shape == tt.shape == (19, 19)
     np.testing.assert_allclose(conc.matrix[:19, :19], vv)
     np.testing.assert_allclose(conc.matrix[19:, 19:], tt)
     dc = dc_concentration(radial20, InjectionStats.uniform(radial20))
-    assert np.array_equal(dc.block("theta", "theta"), dc.matrix)
-    assert dc.block("v", "theta").shape == (0, 19)
+    assert np.array_equal(block(dc, "theta", "theta"), dc.matrix)
+    assert block(dc, "v", "theta").shape == (0, 19)
 
 
 # ----------------------------------------------------------------------
@@ -225,7 +226,7 @@ def dc_closed_form(grid, stats):
         b_total[ln.j] += susceptance(ln.r, ln.x)
 
     def b(i, j):
-        ln = grid.line_between(i, j)
+        ln = line_between(grid, i, j)
         return susceptance(ln.r, ln.x) if ln is not None else 0.0
 
     buses = grid.non_reference_buses
@@ -386,7 +387,7 @@ def test_lc_threshold_statistic_identity(ieee14):
     st = random_stats(ieee14, np.random.default_rng(17))
     conc = lc_concentration(ieee14, st)
     stat = lc_threshold_statistic(conc)
-    np.testing.assert_allclose(stat, conc.block("v", "v") + conc.block("theta", "theta"))
+    np.testing.assert_allclose(stat, block(conc, "v", "v") + block(conc, "theta", "theta"))
     Hg = reduced_laplacian(ieee14, "conductance")
     Hb = reduced_laplacian(ieee14, "susceptance")
     ac = (st.sigma_pp + st.sigma_qq) / st.det
@@ -451,11 +452,11 @@ def test_system_matrices_equal_the_dense_builders(name):
 
 def meshed_tree(rng, make_random_tree, n_buses, n_chords):
     tree = make_random_tree(rng, n_buses)
-    lines = set(tree.edge_set)
+    lines = set(edge_set(tree))
     while len(lines) < n_buses - 1 + n_chords:
         i, j = sorted(int(b) for b in rng.choice(n_buses, size=2, replace=False))
         lines.add((i, j))
-    extra = [(i, j, 0.05, 0.1) for i, j in sorted(lines - tree.edge_set)]
+    extra = [(i, j, 0.05, 0.1) for i, j in sorted(lines - edge_set(tree))]
     return make_grid(0, range(n_buses), list(tree.lines) + extra)
 
 

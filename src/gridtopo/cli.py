@@ -156,7 +156,7 @@ def estimate(samples_path, method, lam, tol, max_iters, penalize_diagonal, out):
     est = estimate_concentration(samples, method=method, lam=lam, config=cfg)
     write_estimate_json(est, out)
     detail = f"lambda={est.lam:.6g}, iterations={est.iterations}" if est.method == "glasso" else "direct inverse"
-    click.echo(f"estimated {est.matrix.shape[0]}x{est.matrix.shape[1]} concentration "
+    click.echo(f"estimated {est.concentration.dim}x{est.concentration.dim} concentration "
                f"({est.method}: {detail}) -> {out}")
 
 

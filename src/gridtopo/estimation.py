@@ -14,18 +14,21 @@ Two estimators behind one interface:
 
 Samples are treated as zero-mean (fluctuations around an operating point),
 so the empirical covariance is X^T X / n without mean subtraction.
+An estimate holds its matrix once, as a ConcentrationMatrix, with the KKT
+residuals glasso computed for the S it returned.
 """
 from __future__ import annotations
 
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import ConfigError, RankDeficiencyError
-from .powerflow import ConcentrationMatrix, VarLabel, parse_label
+from .powerflow import ConcentrationMatrix, parse_label
 from .sampling import SampleSet
 
 #: eigenvalue ratio below which a covariance counts as rank deficient
@@ -113,9 +116,10 @@ def graphical_lasso(
     definite (its Cholesky factor exists).  info records the steps taken,
     the convergence flag, the termination reason and the objective trace:
     the start's objective, then the best objective so far after each step,
-    so the trace never increases.
+    so the trace never increases.  ``info["kkt"]`` holds the
+    :func:`kkt_violations` of the returned S.
 
-    Convergence is declared when :func:`kkt_violations` of S is at most
+    Convergence is declared when the largest KKT residual of S is at most
     1e-2 * tol * max(1, max|cov|); hitting ``max_iters`` steps first sets
     ``converged=False`` (no exception), matching the documented estimator
     contract.
@@ -139,17 +143,14 @@ def graphical_lasso(
     weight = np.ones((d, d)) if penalized else 1.0 - np.eye(d)
     budget = 1e-2 * config.tol * max(1.0, float(np.abs(cov).max()))
 
-    def done(S):
-        return max(kkt_violations(cov, S, lam, penalized).values()) <= budget
-
     S = np.diag(1.0 / (np.diag(cov) + lam * penalized))
     best = glasso_objective(S, cov, lam, penalized)
     trace = [best]
-    converged = done(S)
+    kkt = kkt_violations(cov, S, lam, penalized)
     steps = 0
     # rho = 0.1 took fewer steps than 1 or 10 on the bundled grids
     Z, U, rho = S, np.zeros_like(S), 0.1
-    while not converged and steps < config.max_iters:
+    while max(kkt.values()) > budget and steps < config.max_iters:
         steps += 1
         w, Q = np.linalg.eigh(rho * (Z - U) - cov)
         X = (Q * ((w + np.sqrt(w * w + 4.0 * rho)) / (2.0 * rho))) @ Q.T
@@ -160,7 +161,7 @@ def graphical_lasso(
         obj = glasso_objective(Z, cov, lam, penalized)
         if obj <= best:
             S, best = Z, obj
-            converged = done(S)
+            kkt = kkt_violations(cov, S, lam, penalized)
         trace.append(best)
         # residual balancing with mu = 10, tau = 2 (Boyd et al., section 3.4.1)
         r = np.linalg.norm(X - Z)
@@ -170,11 +171,13 @@ def graphical_lasso(
         elif s > 10.0 * r:
             rho, U = rho / 2.0, U * 2.0
 
+    converged = max(kkt.values()) <= budget
     info = {
         "iterations": steps,
         "converged": converged,
         "termination": "tol" if converged else "max_iters",
         "objective_trace": trace,
+        "kkt": kkt,
     }
     return S, info
 
@@ -231,13 +234,27 @@ def select_lambda(samples: SampleSet) -> float:
 # ----------------------------------------------------------------------
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+#: the optional estimate JSON fields: default, JSON type and its test (the
+#: upper bound of lambda also rejects nan, inf and integers too big for a float)
+_RECORD = {
+    "lambda": (0.0, "a finite number >= 0", lambda v: _number(v) and 0 <= v <= sys.float_info.max),
+    "iterations": (0, "an integer", lambda v: _number(v) and isinstance(v, int)),
+    "converged": (True, "a boolean", lambda v: isinstance(v, bool)),
+    "termination": ("direct", "a string", lambda v: isinstance(v, str)),
+    "objective_trace": ([], "a list of numbers", lambda v: isinstance(v, list) and all(map(_number, v))),
+    "kkt": (None, "an object or null", lambda v: v is None or isinstance(v, dict)),
+}
+
+
 @dataclass(frozen=True, eq=False)
 class EstimatedConcentration:
     """Estimated inverse covariance plus how it was obtained."""
 
-    matrix: np.ndarray
-    labels: tuple[VarLabel, ...]
-    model: str
+    concentration: ConcentrationMatrix
     method: str  # "direct" or "glasso"
     n_samples: int
     lam: float = 0.0
@@ -246,23 +263,17 @@ class EstimatedConcentration:
     termination: str = "direct"
     objective_trace: tuple[float, ...] = field(default_factory=tuple)
     kkt: dict | None = None
-    #: the validated, labelled matrix, built once here
-    concentration: ConcentrationMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_samples <= 0:
             raise ValueError(f"n_samples must be positive, got {self.n_samples}")
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=float))
-        object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "objective_trace", tuple(self.objective_trace))
-        object.__setattr__(self, "concentration",
-                           ConcentrationMatrix(self.matrix, self.labels, self.model))
 
     def to_dict(self) -> dict:
         return {
-            "matrix": self.matrix.tolist(),
-            "labels": [lab.text for lab in self.labels],
-            "model": self.model,
+            "matrix": self.concentration.matrix.tolist(),
+            "labels": [lab.text for lab in self.concentration.labels],
+            "model": self.concentration.model,
             "method": self.method,
             "n_samples": self.n_samples,
             "lambda": self.lam,
@@ -278,19 +289,14 @@ class EstimatedConcentration:
         n = doc["n_samples"]
         if not isinstance(n, int) or isinstance(n, bool):
             raise ValueError(f"n_samples must be an integer, got {n!r}")
-        return cls(
-            matrix=np.asarray(doc["matrix"], dtype=float),
-            labels=tuple(parse_label(t) for t in doc["labels"]),
-            model=str(doc["model"]),
-            method=str(doc["method"]),
-            n_samples=n,
-            lam=float(doc.get("lambda", 0.0)),
-            iterations=int(doc.get("iterations", 0)),
-            converged=bool(doc.get("converged", True)),
-            termination=str(doc.get("termination", "direct")),
-            objective_trace=tuple(doc.get("objective_trace", ())),
-            kkt=doc.get("kkt"),
-        )
+        conc = ConcentrationMatrix(np.asarray(doc["matrix"], dtype=float),
+                                   tuple(parse_label(t) for t in doc["labels"]), str(doc["model"]))
+        record = {key: doc.get(key, default) for key, (default, _, _) in _RECORD.items()}
+        for key, (_, kind, ok) in _RECORD.items():
+            if not ok(record[key]):
+                raise ValueError(f"{key} must be {kind}, got {record[key]!r}")
+        record["lam"] = float(record.pop("lambda"))
+        return cls(concentration=conc, method=str(doc["method"]), n_samples=n, **record)
 
 
 def write_estimate_json(est: EstimatedConcentration, path) -> None:
@@ -312,7 +318,7 @@ def load_estimate_json(path) -> EstimatedConcentration:
         return EstimatedConcentration.from_dict(doc)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -346,18 +352,17 @@ def estimate_concentration(
 
     if J is not None:
         return EstimatedConcentration(
-            matrix=J, labels=samples.labels, model=samples.model,
+            concentration=ConcentrationMatrix(J, samples.labels, samples.model),
             method="direct", n_samples=samples.n,
         )
 
     lam_val = select_lambda(samples) if lam == "auto" else float(lam)
-    config = config or GlassoConfig()
     S, info = graphical_lasso(cov, lam_val, config)
     return EstimatedConcentration(
-        matrix=S, labels=samples.labels, model=samples.model,
+        concentration=ConcentrationMatrix(S, samples.labels, samples.model),
         method="glasso", n_samples=samples.n, lam=lam_val,
         iterations=info["iterations"], converged=info["converged"],
         termination=info["termination"],
         objective_trace=tuple(info["objective_trace"]),
-        kkt=kkt_violations(cov, S, lam_val, config.diagonal_penalized),
+        kkt=info["kkt"],
     )

@@ -86,6 +86,10 @@ class ExperimentSpec:
         object.__setattr__(self, "sample_counts", counts)
         for name in ("trials", "seed", "workers"):
             object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for name in ("sigma_pp", "sigma_qq", "sigma_pq"):  # InjectionStats checks the range
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.algorithm not in ALGORITHMS:

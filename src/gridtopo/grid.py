@@ -245,7 +245,11 @@ def grid_from_dict(doc: dict, name: str = "") -> Grid:
         r, x = entry["r"], entry["x"]
         if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (r, x)):
             raise GridFileError(f"{ctx}: r and x must be numbers")
-        lines.append(Line(i, j, float(r), float(x)))
+        try:
+            r, x = float(r), float(x)
+        except OverflowError:
+            raise GridFileError(f"{ctx}: r and x must fit in a float") from None
+        lines.append(Line(i, j, r, x))
     return make_grid(ref, doc["buses"], lines, name=name or str(doc.get("name", "")))
 
 

@@ -10,6 +10,8 @@ Two algorithms:
 * thresholding: keep bus pairs whose concentration entry (DC), or
   J_vv + J_theta,theta entry (LC), is below a negative tolerance
   (guaranteed exact for girth > 3, i.e. any triangle-free grid).
+On an estimate the default thresholds are z-scores against standard errors
+computed at J's stored pairs, so no d x d array is built.
 
 Plus per-edge sufficiency certificates for the triangle regime and
 fp/fn scoring of reconstructions against ground truth.
@@ -105,30 +107,30 @@ def default_exact_tau2(conc: ConcentrationMatrix) -> float:
     return -EXACT_TAU_REL * _exact_scale(thresholding_statistic(conc))
 
 
-def concentration_standard_error(conc: np.ndarray, n: int) -> np.ndarray:
-    """Large-sample standard error of inverted-covariance entries.
+def concentration_standard_error(pairs: Pairs, n: int) -> Pairs:
+    """Large-sample standard errors of inverted-covariance entries, at ``pairs``.
 
     The inverse Wishart delta method gives Var(J_ij) ~ (J_ii*J_jj + J_ij^2)/n.
     """
-    d = np.diag(conc)
-    return np.sqrt((np.outer(d, d) + conc**2) / n)
+    d = pairs.diagonal
+    return pairs._replace(diagonal=np.sqrt((d * d + d**2) / n),
+                          vals=np.sqrt((d[pairs.rows] * d[pairs.cols] + pairs.vals**2) / n))
 
 
-def gm_noise_scale(est: EstimatedConcentration) -> np.ndarray:
-    """Per-entry standard error of the estimated concentration (for tau1)."""
-    return concentration_standard_error(est.matrix, est.n_samples)
+def gm_noise_scale(est: EstimatedConcentration) -> Pairs:
+    """Standard errors of the estimated concentration at its pairs (for tau1)."""
+    return concentration_standard_error(est.concentration.pairs, est.n_samples)
 
 
-def thresholding_noise_scale(est: EstimatedConcentration) -> np.ndarray:
-    """Per-entry standard error of the thresholding statistic (for tau2),
-    indexed by bus pairs.
+def thresholding_noise_scale(est: EstimatedConcentration) -> Pairs:
+    """Standard errors of the thresholding statistic at its bus pairs (for tau2).
 
     For LC the errors of the two diagonal blocks are combined by their
     standard-error sum, an upper bound that holds regardless of their
     correlation.
     """
     se = gm_noise_scale(est)
-    return se if est.model == "dc" else lc_bus_pairs(est.concentration.pairs.at(se)).dense()
+    return se if est.concentration.model == "dc" else lc_bus_pairs(se)
 
 
 def largest_gap_threshold(magnitudes: np.ndarray) -> float:
@@ -165,7 +167,7 @@ def resolve_tau1(
     tau1: float | str,
     conc: ConcentrationMatrix,
     est: EstimatedConcentration | None,
-) -> tuple[float, np.ndarray | None]:
+) -> tuple[float, Pairs | None]:
     """Turn the tau1 knob into (scalar, optional per-entry scale).
 
     Numbers pass through.  "auto" on an estimate uses the noise-adaptive rule
@@ -188,7 +190,7 @@ def resolve_tau2(
     tau2: float | str,
     conc: ConcentrationMatrix,
     est: EstimatedConcentration | None,
-) -> tuple[float, np.ndarray | None]:
+) -> tuple[float, Pairs | None]:
     """Same contract as :func:`resolve_tau1` for the (negative) tau2 knob,
     read on the thresholding statistic."""
     tau2 = parse_tau(tau2, "tau2")
@@ -202,16 +204,14 @@ def resolve_tau2(
     return float(tau2), None
 
 
-def _scaled(pairs: Pairs, values: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
-    """``values``, given at the positions of ``pairs``, divided by ``scale``,
-    an optional array indexed like the array ``pairs`` stands for, read at
-    the same positions."""
+def _scaled(pairs: Pairs, values: np.ndarray, scale: Pairs | None) -> np.ndarray:
+    """``values``, given at the positions of ``pairs``, divided by the
+    optional ``scale``, which must list the same positions."""
     if scale is None:
         return values
-    d = pairs.dim
-    if scale.shape != (d, d):
-        raise ConfigError(f"scale shape {scale.shape} does not match the array {(d, d)}")
-    return values / scale[pairs.rows, pairs.cols]
+    if not (np.array_equal(scale.rows, pairs.rows) and np.array_equal(scale.cols, pairs.cols)):
+        raise ConfigError("scale is not listed at the positions of the array it scales")
+    return values / scale.vals
 
 
 def _pairs_where(pairs: Pairs, mask: np.ndarray, keys) -> frozenset:
@@ -238,13 +238,13 @@ class GraphicalModel:
 def build_graphical_model(
     conc: ConcentrationMatrix,
     tau1: float,
-    scale: np.ndarray | None = None,
+    scale: Pairs | None = None,
 ) -> GraphicalModel:
     """Edges wherever |J_ab| >= tau1 (optionally per-entry scaled).
 
-    ``scale`` is a matching matrix of positive per-entry scales; passing the
-    entry standard errors makes tau1 a z-score.  ``scale=None`` keeps the
-    plain scalar rule.
+    ``scale`` holds positive per-entry scales at the positions of ``conc.pairs``;
+    passing the entry standard errors makes tau1 a z-score.  ``scale=None``
+    keeps the plain scalar rule.
     """
     check_tau(tau1, "tau1")
     J = conc.pairs
@@ -288,25 +288,11 @@ class LearnedTopology:
             "params": self.params,
         }
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "LearnedTopology":
-        return cls(
-            buses=tuple(doc["buses"]),
-            edges=frozenset(_pair(int(i), int(j)) for i, j in doc["edges"]),
-            algorithm=str(doc["algorithm"]),
-            params=dict(doc.get("params", {})),
-        )
-
 
 def write_topology_json(topo: LearnedTopology, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(topo.to_dict(), fh, indent=2)
         fh.write("\n")
-
-
-def load_topology_json(path) -> LearnedTopology:
-    with open(path, "r", encoding="utf-8") as fh:
-        return LearnedTopology.from_dict(json.load(fh))
 
 
 @dataclass(frozen=True)
@@ -415,16 +401,16 @@ def learn_by_counting(gm: GraphicalModel) -> LearnedTopology:
 def learn_by_thresholding(
     conc: ConcentrationMatrix,
     tau2: float,
-    scale: np.ndarray | None = None,
+    scale: Pairs | None = None,
 ) -> LearnedTopology:
     """Keep bus pairs whose detection statistic falls below tau2 < 0.
 
     DC: the statistic is the concentration entry itself.  LC: the sum of the
     v-v and theta-theta block entries, whose cross terms cancel into
     Hg (A+C) Hg + Hb (A+C) Hb and which is therefore negative exactly on
-    lines for triangle-free grids.  ``scale`` (optional, positive, bus-pair
-    shaped) divides the statistic entry-wise so tau2 can be a z-score;
-    ``scale=None`` keeps the plain scalar rule.
+    lines for triangle-free grids.  ``scale`` (optional, positive, at the
+    statistic's bus pairs) divides the statistic entry-wise so tau2 can be a
+    z-score; ``scale=None`` keeps the plain scalar rule.
     """
     check_tau(tau2, "tau2")
     stat = thresholding_statistic(conc)
@@ -457,10 +443,6 @@ class EdgeCertificate:
 class SufficiencyReport:
     grid_name: str
     certificates: tuple[EdgeCertificate, ...]
-
-    @property
-    def all_satisfied(self) -> bool:
-        return all(c.satisfied for c in self.certificates)
 
 
 def _t9_root(b: float, c: float) -> float:

@@ -151,10 +151,6 @@ class Pairs(NamedTuple):
         rows, cols = np.nonzero(~np.tri(A.shape[0], dtype=bool))
         return cls(A.diagonal().copy(), rows, cols, A[rows, cols])
 
-    def at(self, A: np.ndarray) -> "Pairs":
-        """The entries of A, an array indexed like this one, at the same positions."""
-        return self._replace(diagonal=A.diagonal().copy(), vals=A[self.rows, self.cols])
-
     @property
     def dim(self) -> int:
         return self.diagonal.size

@@ -1,9 +1,12 @@
 """Shared fixtures and helpers: bundled grids, random-grid factories, and
-plain lookups that only the tests need."""
+plain lookups and readers that only the tests need."""
+import json
+
 import numpy as np
 import pytest
 
 from gridtopo.grid import Grid, Line, builtin_grid, make_grid
+from gridtopo.learning import LearnedTopology, SufficiencyReport
 from gridtopo.powerflow import ConcentrationMatrix
 
 
@@ -25,6 +28,22 @@ def block(conc: ConcentrationMatrix, kind_row: str, kind_col: str) -> np.ndarray
     h = conc.dim // 2 if conc.model == "lc" else 0
     span = {"v": slice(0, h), "theta": slice(h, conc.dim)}
     return conc.matrix[span[kind_row], span[kind_col]]
+
+
+def load_topology_json(path) -> LearnedTopology:
+    """A topology JSON as ``write_topology_json`` writes it, read back."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    return LearnedTopology(
+        buses=tuple(doc["buses"]),
+        edges=frozenset((min(i, j), max(i, j)) for i, j in doc["edges"]),
+        algorithm=doc["algorithm"],
+        params=doc.get("params", {}),
+    )
+
+
+def all_satisfied(report: SufficiencyReport) -> bool:
+    return all(c.satisfied for c in report.certificates)
 
 
 @pytest.fixture(scope="session")

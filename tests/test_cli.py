@@ -4,10 +4,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from conftest import load_topology_json
 from gridtopo import __version__
 from gridtopo.cli import main
 from gridtopo.experiments import ExperimentSpec
-from gridtopo.learning import load_topology_json
 from gridtopo.sampling import load_samples_csv
 
 
@@ -471,4 +471,13 @@ def test_experiment_config_rejects_a_count_that_is_not_an_integer(runner, tmp_pa
     out = tmp_path / "r.csv"
     payload = stderr_error(runner.invoke(main, ["experiment", "--config", str(cfg), "--out", str(out)]))
     assert payload == {"error": "ConfigError", "message": "trials must be an integer, got 2.5"}
+    assert not out.exists()
+
+
+def test_experiment_config_rejects_a_variance_that_is_not_a_number(runner, tmp_path):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"sigma_pp": "abc", "sample_counts": [500], "trials": 1}))
+    out = tmp_path / "r.csv"
+    payload = stderr_error(runner.invoke(main, ["experiment", "--config", str(cfg), "--out", str(out)]))
+    assert payload == {"error": "ConfigError", "message": "sigma_pp must be a number, got 'abc'"}
     assert not out.exists()

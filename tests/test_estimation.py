@@ -100,6 +100,7 @@ def test_glasso_1x1_shortcut():
         "converged": True,
         "termination": "tol",
         "objective_trace": [glasso_objective(S, np.array([[2.0]]), 0.5)],
+        "kkt": kkt_violations(np.array([[2.0]]), S, 0.5),
     }
 
 
@@ -143,8 +144,30 @@ def test_glasso_converges_on_lc_estimates(radial20, n, lam):
     est = estimate_concentration(s, method="glasso", lam=lam)
     scale = max(1.0, np.abs(empirical_covariance(s.data)).max())
     assert est.converged and max(est.kkt.values()) / scale <= 1e-6
-    np.linalg.cholesky(est.matrix)
+    np.linalg.cholesky(est.concentration.matrix)
     assert np.all(np.diff(est.objective_trace) <= 0.0)
+
+
+@pytest.mark.parametrize("model,n,penalized", [("dc", 50, False), ("dc", 50, True), ("lc", 60, False)])
+def test_glasso_returns_the_kkt_of_its_solution(all_builtins, model, n, penalized):
+    for g in all_builtins:
+        s = generate_voltage_samples(g, InjectionStats.uniform(g), model, n, seed=3)
+        cov, lam = empirical_covariance(s.data), select_lambda(s)
+        S, info = graphical_lasso(cov, lam, GlassoConfig(diagonal_penalized=penalized))
+        assert info["kkt"] == kkt_violations(cov, S, lam, penalized)
+
+
+def test_estimate_stores_the_matrix_its_estimator_returned(radial20):
+    # one J per estimate: to_dict writes the estimator's own array bit for bit
+    st = InjectionStats.uniform(radial20)
+    s = generate_voltage_samples(radial20, st, "dc", 300, seed=5)
+    cov = empirical_covariance(s.data)
+    direct = estimate_concentration(s, method="direct")
+    assert np.array_equal(np.array(direct.to_dict()["matrix"]), invert_covariance(cov))
+    glasso = estimate_concentration(s, method="glasso", lam=0.05)
+    S, info = graphical_lasso(cov, 0.05)
+    assert np.array_equal(np.array(glasso.to_dict()["matrix"]), S)
+    assert glasso.kkt == info["kkt"]
 
 
 def test_glasso_hits_max_iters():
@@ -273,8 +296,9 @@ def test_estimate_standard_errors_shape(radial20):
     s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), "dc", 200, seed=4)
     est = estimate_concentration(s)
     se = gm_noise_scale(est)
-    assert se.shape == est.matrix.shape
-    assert np.all(se > 0)
+    J = est.concentration.pairs
+    assert np.array_equal(se.rows, J.rows) and np.array_equal(se.cols, J.cols) and se.dim == J.dim
+    assert np.all(se.vals > 0) and np.all(se.diagonal > 0)
 
 
 def test_estimate_json_roundtrip(tmp_path, radial20):
@@ -283,9 +307,10 @@ def test_estimate_json_roundtrip(tmp_path, radial20):
     path = tmp_path / "est.json"
     write_estimate_json(est, path)
     back = load_estimate_json(path)
-    np.testing.assert_allclose(back.matrix, est.matrix)
-    assert back.labels == est.labels
-    assert (back.model, back.method, back.n_samples) == (est.model, est.method, est.n_samples)
+    np.testing.assert_allclose(back.concentration.matrix, est.concentration.matrix)
+    assert back.concentration.labels == est.concentration.labels
+    assert ((back.concentration.model, back.method, back.n_samples)
+            == (est.concentration.model, est.method, est.n_samples))
     assert back.lam == est.lam
     assert back.objective_trace == est.objective_trace
     assert back.kkt == est.kkt
@@ -294,6 +319,7 @@ def test_estimate_json_roundtrip(tmp_path, radial20):
 
 
 ESTIMATE_DOC = '{"matrix": %s, "labels": [%s], "model": "dc", "method": "direct", "n_samples": 5}'
+ONE_BY_ONE = ESTIMATE_DOC % ("[[1.0]]", '"theta_1"')
 
 
 @pytest.mark.parametrize(
@@ -318,10 +344,28 @@ ESTIMATE_DOC = '{"matrix": %s, "labels": [%s], "model": "dc", "method": "direct"
          "n_samples must be an integer, got '400'"),
         (ESTIMATE_DOC.replace('"n_samples": 5', '"n_samples": true') % ('[[1.0]]', '"theta_1"'),
          "n_samples must be an integer, got True"),
+        (ESTIMATE_DOC % ('[[1%s]]' % ("0" * 400), '"theta_1"'), "too large to convert to float"),
+        (ONE_BY_ONE.replace("}", ', "converged": "false"}'), "converged must be a boolean, got 'false'"),
+        (ONE_BY_ONE.replace("}", ', "converged": 0}'), "converged must be a boolean, got 0"),
+        (ONE_BY_ONE.replace("}", ', "iterations": 12.7}'), "iterations must be an integer, got 12.7"),
+        (ONE_BY_ONE.replace("}", ', "iterations": true}'), "iterations must be an integer, got True"),
+        (ONE_BY_ONE.replace("}", ', "lambda": "0.05"}'), "lambda must be a finite number >= 0, got '0.05'"),
+        (ONE_BY_ONE.replace("}", ', "lambda": true}'), "lambda must be a finite number >= 0, got True"),
+        (ONE_BY_ONE.replace("}", ', "lambda": -0.1}'), "lambda must be a finite number >= 0, got -0.1"),
+        (ONE_BY_ONE.replace("}", ', "lambda": NaN}'), "lambda must be a finite number >= 0, got nan"),
+        (ONE_BY_ONE.replace("}", ', "lambda": 1%s}' % ("0" * 400)), "lambda must be a finite number >= 0"),
+        (ONE_BY_ONE.replace("}", ', "termination": 5}'), "termination must be a string, got 5"),
+        (ONE_BY_ONE.replace("}", ', "objective_trace": "abc"}'),
+         "objective_trace must be a list of numbers, got 'abc'"),
+        (ONE_BY_ONE.replace("}", ', "objective_trace": [1.0, "2"]}'),
+         "objective_trace must be a list of numbers"),
+        (ONE_BY_ONE.replace("}", ', "kkt": [1]}'), r"kkt must be an object or null, got \[1\]"),
     ],
     ids=["invalid-json", "missing-labels", "asymmetric", "not-pd", "bad-label", "non-numeric",
          "zero-samples", "lc-without-v", "repeated-bus", "fractional-samples", "string-samples",
-         "bool-samples"],
+         "bool-samples", "huge-entry", "string-converged", "integer-converged", "fractional-iterations",
+         "bool-iterations", "string-lambda", "bool-lambda", "negative-lambda", "nan-lambda", "huge-lambda",
+         "integer-termination", "string-trace", "trace-with-a-string", "list-kkt"],
 )
 def test_load_estimate_json_rejects_malformed_files(tmp_path, text, match):
     path = tmp_path / "bad.json"

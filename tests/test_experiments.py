@@ -71,6 +71,11 @@ def test_spec_defaults_roundtrip():
         ({"sample_counts": (500.7,)}, "each sample count must be an integer, got 500.7"),
         ({"sample_counts": (500, False)}, "each sample count must be an integer, got False"),
         ({"sample_counts": 500}, "sample_counts must be a list of integers"),
+        ({"sigma_pp": "abc"}, "sigma_pp must be a number, got 'abc'"),
+        ({"sigma_pp": "2"}, "sigma_pp must be a number, got '2'"),
+        ({"sigma_pp": True}, "sigma_pp must be a number, got True"),
+        ({"sigma_qq": None}, "sigma_qq must be a number, got None"),
+        ({"sigma_pq": [0.5]}, r"sigma_pq must be a number, got \[0.5\]"),
     ],
 )
 def test_spec_validation(kw, match):
@@ -151,9 +156,9 @@ def test_resolve_tau_auto_on_estimates(radial20):
     s = generate_voltage_samples(radial20, st, "dc", 400, seed=1)
     est = estimate_concentration(s)
     t1, s1 = resolve_tau1("auto", est.concentration, est)
-    assert t1 == DEFAULT_Z and s1.shape == (19, 19) and np.all(s1 > 0)
+    assert t1 == DEFAULT_Z and s1.dim == 19 and np.all(s1.vals > 0) and np.all(s1.diagonal > 0)
     t2, s2 = resolve_tau2("auto", est.concentration, est)
-    assert t2 == -DEFAULT_Z and s2.shape == (19, 19)
+    assert t2 == -DEFAULT_Z and s2.dim == 19
 
 
 def test_resolve_tau_gap_mode(radial20):

@@ -393,6 +393,8 @@ def test_every_way_in_rejects_a_singular_grid(case, tmp_path):
         ({"reference": 0, "buses": [0, 1], "lines": [[0, 1, 0.1, 0.1]]}, "expected an object"),
         ({"reference": 0, "buses": [0, 1], "lines": [{"i": 0, "j": 1, "r": True, "x": 0.1}]}, "must be numbers"),
         ({"reference": 0, "buses": [0, 1], "lines": [{"i": 0, "j": 1, "r": 0.0, "x": "0.1"}]}, "must be numbers"),
+        ({"reference": 0, "buses": [0, 1], "lines": [{"i": 0, "j": 1, "r": 10**400, "x": 0.1}]},
+         r"lines\[0\]: r and x must fit in a float"),
     ],
 )
 def test_grid_from_dict_rejects_bad_documents(doc, match):

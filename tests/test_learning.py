@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import block, edge_set
+from conftest import all_satisfied, block, edge_set, load_topology_json
 from gridtopo import grid as grid_module, powerflow
 from gridtopo.estimation import estimate_concentration
 from gridtopo.exceptions import (
@@ -35,7 +35,6 @@ from gridtopo.learning import (
     learn_by_counting,
     learn_by_thresholding,
     learn_parameters,
-    load_topology_json,
     resolve_tau1,
     resolve_tau2,
     thresholding_noise_scale,
@@ -119,12 +118,15 @@ def test_build_graphical_model_knobs(radial20):
     conc = dc_concentration(radial20, unit_stats(radial20))
     with pytest.raises(ConfigError, match="tau1"):
         build_graphical_model(conc, 0.0)
-    with pytest.raises(ConfigError, match="scale shape"):
-        build_graphical_model(conc, 1.0, scale=np.ones((2, 2)))
+    # a scale must list the positions of the pairs it scales: not those of
+    # another size, nor every pair of this size where J lists fewer
+    for other in (Pairs.of_dense(np.ones((2, 2))), Pairs.of_dense(np.ones((19, 19)))):
+        with pytest.raises(ConfigError, match="scale is not listed at the positions"):
+            build_graphical_model(conc, 1.0, scale=other)
     # dividing by an all-ones scale changes nothing
     tau = default_exact_tau1(conc)
     plain = build_graphical_model(conc, tau)
-    scaled = build_graphical_model(conc, tau, scale=np.ones_like(conc.matrix))
+    scaled = build_graphical_model(conc, tau, scale=conc.pairs._replace(vals=np.ones_like(conc.pairs.vals)))
     assert plain.edges == scaled.edges
 
 
@@ -220,7 +222,14 @@ def test_pair_scans_match_the_masked_copies(all_builtins, model):
         assert build_graphical_model(conc, tau1).edges == want
 
 
-# The dense oracle: every tau rule and scan as it reads ``conc.matrix``.
+# The dense oracle: every tau rule, noise scale and scan as it reads ``conc.matrix``.
+
+
+def dense_standard_error(J, n):
+    """The delta-method standard errors as a d x d array: Var(J_ij) ~
+    (J_ii*J_jj + J_ij^2)/n."""
+    d = np.diag(J)
+    return np.sqrt((np.outer(d, d) + J**2) / n)
 
 
 def dense_statistic(conc):
@@ -254,9 +263,16 @@ def assert_pairs_read_like_the_dense_matrix(conc, est=None):
     t1, s1 = resolve_tau1("auto", conc, est)  # on an estimate: z-scores against per-entry scales
     t2, s2 = resolve_tau2("auto", conc, est)
     J, stat = conc.matrix, dense_statistic(conc)
-    gm_want = dense_edges(np.abs(J) / (1.0 if s1 is None else s1) >= t1, conc.labels)
+    se = se_stat = 1.0
+    if est is None:
+        assert s1 is None and s2 is None
+    else:
+        se = dense_standard_error(J, est.n_samples)
+        h = len(se) // 2
+        se_stat = se if conc.model == "dc" else se[:h, :h] + se[h:, h:]
+    gm_want = dense_edges(np.abs(J) / se >= t1, conc.labels)
     assert build_graphical_model(conc, t1, s1).edges == gm_want
-    thr_want = dense_edges(stat / (1.0 if s2 is None else s2) <= t2, conc.buses)
+    thr_want = dense_edges(stat / se_stat <= t2, conc.buses)
     assert learn_by_thresholding(conc, t2, s2).edges == thr_want
 
 
@@ -310,7 +326,8 @@ def test_pair_reads_of_estimates_equal_the_dense_oracle(name, n, seed, model):
     # per-entry standard errors at the same positions
     g = builtin_grid(name)
     est = estimate_concentration(generate_voltage_samples(g, InjectionStats.uniform(g), model, n, seed=seed))
-    assert est.concentration.pairs.vals.size == est.matrix.shape[0] * (est.matrix.shape[0] - 1) // 2
+    d = est.concentration.dim
+    assert est.concentration.pairs.vals.size == d * (d - 1) // 2
     assert_pairs_read_like_the_dense_matrix(est.concentration, est)
 
 
@@ -387,6 +404,24 @@ def test_exact_path_never_builds_the_dense_view(make_random_tree, monkeypatch):
     assert check_sufficiency(g, stats).certificates
 
 
+@pytest.mark.parametrize("model", ["dc", "lc"])
+def test_estimate_path_never_builds_the_dense_view(radial20, monkeypatch, model):
+    # the z-score rules read an estimate's J and its standard errors as pairs
+    s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), model, 400, seed=0)
+    est = estimate_concentration(s)
+
+    def dense(*args, **kwargs):
+        raise AssertionError("the estimate path built a d x d array")
+
+    monkeypatch.setattr(Pairs, "dense", dense)
+    for algo in ("thresholding", "counting"):
+        try:
+            reconstruct(est.concentration, algo, est=est)
+        except ReconstructionError:
+            pass  # counting's own limit on a radial grid, met after the scan
+    assert "matrix" not in vars(est.concentration)
+
+
 def test_counting_ambiguous_leaf_is_named():
     # hand-built DC GM: skeleton triangle {1,2,3}; 4 and 9 attach to all of it,
     # so neither has a unique attachment vertex
@@ -424,25 +459,28 @@ def test_thresholding_rejects_bad_tau(radial20):
     conc = dc_concentration(radial20, InjectionStats.uniform(radial20))
     with pytest.raises(ConfigError, match="tau2 must be a negative number"):
         learn_by_thresholding(conc, 0.5)
-    with pytest.raises(ConfigError, match="scale shape"):
-        learn_by_thresholding(conc, -1.0, scale=np.ones((3, 3)))
+    for other in (Pairs.of_dense(np.ones((3, 3))), Pairs.of_dense(np.ones((19, 19)))):
+        with pytest.raises(ConfigError, match="scale is not listed at the positions"):
+            learn_by_thresholding(conc, -1.0, scale=other)
 
 
 def test_noise_scales(radial20):
+    # the pair standard errors equal the dense delta-method oracle bit for bit
     st = InjectionStats.uniform(radial20)
     s_dc = generate_voltage_samples(radial20, st, "dc", 400, seed=0)
     est_dc = estimate_concentration(s_dc)
-    np.testing.assert_allclose(
-        gm_noise_scale(est_dc), concentration_standard_error(est_dc.matrix, 400)
-    )
-    np.testing.assert_allclose(thresholding_noise_scale(est_dc), gm_noise_scale(est_dc))
+    se = dense_standard_error(est_dc.concentration.matrix, 400)
+    assert np.array_equal(concentration_standard_error(est_dc.concentration.pairs, 400).dense(), se)
+    assert np.array_equal(gm_noise_scale(est_dc).dense(), se)
+    assert np.array_equal(thresholding_noise_scale(est_dc).dense(), se)
 
     s_lc = generate_voltage_samples(radial20, st, "lc", 400, seed=0)
     est_lc = estimate_concentration(s_lc)
-    se = concentration_standard_error(est_lc.matrix, 400)
+    se = dense_standard_error(est_lc.concentration.matrix, 400)
+    assert np.array_equal(gm_noise_scale(est_lc).dense(), se)
     want = se[:19, :19] + se[19:, 19:]
-    np.testing.assert_allclose(thresholding_noise_scale(est_lc), want)
-    assert thresholding_noise_scale(est_lc).shape == (19, 19)
+    assert np.array_equal(thresholding_noise_scale(est_lc).dense(), want)
+    assert thresholding_noise_scale(est_lc).dim == 19
 
 
 # ----------------------------------------------------------------------
@@ -491,7 +529,7 @@ def test_topology_json_roundtrip(tmp_path, radial20):
 def test_sufficiency_radial_is_trivially_safe(radial20):
     report = check_sufficiency(radial20, InjectionStats.uniform(radial20))
     assert len(report.certificates) == 18  # one reference-incident line skipped
-    assert report.all_satisfied
+    assert all_satisfied(report)
     assert all(c.theorem == "trivially-safe" for c in report.certificates)
     assert all(math.isinf(c.margin) for c in report.certificates)
 
@@ -499,7 +537,7 @@ def test_sufficiency_radial_is_trivially_safe(radial20):
 def test_sufficiency_ieee14_uniform(ieee14):
     report = check_sufficiency(ieee14, InjectionStats.uniform(ieee14))
     assert len(report.certificates) == 18  # two reference-incident lines skipped
-    assert report.all_satisfied
+    assert all_satisfied(report)
     tags = {c.theorem for c in report.certificates}
     assert "T10" in tags and "T9" in tags
 
@@ -511,7 +549,7 @@ def test_sufficiency_detects_unrecoverable_edge(ieee14):
     pp[ieee14.index_of[5]] = 0.1
     stats = InjectionStats(pp, np.ones(13), np.zeros(13))
     report = check_sufficiency(ieee14, stats)
-    assert not report.all_satisfied
+    assert not all_satisfied(report)
     bad = {c.edge for c in report.certificates if not c.satisfied}
     assert bad == {(11, 12)}
     # the exact concentration entry there is indeed non-negative

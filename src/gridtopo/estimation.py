@@ -13,7 +13,10 @@ Two estimators behind one interface:
   so far, so the objective trace is monotonically non-increasing.
 
 Samples are treated as zero-mean (fluctuations around an operating point),
-so the empirical covariance is X^T X / n without mean subtraction.
+so the empirical covariance is X^T X / n without mean subtraction.  The
+estimators read it from the input's ``covariance``: a SampleSet computes it
+from its snapshots, and the SampleCovariance an experiment trial draws
+holds it without them.
 An estimate holds its matrix once, as a ConcentrationMatrix, with the KKT
 residuals glasso computed for the S it returned.
 """
@@ -29,19 +32,12 @@ import numpy as np
 
 from .exceptions import ConfigError, RankDeficiencyError
 from .powerflow import ConcentrationMatrix, parse_label
-from .sampling import SampleSet
+from .sampling import SampleCovariance, SampleSet
+# re-exported: the zero-mean covariance is defined next to the samples
+from .sampling import empirical_covariance  # noqa: F401
 
 #: eigenvalue ratio below which a covariance counts as rank deficient
 EPS_PD = 1e-12
-
-
-def empirical_covariance(data: np.ndarray) -> np.ndarray:
-    """Zero-mean sample covariance X^T X / n (no centering, divisor n)."""
-    X = np.asarray(data, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise ConfigError(f"need a non-empty 2-d sample matrix, got shape {X.shape}")
-    cov = X.T @ X / X.shape[0]
-    return (cov + cov.T) / 2.0
 
 
 def invert_covariance(cov: np.ndarray) -> np.ndarray:
@@ -223,7 +219,7 @@ def parse_lambda(value, name: str):
     return value
 
 
-def select_lambda(samples: SampleSet) -> float:
+def select_lambda(samples: SampleSet | SampleCovariance) -> float:
     """Rate-driven penalty lam = 0.5 * sqrt(log d / n) (natural log), so 0.0
     for a single variable."""
     return 0.5 * math.sqrt(math.log(samples.dim) / samples.n)
@@ -295,8 +291,11 @@ class EstimatedConcentration:
         for key, (_, kind, ok) in _RECORD.items():
             if not ok(record[key]):
                 raise ValueError(f"{key} must be {kind}, got {record[key]!r}")
+        method = doc["method"]
+        if method not in ("direct", "glasso") or not isinstance(method, str):
+            raise ValueError(f"method must be 'direct' or 'glasso', got {method!r}")
         record["lam"] = float(record.pop("lambda"))
-        return cls(concentration=conc, method=str(doc["method"]), n_samples=n, **record)
+        return cls(concentration=conc, method=method, n_samples=n, **record)
 
 
 def write_estimate_json(est: EstimatedConcentration, path) -> None:
@@ -323,12 +322,12 @@ def load_estimate_json(path) -> EstimatedConcentration:
 
 
 def estimate_concentration(
-    samples: SampleSet,
+    samples: SampleSet | SampleCovariance,
     method: str = "auto",
     lam: float | str = "auto",
     config: GlassoConfig | None = None,
 ) -> EstimatedConcentration:
-    """Estimate the concentration matrix from samples.
+    """Estimate the concentration matrix from samples or their drawn covariance.
 
     ``method="auto"`` uses the direct inverse when n >= 5d and the empirical
     covariance is numerically full rank, otherwise falls back to the
@@ -338,7 +337,7 @@ def estimate_concentration(
     if method not in ("auto", "direct", "glasso"):
         raise ConfigError(f"unknown estimator {method!r}")
     lam = parse_lambda(lam, "lambda")
-    cov = empirical_covariance(samples.data)
+    cov = samples.covariance
     d = samples.dim
 
     J = None

@@ -5,8 +5,10 @@ algorithm, estimator, sample counts, trial count, seed, thresholds), so a
 sweep is reproducible bit-for-bit: per-trial seeds derive from
 (seed, n, trial) and result CSVs carry no timestamps (wall-clock metadata
 lives in a JSON sidecar next to the CSV).  Every trial goes through
-:func:`run_single_trial`; an exact run is the one trial n = 0, which learns
-from the analytic concentration matrix instead of samples.
+:func:`run_single_trial`.  A sampled trial draws the covariance of its n
+snapshots directly (:func:`gridtopo.sampling.draw_sample_covariance`) and
+never builds the snapshots; an exact run is the one trial n = 0, which
+learns from the analytic concentration matrix instead.
 """
 from __future__ import annotations
 
@@ -35,12 +37,13 @@ from .learning import (
     resolve_tau2,
 )
 from .powerflow import ConcentrationMatrix, InjectionStats, dc_concentration, lc_concentration
-from .sampling import derive_trial_seed, generate_voltage_samples
+from .sampling import derive_trial_seed, draw_sample_covariance
 
 # Not called here: imported only so the traced benchmark run finds these
 # names on this module (perfbench/spans.py TARGETS).
 from .learning import gm_noise_scale, thresholding_noise_scale  # noqa: F401
 from .powerflow import lc_threshold_statistic  # noqa: F401
+from .sampling import generate_voltage_samples  # noqa: F401
 
 MODELS = ("dc", "lc")
 ALGORITHMS = ("counting", "thresholding")
@@ -90,6 +93,10 @@ class ExperimentSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
+            try:
+                float(value)
+            except OverflowError:
+                raise ConfigError(f"{name} must fit in a float") from None
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.algorithm not in ALGORITHMS:
@@ -215,7 +222,8 @@ def run_single_trial(grid: Grid, stats: InjectionStats, spec: ExperimentSpec,
 
     ``n = 0`` is the exact trial: learning runs on the analytic
     concentration matrix, with no seed and method ``"exact"``.  Any other n
-    samples, estimates and learns, seeded from (spec.seed, n, trial).
+    draws the covariance of n snapshots, estimates and learns, seeded from
+    (spec.seed, n, trial).
 
     Failures of any stage that raise a package error are recorded in the
     trial and scored as a reconstruction with no edges (everything missed);
@@ -229,8 +237,8 @@ def run_single_trial(grid: Grid, stats: InjectionStats, spec: ExperimentSpec,
             conc = (dc_concentration if spec.model == "dc" else lc_concentration)(grid, stats)
             est = None
         else:
-            samples = generate_voltage_samples(grid, stats, spec.model, n, seed)
-            est = estimate_concentration(samples, method=spec.estimator, lam=spec.glasso_lambda)
+            drawn = draw_sample_covariance(grid, stats, spec.model, n, seed)
+            est = estimate_concentration(drawn, method=spec.estimator, lam=spec.glasso_lambda)
             conc, method = est.concentration, est.method
         topo = reconstruct(conc, spec.algorithm, spec.tau1, spec.tau2, est=est)
     except GridTopoError as exc:

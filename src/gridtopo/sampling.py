@@ -10,6 +10,14 @@ draw z, and the samples are the single product ``z @ W``.  All randomness
 flows through ``numpy.random.default_rng`` (PCG64) seeded from a single
 integer, so a (grid, stats, model, n, seed) tuple reproduces the same
 samples bit-for-bit on a fixed numpy version.
+
+An experiment trial only needs the samples' scatter X^T X = W^T (z^T z) W,
+so :func:`draw_sample_covariance` draws it without drawing z: z^T z is a
+standard Wishart matrix, and its Bartlett factor R (z = QR) takes O(N^2)
+normal and N chi-square draws instead of n * 2N normal draws (Odell and
+Feiveson 1966).  The same seed gives both models the same R, so DC and LC
+trials remain paired.  ``generate_voltage_samples`` (the ``sample`` command)
+still draws the snapshots themselves.
 """
 from __future__ import annotations
 
@@ -18,10 +26,11 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .exceptions import SampleFormatError
+from .exceptions import ConfigError, SampleFormatError
 from .grid import Grid, grid_hash
 from .powerflow import (
     InjectionStats,
@@ -42,6 +51,15 @@ def derive_trial_seed(root_seed: int, n: int, trial: int) -> int:
     """Stable per-trial child seed from (root seed, sample count, trial index)."""
     ss = np.random.SeedSequence([int(root_seed), int(n), int(trial)])
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def empirical_covariance(data: np.ndarray) -> np.ndarray:
+    """Zero-mean sample covariance X^T X / n (no centering, divisor n)."""
+    X = np.asarray(data, dtype=float)
+    if X.ndim != 2 or X.shape[0] < 1:
+        raise ConfigError(f"need a non-empty 2-d sample matrix, got shape {X.shape}")
+    cov = X.T @ X / X.shape[0]
+    return (cov + cov.T) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,6 +92,24 @@ class SampleSet:
     @property
     def dim(self) -> int:
         return self.data.shape[1]
+
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        return empirical_covariance(self.data)
+
+
+@dataclass(frozen=True, eq=False)
+class SampleCovariance:
+    """The zero-mean covariance X^T X / n of n snapshots that were never drawn."""
+
+    covariance: np.ndarray
+    n: int
+    labels: tuple[VarLabel, ...]
+    model: str
+
+    @property
+    def dim(self) -> int:
+        return len(self.labels)
 
 
 def generate_injections(stats: InjectionStats, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -129,6 +165,38 @@ def generate_voltage_samples(
     labels = dc_labels(grid) if model == "dc" else lc_labels(grid)
     return SampleSet(data=data, labels=labels, model=model, seed=int(seed),
                      grid_hash=grid_hash(grid))
+
+
+def draw_sample_covariance(
+    grid: Grid,
+    stats: InjectionStats,
+    model: str,
+    n: int,
+    seed: int,
+) -> SampleCovariance:
+    """The covariance of n voltage snapshots, drawn without drawing them.
+
+    The snapshots' scatter is W^T (z^T z) W with z the n x 2N normal draw of
+    :func:`generate_voltage_samples`.  z^T z = R^T R for the R of a QR of z,
+    and R (m x 2N, m = min(n, 2N), upper trapezoidal) is drawn directly from
+    ``default_rng(seed)``: one ``standard_normal((m, 2N))`` of which only the
+    entries above the diagonal are kept, then ``sqrt(chisquare(n - i))`` on
+    diagonal i = 0 .. m-1.  For n < 2N the scatter has rank n, as the
+    samples' has.  The draw does not depend on the model, so DC and LC at
+    one seed map the same z^T z.
+    """
+    if n <= 0:
+        raise SampleFormatError(f"sample count must be positive, got {n}")
+    W = _sample_map(grid, stats, model)
+    k = W.shape[0]
+    m = min(n, k)
+    rng = np.random.default_rng(int(seed))
+    R = np.triu(rng.standard_normal((m, k)), 1)
+    R[np.arange(m), np.arange(m)] = np.sqrt(rng.chisquare(n - np.arange(m)))
+    B = R @ W
+    cov = B.T @ B / n
+    labels = dc_labels(grid) if model == "dc" else lc_labels(grid)
+    return SampleCovariance(covariance=(cov + cov.T) / 2.0, n=n, labels=labels, model=model)
 
 
 # ----------------------------------------------------------------------

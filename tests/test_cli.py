@@ -233,9 +233,13 @@ ESTIMATE_DOC = '{"matrix": %s, "labels": [%s], "model": "dc", "method": "direct"
          "lc variables must be v_<bus> labels"),
         (ESTIMATE_DOC % ('[[1.0, 0.0], [0.0, 1.0]]', '"theta_1", "theta_1"'),
          "dc variables must be theta_<bus> labels on distinct buses"),
+        (ESTIMATE_DOC.replace('"direct"', '"banana"') % ('[[1.0]]', '"theta_1"'),
+         "method must be 'direct' or 'glasso', got 'banana'"),
+        (ESTIMATE_DOC.replace('"direct"', '5') % ('[[1.0]]', '"theta_1"'),
+         "method must be 'direct' or 'glasso', got 5"),
     ],
     ids=["invalid-json", "missing-field", "asymmetric", "not-pd", "bad-label", "non-numeric",
-         "zero-samples", "lc-without-v", "repeated-bus"],
+         "zero-samples", "lc-without-v", "repeated-bus", "unknown-method", "integer-method"],
 )
 def test_learn_rejects_malformed_estimate(runner, tmp_path, text, match):
     path = tmp_path / "bad.json"
@@ -480,4 +484,13 @@ def test_experiment_config_rejects_a_variance_that_is_not_a_number(runner, tmp_p
     out = tmp_path / "r.csv"
     payload = stderr_error(runner.invoke(main, ["experiment", "--config", str(cfg), "--out", str(out)]))
     assert payload == {"error": "ConfigError", "message": "sigma_pp must be a number, got 'abc'"}
+    assert not out.exists()
+
+
+def test_experiment_config_rejects_a_variance_too_large_for_a_float(runner, tmp_path):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"sigma_pp": 10**400, "sample_counts": [500], "trials": 1}))
+    out = tmp_path / "r.csv"
+    payload = stderr_error(runner.invoke(main, ["experiment", "--config", str(cfg), "--out", str(out)]))
+    assert payload == {"error": "ConfigError", "message": "sigma_pp must fit in a float"}
     assert not out.exists()

@@ -360,12 +360,15 @@ ONE_BY_ONE = ESTIMATE_DOC % ("[[1.0]]", '"theta_1"')
         (ONE_BY_ONE.replace("}", ', "objective_trace": [1.0, "2"]}'),
          "objective_trace must be a list of numbers"),
         (ONE_BY_ONE.replace("}", ', "kkt": [1]}'), r"kkt must be an object or null, got \[1\]"),
+        (ONE_BY_ONE.replace('"direct"', '"banana"'), "method must be 'direct' or 'glasso', got 'banana'"),
+        (ONE_BY_ONE.replace('"direct"', '5'), "method must be 'direct' or 'glasso', got 5"),
     ],
     ids=["invalid-json", "missing-labels", "asymmetric", "not-pd", "bad-label", "non-numeric",
          "zero-samples", "lc-without-v", "repeated-bus", "fractional-samples", "string-samples",
          "bool-samples", "huge-entry", "string-converged", "integer-converged", "fractional-iterations",
          "bool-iterations", "string-lambda", "bool-lambda", "negative-lambda", "nan-lambda", "huge-lambda",
-         "integer-termination", "string-trace", "trace-with-a-string", "list-kkt"],
+         "integer-termination", "string-trace", "trace-with-a-string", "list-kkt", "unknown-method",
+         "integer-method"],
 )
 def test_load_estimate_json_rejects_malformed_files(tmp_path, text, match):
     path = tmp_path / "bad.json"

@@ -1,12 +1,13 @@
 """Experiment harness: spec handling, sweeps, determinism, results CSV."""
 import csv
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import edge_set
-from gridtopo import __version__, experiments
+from gridtopo import __version__, estimation, experiments, sampling
 from gridtopo.exceptions import ConfigError
 from gridtopo.experiments import (
     RESULT_COLUMNS,
@@ -76,6 +77,7 @@ def test_spec_defaults_roundtrip():
         ({"sigma_pp": True}, "sigma_pp must be a number, got True"),
         ({"sigma_qq": None}, "sigma_qq must be a number, got None"),
         ({"sigma_pq": [0.5]}, r"sigma_pq must be a number, got \[0.5\]"),
+        ({"sigma_pp": 10**400}, "sigma_pp must fit in a float"),
     ],
 )
 def test_spec_validation(kw, match):
@@ -242,17 +244,19 @@ def _leaf(bus: int, candidates: list[int]) -> str:
 
 _OK = (0, 0, None)
 
-# Per-trial (fp, fn, error) of the sweep below, recorded with samples drawn by
-# solving the power flow once per snapshot.  Every counting trial hits the
-# known leaf/skeleton defect and scores all 18 lines missed.
+# Per-trial (fp, fn, error) of the sweep below, recorded with each trial's
+# covariance drawn through the Bartlett factor of its Wishart scatter
+# (draw_sample_covariance), not from snapshots.  Every counting trial hits
+# the known leaf/skeleton defect and scores all 18 lines missed.
 PINNED_MINI_SWEEP = {
     ("dc", "thresholding"): [_OK] * 10,
-    ("dc", "counting"): [(0, 18, e) for e in [_NO_SKELETON] * 5 + [
-        _leaf(1, []), _leaf(1, []), _leaf(1, []), _leaf(3, [1, 2]), _leaf(1, [])]],
+    ("dc", "counting"): [(0, 18, e) for e in [
+        _NO_SKELETON, _NO_SKELETON, _leaf(1, []), _NO_SKELETON, _leaf(1, [2, 3]),
+        _leaf(1, []), _leaf(4, []), _leaf(1, []), _leaf(4, []), _leaf(1, [2, 3])]],
     ("lc", "thresholding"): [_OK] * 10,
     ("lc", "counting"): [(0, 18, e) for e in [
-        _leaf(1, []), _NO_SKELETON, _leaf(1, [2, 9]), _NO_SKELETON, _leaf(1, []),
-        _leaf(1, []), _leaf(1, []), _leaf(1, []), _leaf(3, [1, 2]), _leaf(1, [])]],
+        _leaf(3, [1, 2]), _leaf(3, [1, 2]), _NO_SKELETON, _NO_SKELETON, _leaf(1, [2, 9]),
+        _leaf(1, []), _leaf(1, []), _leaf(1, [2, 3]), _leaf(3, []), _leaf(1, [])]],
 }
 
 
@@ -262,6 +266,28 @@ def test_pinned_radial20_mini_sweep(model, algorithm):
                           sample_counts=(500, 1000), trials=5, seed=0)
     got = [(r.fp, r.fn, r.error) for r in run_experiment(spec).records]
     assert got == PINNED_MINI_SWEEP[model, algorithm]
+
+
+def test_sampled_sweep_never_builds_samples(monkeypatch):
+    # a trial draws its covariance, so neither snapshots nor their scatter
+    # are made, by any estimator or worker count; the records are unchanged
+    specs = [ExperimentSpec(grid="ieee14", model=model, estimator=estimator, sample_counts=(60,),
+                            trials=2, seed=3, workers=workers)
+             for model in ("dc", "lc") for estimator in ("direct", "glasso") for workers in (1, 2)]
+    want = [run_experiment(spec).records for spec in specs]
+
+    def build(*args, **kwargs):
+        raise AssertionError("a sampled trial built samples")
+
+    originals = (sampling.generate_voltage_samples, estimation.empirical_covariance)
+    bound = [(module, name) for module in list(sys.modules.values())
+             if getattr(module, "__name__", "").startswith("gridtopo")
+             for name, value in vars(module).items() if any(value is f for f in originals)]
+    assert len(bound) >= 5
+    for module, name in bound:
+        monkeypatch.setattr(module, name, build)
+    assert [run_experiment(spec).records for spec in specs] == want
+    assert all(w == v for w, v in zip(want[::2], want[1::2]))  # workers 1 and 2
 
 
 def test_sweep_summary_and_worker_equivalence():

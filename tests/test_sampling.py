@@ -8,8 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridtopo.estimation import empirical_covariance
-from gridtopo.exceptions import InvalidInjectionStatsError, ModelMismatchError, SampleFormatError
+from gridtopo.estimation import empirical_covariance, estimate_concentration
+from gridtopo.exceptions import (
+    InvalidInjectionStatsError,
+    ModelMismatchError,
+    RankDeficiencyError,
+    SampleFormatError,
+)
 from gridtopo.grid import BUILTIN_GRIDS, builtin_grid, bus_distance, grid_hash, make_grid, reduced_laplacian
 from gridtopo.powerflow import (
     InjectionStats,
@@ -17,6 +22,7 @@ from gridtopo.powerflow import (
     dc_labels,
     dc_phase_covariance,
     lc_concentration,
+    lc_labels,
     lc_system_matrix,
     lc_voltage_covariance,
     parse_label,
@@ -25,8 +31,10 @@ from gridtopo.powerflow import (
     whitened_system,
 )
 from gridtopo.sampling import (
+    SampleCovariance,
     SampleSet,
     derive_trial_seed,
+    draw_sample_covariance,
     generate_injections,
     generate_voltage_samples,
     load_samples_csv,
@@ -205,6 +213,118 @@ def test_deviation_decays_like_root_n(radial20):
     root10 = 10.0**0.5
     for big, small in zip(means, means[1:]):
         assert root10 / 2.0 <= big / small <= root10 * 2.0
+
+
+# ----------------------------------------------------------------------
+# the drawn covariance of experiment trials; the snapshots are its oracle
+# ----------------------------------------------------------------------
+
+
+def _moment_z_scores(covs: np.ndarray, mean: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """z-scores of the entry means and variances of T draws (T x d x d)
+    against the given moments; the variance's standard error is estimated
+    from the draws' own squared deviations."""
+    T = covs.shape[0]
+    dev2 = (covs - covs.mean(axis=0)) ** 2
+    z_mean = (covs.mean(axis=0) - mean) / np.sqrt(var / T)
+    z_var = (dev2.mean(axis=0) * T / (T - 1) - var) / (dev2.std(axis=0) / np.sqrt(T))
+    return np.abs(np.concatenate([z_mean.ravel(), z_var.ravel()]))
+
+
+@pytest.mark.parametrize("model,n", [("dc", 3), ("dc", 12), ("lc", 5), ("lc", 20)])
+def test_drawn_covariance_has_the_moments_of_the_sample_covariance(model, n):
+    # a meshed 5-bus grid with correlated injections, 2N = 8: n = 3 and 5 sit
+    # below 2N.  X^T X is Wishart with scale n Sigma, so an entry of X^T X / n
+    # has mean Sigma_ij and variance (Sigma_ij^2 + Sigma_ii Sigma_jj) / n.  Over
+    # 2000 draws both the drawn covariance and the snapshots' covariance match
+    # these moments within 5 standard errors, and each other within 5.
+    grid = make_grid(0, range(5), [(0, 1, 0.02, 0.06), (1, 2, 0.03, 0.08), (2, 3, 0.02, 0.05),
+                                   (3, 4, 0.04, 0.1), (1, 4, 0.03, 0.07)])
+    st = _random_stats(grid, np.random.default_rng(8))
+    sigma = (dc_phase_covariance if model == "dc" else lc_voltage_covariance)(grid, st)
+    var = (sigma**2 + np.outer(np.diag(sigma), np.diag(sigma))) / n
+    T = 2000
+    drawn = np.array([draw_sample_covariance(grid, st, model, n, seed).covariance
+                      for seed in range(T)])
+    oracle = np.array([empirical_covariance(generate_voltage_samples(grid, st, model, n, seed).data)
+                       for seed in range(T, 2 * T)])
+    assert _moment_z_scores(drawn, sigma, var).max() < 5.0
+    assert _moment_z_scores(oracle, sigma, var).max() < 5.0
+    se = np.sqrt((drawn.var(axis=0) + oracle.var(axis=0)) / T)
+    assert (np.abs(drawn.mean(axis=0) - oracle.mean(axis=0)) / se).max() < 5.0
+
+
+@pytest.mark.parametrize("model", ["dc", "lc"])
+def test_same_seed_reproduces_the_drawn_covariance(radial20, model):
+    st = InjectionStats.uniform(radial20)
+    a = draw_sample_covariance(radial20, st, model, 50, seed=9)
+    b = draw_sample_covariance(radial20, st, model, 50, seed=9)
+    c = draw_sample_covariance(radial20, st, model, 50, seed=10)
+    assert np.array_equal(a.covariance, b.covariance)
+    assert not np.array_equal(a.covariance, c.covariance)
+    assert np.array_equal(a.covariance, a.covariance.T)
+    assert (a.n, a.dim, a.model) == (50, 19 if model == "dc" else 38, model)
+    assert a.labels == (dc_labels(radial20) if model == "dc" else lc_labels(radial20))
+
+
+@pytest.mark.parametrize("n", [20, 200])
+def test_drawn_covariance_maps_the_documented_bartlett_factor(radial20, n):
+    # with unit, uncorrelated injections z^T z is the scatter of (p, q); the
+    # power flow maps the drawn covariances back to it, and DC and LC at one
+    # seed map the same R^T R, built here as draw_sample_covariance documents
+    N = 19
+    st = InjectionStats(np.ones(N), np.ones(N), np.zeros(N))
+    rng = np.random.default_rng(4)
+    m = min(n, 2 * N)
+    R = np.triu(rng.standard_normal((m, 2 * N)), 1)
+    R[np.arange(m), np.arange(m)] = np.sqrt(rng.chisquare(n - np.arange(m)))
+    block = np.concatenate([np.arange(0, 2 * N, 2), np.arange(1, 2 * N, 2)])
+    scatter = (R.T @ R)[np.ix_(block, block)]  # (z_p; z_q) block order
+    A = lc_system_matrix(radial20)
+    lc = n * A @ draw_sample_covariance(radial20, st, "lc", n, seed=4).covariance @ A.T
+    H = reduced_laplacian(radial20)
+    dc = n * H @ draw_sample_covariance(radial20, st, "dc", n, seed=4).covariance @ H.T
+    tol = 1e-9 * np.abs(scatter).max()
+    np.testing.assert_allclose(lc, scatter, rtol=0, atol=tol)
+    np.testing.assert_allclose(dc, scatter[:N, :N], rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("model,n", [("lc", 20), ("lc", 37), ("dc", 10), ("dc", 60), ("dc", 95)])
+def test_drawn_covariance_has_the_rank_of_the_samples(radial20, model, n):
+    # below 2N the scatter has rank n either way, so the direct inverse fails
+    # and auto falls back to glasso exactly where it would on samples
+    st = InjectionStats.uniform(radial20)
+    drawn = draw_sample_covariance(radial20, st, model, n, seed=2)
+    samples = generate_voltage_samples(radial20, st, model, n, seed=2)
+    rank = min(n, samples.dim)
+    assert np.linalg.matrix_rank(drawn.covariance) == rank
+    assert np.linalg.matrix_rank(samples.covariance) == rank
+    for source in (drawn, samples):
+        if rank < source.dim:
+            with pytest.raises(RankDeficiencyError):
+                estimate_concentration(source, method="direct")
+        if model == "dc":
+            want = "direct" if n >= 5 * source.dim else "glasso"
+            assert estimate_concentration(source, method="auto").method == want
+
+
+def test_estimate_reads_the_covariance_its_input_holds(radial20):
+    # one estimator body: a SampleCovariance holding a SampleSet's covariance
+    # gives the same estimate, bit for bit, by either method
+    s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), "dc", 60, seed=3)
+    held = SampleCovariance(covariance=s.covariance, n=s.n, labels=s.labels, model=s.model)
+    for method in ("direct", "glasso"):
+        a = estimate_concentration(s, method=method).to_dict()
+        b = estimate_concentration(held, method=method).to_dict()
+        assert a == b
+
+
+def test_draw_rejects_bad_arguments(radial20):
+    st = InjectionStats.uniform(radial20)
+    with pytest.raises(ModelMismatchError):
+        draw_sample_covariance(radial20, st, "ac", 10, seed=0)
+    with pytest.raises(SampleFormatError):
+        draw_sample_covariance(radial20, st, "dc", 0, seed=0)
 
 
 def test_generate_defaults_to_dc(radial20):

@@ -2,8 +2,8 @@
 
 Two estimators behind one interface:
 
-* ``direct``: invert the empirical covariance (valid when n comfortably
-  exceeds the dimension and the covariance is numerically full rank);
+* ``direct``: invert the empirical covariance through one Cholesky factor
+  (valid when n >= d and the factor is numerically full rank);
 * ``glasso``: l1-penalized maximum likelihood
 
       minimize_S  -log det S + <S, cov> + lam * ||S||_1(off-diagonal)
@@ -14,9 +14,10 @@ Two estimators behind one interface:
 
 Samples are treated as zero-mean (fluctuations around an operating point),
 so the empirical covariance is X^T X / n without mean subtraction.  The
-estimators read it from the input's ``covariance``: a SampleSet computes it
-from its snapshots, and the SampleCovariance an experiment trial draws
-holds it without them.
+direct estimate factors the input's ``scatter`` S, the covariance itself for
+a SampleSet and the scatter of its whitened draw for the SampleCovariance
+an experiment trial draws, which stays well conditioned however
+ill-conditioned the covariance is; the graphical lasso reads ``covariance``.
 An estimate holds its matrix once, as a ConcentrationMatrix, with the KKT
 residuals glasso computed for the S it returned.
 """
@@ -36,26 +37,34 @@ from .sampling import SampleCovariance, SampleSet
 # re-exported: the zero-mean covariance is defined next to the samples
 from .sampling import empirical_covariance  # noqa: F401
 
-#: eigenvalue ratio below which a covariance counts as rank deficient
-EPS_PD = 1e-12
+def invert_covariance(cov: np.ndarray, system: np.ndarray | None = None) -> np.ndarray:
+    """The direct estimate M^T S^{-1} M of the covariance M^{-1} S M^{-T}
+    (M the identity when ``system`` is None), with an explicit rank check.
 
-
-def invert_covariance(cov: np.ndarray) -> np.ndarray:
-    """Direct inverse with an explicit rank check.
-
-    Raises :class:`RankDeficiencyError` naming the offending eigenvalue when
-    the smallest eigenvalue falls below EPS_PD times the largest.
+    One Cholesky factor S = L L^T gives it as A^T A with A = L^{-1} M,
+    exactly symmetric, without forming S^{-1} or the covariance.  Raises
+    :class:`RankDeficiencyError` naming the pivot when the factor fails or
+    its smallest pivot L_ii^2 is at most 10 d eps max_i S_ii, ten times the
+    rounding error of a d-term sum in S.
     """
-    cov = np.asarray(cov, dtype=float)
-    w = np.linalg.eigvalsh((cov + cov.T) / 2.0)
-    lo, hi = float(w[0]), float(w[-1])
-    if lo <= EPS_PD * max(hi, 1.0):
+    S = np.asarray(cov, dtype=float)
+    d = S.shape[0]
+    tol = 10.0 * d * np.finfo(float).eps * float(np.diag(S).max())
+    try:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
         raise RankDeficiencyError(
-            f"covariance is numerically rank deficient: smallest eigenvalue "
-            f"{lo:.6e} against largest {hi:.6e}"
+            "covariance is numerically rank deficient: its Cholesky factor "
+            "meets a non-positive pivot"
+        ) from None
+    pivot = float(np.diag(L).min()) ** 2
+    if not pivot > tol:
+        raise RankDeficiencyError(
+            f"covariance is numerically rank deficient: smallest Cholesky pivot "
+            f"{pivot:.6e} against tolerance {tol:.6e}"
         )
-    J = np.linalg.inv(cov)
-    return (J + J.T) / 2.0
+    A = np.linalg.solve(L, np.eye(d) if system is None else system)
+    return A.T @ A
 
 
 # ----------------------------------------------------------------------
@@ -332,20 +341,22 @@ def estimate_concentration(
     ``method="auto"`` uses the direct inverse when n >= 5d and the empirical
     covariance is numerically full rank, otherwise falls back to the
     graphical lasso with ``lam`` (``"auto"`` resolves via
-    :func:`select_lambda`).
+    :func:`select_lambda`).  ``method="direct"`` raises
+    :class:`RankDeficiencyError` when n < d.
     """
     if method not in ("auto", "direct", "glasso"):
         raise ConfigError(f"unknown estimator {method!r}")
     lam = parse_lambda(lam, "lambda")
-    cov = samples.covariance
     d = samples.dim
 
     J = None
     if method == "direct":
-        J = invert_covariance(cov)
+        if samples.n < d:
+            raise RankDeficiencyError(f"{samples.n} samples of {d} variables are rank deficient")
+        J = invert_covariance(samples.scatter, samples.system)
     elif method == "auto" and samples.n >= 5 * d:
         try:
-            J = invert_covariance(cov)
+            J = invert_covariance(samples.scatter, samples.system)
         except RankDeficiencyError:
             pass
 
@@ -356,7 +367,7 @@ def estimate_concentration(
         )
 
     lam_val = select_lambda(samples) if lam == "auto" else float(lam)
-    S, info = graphical_lasso(cov, lam_val, config)
+    S, info = graphical_lasso(samples.covariance, lam_val, config)
     return EstimatedConcentration(
         concentration=ConcentrationMatrix(S, samples.labels, samples.model),
         method="glasso", n_samples=samples.n, lam=lam_val,

@@ -6,9 +6,11 @@ sweep is reproducible bit-for-bit: per-trial seeds derive from
 (seed, n, trial) and result CSVs carry no timestamps (wall-clock metadata
 lives in a JSON sidecar next to the CSV).  Every trial goes through
 :func:`run_single_trial`.  A sampled trial draws the covariance of its n
-snapshots directly (:func:`gridtopo.sampling.draw_sample_covariance`) and
-never builds the snapshots; an exact run is the one trial n = 0, which
-learns from the analytic concentration matrix instead.
+snapshots directly (:func:`gridtopo.sampling.draw_sample_covariance`) from
+the sweep's :class:`~gridtopo.sampling.DrawPlan` (whitened system, draw
+column order and labels), built once per sweep, and never builds the
+snapshots; an exact run is the one trial n = 0, which learns from the
+analytic concentration matrix instead and needs no plan.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from .learning import (
     resolve_tau2,
 )
 from .powerflow import ConcentrationMatrix, InjectionStats, dc_concentration, lc_concentration
-from .sampling import derive_trial_seed, draw_sample_covariance
+from .sampling import DrawPlan, derive_trial_seed, draw_plan, draw_sample_covariance
 
 # Not called here: imported only so the traced benchmark run finds these
 # names on this module (perfbench/spans.py TARGETS).
@@ -216,13 +218,14 @@ class ExperimentResult:
         return out
 
 
-def run_single_trial(grid: Grid, stats: InjectionStats, spec: ExperimentSpec,
-                     n: int, trial: int) -> TrialRecord:
+def run_single_trial(grid: Grid, stats: InjectionStats, plan: DrawPlan | None,
+                     spec: ExperimentSpec, n: int, trial: int) -> TrialRecord:
     """One trial, scored against the grid's lines.
 
     ``n = 0`` is the exact trial: learning runs on the analytic
-    concentration matrix, with no seed and method ``"exact"``.  Any other n
-    draws the covariance of n snapshots, estimates and learns, seeded from
+    concentration matrix, with no seed and method ``"exact"``, and draws
+    nothing, so it needs no ``plan``.  Any other n draws the covariance of n
+    snapshots from the sweep's ``plan``, estimates and learns, seeded from
     (spec.seed, n, trial).
 
     Failures of any stage that raise a package error are recorded in the
@@ -237,7 +240,7 @@ def run_single_trial(grid: Grid, stats: InjectionStats, spec: ExperimentSpec,
             conc = (dc_concentration if spec.model == "dc" else lc_concentration)(grid, stats)
             est = None
         else:
-            drawn = draw_sample_covariance(grid, stats, spec.model, n, seed)
+            drawn = draw_sample_covariance(plan, n, seed)
             est = estimate_concentration(drawn, method=spec.estimator, lam=spec.glasso_lambda)
             conc, method = est.concentration, est.method
         topo = reconstruct(conc, spec.algorithm, spec.tau1, spec.tau2, est=est)
@@ -260,8 +263,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """
     grid = resolve_grid(spec.grid)
     stats = spec.stats_for(grid)
+    # an exact sweep draws nothing, and M is a dense d x d array
+    plan = None if spec.exact else draw_plan(grid, stats, spec.model)
     tasks = [(0, 0)] if spec.exact else list(product(spec.sample_counts, range(spec.trials)))
-    args = (repeat(grid), repeat(stats), repeat(spec), *zip(*tasks))
+    args = (repeat(grid), repeat(stats), repeat(plan), repeat(spec), *zip(*tasks))
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             records = list(pool.map(run_single_trial, *args, chunksize=1))

@@ -25,7 +25,7 @@ are at most two lines apart, and it is stored as those entries
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -136,6 +136,16 @@ class InjectionStats:
         return cls(np.full(n, sigma_pp), np.full(n, sigma_qq), np.full(n, sigma_pq))
 
 
+@lru_cache(maxsize=4)
+def _upper_triangle(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, cols) of a d x d array's upper triangle in row-major order,
+    built once per d and read-only, since every dense estimate of a sweep
+    shares them."""
+    rows, cols = np.nonzero(~np.tri(d, dtype=bool))
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 class Pairs(NamedTuple):
     """A symmetric d x d array as its diagonal and its upper-triangle entries
     (rows < cols, in row-major order); positions not listed hold 0."""
@@ -148,7 +158,7 @@ class Pairs(NamedTuple):
     @classmethod
     def of_dense(cls, A: np.ndarray) -> "Pairs":
         """Every upper-triangle position of the symmetric array A."""
-        rows, cols = np.nonzero(~np.tri(A.shape[0], dtype=bool))
+        rows, cols = _upper_triangle(A.shape[0])
         return cls(A.diagonal().copy(), rows, cols, A[rows, cols])
 
     @property

@@ -3,21 +3,24 @@
 Injections are drawn i.i.d. per snapshot: each non-reference bus gets a
 correlated (p, q) pair from its 2x2 covariance via an explicit Cholesky
 factor, then the linearized power flow maps injections to voltages.  Both
-steps are linear, so a call builds the map once from the whitened system
-matrix M (:func:`gridtopo.powerflow.whitened_system`): row k of W = M^{-T}
-is the voltage response to a unit value of column k of the standard normal
-draw z, and the samples are the single product ``z @ W``.  All randomness
-flows through ``numpy.random.default_rng`` (PCG64) seeded from a single
-integer, so a (grid, stats, model, n, seed) tuple reproduces the same
-samples bit-for-bit on a fixed numpy version.
+steps are linear, so a :class:`DrawPlan` holds them once: the whitened
+system matrix M (:func:`gridtopo.powerflow.whitened_system`) and the column
+of the standard normal draw z that feeds each of M's rows; the samples are
+the single product ``z @ W``, W = M^{-T} with its rows in z's order.  All
+randomness flows through ``numpy.random.default_rng`` (PCG64) seeded from a
+single integer, so a (grid, stats, model, n, seed) tuple reproduces the
+same samples bit-for-bit on a fixed numpy version.
 
 An experiment trial only needs the samples' scatter X^T X = W^T (z^T z) W,
 so :func:`draw_sample_covariance` draws it without drawing z: z^T z is a
 standard Wishart matrix, and its Bartlett factor R (z = QR) takes O(N^2)
 normal and N chi-square draws instead of n * 2N normal draws (Odell and
 Feiveson 1966).  The same seed gives both models the same R, so DC and LC
-trials remain paired.  ``generate_voltage_samples`` (the ``sample`` command)
-still draws the snapshots themselves.
+trials remain paired.  A sweep builds its plan once for all its trials.  A
+drawn :class:`SampleCovariance` holds the scatter of the whitened draw and
+M, so the direct estimate factors the former alone.
+``generate_voltage_samples`` (the ``sample`` command) still draws the
+snapshots themselves.
 """
 from __future__ import annotations
 
@@ -97,12 +100,23 @@ class SampleSet:
     def covariance(self) -> np.ndarray:
         return empirical_covariance(self.data)
 
+    #: snapshots are voltages already: no system whitens them
+    system = None
+
+    @property
+    def scatter(self) -> np.ndarray:
+        """The matrix the direct estimate factors: the covariance itself."""
+        return self.covariance
+
 
 @dataclass(frozen=True, eq=False)
 class SampleCovariance:
-    """The zero-mean covariance X^T X / n of n snapshots that were never drawn."""
+    """The zero-mean covariance X^T X / n of n snapshots that were never
+    drawn, held as the scatter S of their whitened draw and the whitened
+    system M: X^T X / n = M^{-1} S M^{-T}."""
 
-    covariance: np.ndarray
+    scatter: np.ndarray
+    system: np.ndarray
     n: int
     labels: tuple[VarLabel, ...]
     model: str
@@ -110,6 +124,41 @@ class SampleCovariance:
     @property
     def dim(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        """M^{-1} S M^{-T}, formed on first access (the graphical lasso
+        reads it; the direct estimate does not)."""
+        Minv = np.linalg.inv(self.system)
+        cov = Minv @ self.scatter @ Minv.T
+        return (cov + cov.T) / 2.0
+
+
+@dataclass(frozen=True, eq=False)
+class DrawPlan:
+    """What every draw on one (grid, stats, model) shares: the whitened
+    system M, the width 2N of the interleaved (z_p, z_q) normal draw,
+    ``order``, the draw column that feeds each of M's block-order rows, and
+    the variable labels.  Built once by :func:`draw_plan`; it pickles, so a
+    sweep sends it to its worker processes as it is."""
+
+    model: str
+    system: np.ndarray
+    width: int
+    order: np.ndarray
+    labels: tuple[VarLabel, ...]
+
+
+def draw_plan(grid: Grid, stats: InjectionStats, model: str) -> DrawPlan:
+    """The :class:`DrawPlan` of ``model`` on ``grid`` with injections ``stats``.
+
+    Row r of M takes the block-order draw r: z_p of bus r % N, or z_q of
+    that bus once r >= N (LC only), which is z column 2 (r % N) + r // N.
+    """
+    M = whitened_system(grid, stats, model)
+    r = np.arange(M.shape[0])
+    labels = dc_labels(grid) if model == "dc" else lc_labels(grid)
+    return DrawPlan(model, M, 2 * stats.n, 2 * (r % stats.n) + r // stats.n, labels)
 
 
 def generate_injections(stats: InjectionStats, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -125,22 +174,20 @@ def generate_injections(stats: InjectionStats, n: int, rng: np.random.Generator)
     return zp * l11, zp * l21 + zq * l22
 
 
-def _sample_map(grid: Grid, stats: InjectionStats, model: str) -> np.ndarray:
+def _sample_map(plan: DrawPlan) -> np.ndarray:
     """W (2N x d): row k is the voltage response to a unit value of column k
     of the interleaved (z_p, z_q) draw, so the samples are z @ W.
 
     M^{-1} maps a (z_p; z_q) block-order draw to voltages, so W is M^{-T}
     with its rows spread into the interleaved order: one solve of M against
-    the unit draws placed in M's block order.  Under DC the z_q rows stay
+    the unit draws placed at ``plan.order``.  Under DC the z_q rows stay
     zero: multiplying only the z_p columns would first copy them out of z,
     n rows, to save a few milliseconds.
     """
-    M = whitened_system(grid, stats, model)
-    units = np.zeros((M.shape[0], 2 * stats.n))
-    row = np.arange(M.shape[0])
-    # block-order draw r (z_p of bus r % N, or z_q once r >= N) is z column 2 (r % N) + r // N
-    units[row, 2 * (row % stats.n) + row // stats.n] = 1.0
-    return np.linalg.solve(M, units).T
+    d = plan.system.shape[0]
+    units = np.zeros((d, plan.width))
+    units[np.arange(d), plan.order] = 1.0
+    return np.linalg.solve(plan.system, units).T
 
 
 def generate_voltage_samples(
@@ -159,21 +206,13 @@ def generate_voltage_samples(
     """
     if n <= 0:
         raise SampleFormatError(f"sample count must be positive, got {n}")
-    W = _sample_map(grid, stats, model)
+    plan = draw_plan(grid, stats, model)
     z = np.random.default_rng(int(seed)).standard_normal((n, 2 * stats.n))
-    data = z @ W
-    labels = dc_labels(grid) if model == "dc" else lc_labels(grid)
-    return SampleSet(data=data, labels=labels, model=model, seed=int(seed),
-                     grid_hash=grid_hash(grid))
+    return SampleSet(data=z @ _sample_map(plan), labels=plan.labels, model=model,
+                     seed=int(seed), grid_hash=grid_hash(grid))
 
 
-def draw_sample_covariance(
-    grid: Grid,
-    stats: InjectionStats,
-    model: str,
-    n: int,
-    seed: int,
-) -> SampleCovariance:
+def draw_sample_covariance(plan: DrawPlan, n: int, seed: int) -> SampleCovariance:
     """The covariance of n voltage snapshots, drawn without drawing them.
 
     The snapshots' scatter is W^T (z^T z) W with z the n x 2N normal draw of
@@ -184,19 +223,21 @@ def draw_sample_covariance(
     diagonal i = 0 .. m-1.  For n < 2N the scatter has rank n, as the
     samples' has.  The draw does not depend on the model, so DC and LC at
     one seed map the same z^T z.
+
+    With C = R[:, plan.order], RW = C M^{-T}, so the result holds the
+    whitened scatter S = C^T C / n and M, and its covariance is
+    M^{-1} S M^{-T}.
     """
     if n <= 0:
         raise SampleFormatError(f"sample count must be positive, got {n}")
-    W = _sample_map(grid, stats, model)
-    k = W.shape[0]
+    k = plan.width
     m = min(n, k)
     rng = np.random.default_rng(int(seed))
     R = np.triu(rng.standard_normal((m, k)), 1)
     R[np.arange(m), np.arange(m)] = np.sqrt(rng.chisquare(n - np.arange(m)))
-    B = R @ W
-    cov = B.T @ B / n
-    labels = dc_labels(grid) if model == "dc" else lc_labels(grid)
-    return SampleCovariance(covariance=(cov + cov.T) / 2.0, n=n, labels=labels, model=model)
+    C = R[:, plan.order]
+    return SampleCovariance(scatter=C.T @ C / n, system=plan.system, n=n,
+                            labels=plan.labels, model=plan.model)
 
 
 # ----------------------------------------------------------------------

@@ -17,10 +17,11 @@ from gridtopo.estimation import (
     write_estimate_json,
 )
 from gridtopo.exceptions import ConfigError, RankDeficiencyError
-from gridtopo.grid import make_grid
-from gridtopo.learning import gm_noise_scale
-from gridtopo.powerflow import InjectionStats, dc_concentration
-from gridtopo.sampling import generate_voltage_samples
+from gridtopo.experiments import reconstruct
+from gridtopo.grid import BUILTIN_GRIDS, builtin_grid, make_grid
+from gridtopo.learning import edge_errors, gm_noise_scale
+from gridtopo.powerflow import InjectionStats, dc_concentration, whitened_system
+from gridtopo.sampling import draw_plan, draw_sample_covariance, generate_voltage_samples
 
 
 def random_pd_cov(rng, d):
@@ -43,6 +44,13 @@ def test_empirical_covariance_zero_mean_form():
 def test_invert_covariance_matches_numpy():
     cov = random_pd_cov(np.random.default_rng(0), 6)
     np.testing.assert_allclose(invert_covariance(cov), np.linalg.inv(cov), rtol=1e-9)
+    # with a system M, cov is the scatter S of the covariance M^{-1} S M^{-T}:
+    # the estimate is that covariance's inverse, exactly symmetric
+    M = np.random.default_rng(1).standard_normal((6, 6)) + 3 * np.eye(6)
+    J = invert_covariance(cov, M)
+    Minv = np.linalg.inv(M)
+    assert np.array_equal(J, J.T)
+    np.testing.assert_allclose(J, np.linalg.inv(Minv @ cov @ Minv.T), rtol=1e-9)
 
 
 def test_invert_covariance_matches_analytic_concentration(radial20):
@@ -56,8 +64,86 @@ def test_invert_covariance_matches_analytic_concentration(radial20):
 
 def test_invert_covariance_rank_deficiency():
     v = np.arange(1.0, 5.0)
-    with pytest.raises(RankDeficiencyError, match="eigenvalue"):
+    with pytest.raises(RankDeficiencyError, match="pivot"):
         invert_covariance(np.outer(v, v))
+    # a factor that exists but whose pivot lies within the rounding of S's
+    # entries (10 d eps max diag S) is refused too, at any scale
+    for scale in (1.0, 1e-20, 1e20):
+        with pytest.raises(RankDeficiencyError, match="smallest Cholesky pivot"):
+            invert_covariance(scale * np.diag([1.0, 1e-15]))
+        J = invert_covariance(scale * np.diag([1.0, 1e-13]))
+        np.testing.assert_allclose(J, np.diag([1.0, 1e13]) / scale, rtol=1e-12)
+
+
+def _covariance_as_formed(grid, st, model, n, seed):
+    """A drawn trial covariance formed as the sweep once formed it: the
+    Bartlett factor R that draw_sample_covariance documents, the
+    unit-response map W (rows of M^{-T} at their interleaved draw columns),
+    then (RW)^T (RW) / n, symmetrised."""
+    M = whitened_system(grid, st, model)
+    d, k = M.shape[0], 2 * st.n
+    units = np.zeros((d, k))
+    r = np.arange(d)
+    units[r, 2 * (r % st.n) + r // st.n] = 1.0
+    W = np.linalg.solve(M, units).T
+    m = min(n, k)
+    rng = np.random.default_rng(seed)
+    R = np.triu(rng.standard_normal((m, k)), 1)
+    R[np.arange(m), np.arange(m)] = np.sqrt(rng.chisquare(n - np.arange(m)))
+    B = R @ W
+    cov = B.T @ B / n
+    return (cov + cov.T) / 2.0
+
+
+def _relative(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("model", ["dc", "lc"])
+@pytest.mark.parametrize("name", BUILTIN_GRIDS)
+def test_direct_estimate_is_the_inverse_of_the_formed_covariance(name, model):
+    # oracle: the factor route equals np.linalg.inv of the covariance formed
+    # densely, for drawn trial covariances and for snapshots alike, and a
+    # drawn covariance's derived covariance equals the formed one
+    grid = builtin_grid(name)
+    st = InjectionStats.uniform(grid)
+    plan = draw_plan(grid, st, model)
+    d = len(plan.labels)
+    worst = {"drawn": 0.0, "samples": 0.0, "covariance": 0.0}
+    for n in (5 * d, 10 * d, 5000):
+        for seed in range(5):
+            formed = _covariance_as_formed(grid, st, model, n, seed)
+            drawn = draw_sample_covariance(plan, n, seed)
+            samples = generate_voltage_samples(grid, st, model, n, seed)
+            for key, source, cov in (("drawn", drawn, formed), ("samples", samples, samples.covariance)):
+                est = estimate_concentration(source, method="direct")
+                assert est.method == "direct"
+                worst[key] = max(worst[key], _relative(est.concentration.matrix, np.linalg.inv(cov)))
+            worst["covariance"] = max(worst["covariance"], _relative(drawn.covariance, formed))
+    assert max(worst.values()) <= 1e-9, worst
+
+
+def test_deep_feeder_estimates_at_full_rank():
+    # a 1 000-bus tree, each bus fed from one of the 3 buses before it: its
+    # DC covariance H^{-1} P H^{-1} has condition number cond(H)^2, so at
+    # n = 10d the drawn covariance's eigenvalue ratio falls below 1e-12 (the
+    # rank test on the covariance's eigenvalues refused it).  The whitened
+    # scatter's factor is far from singular, and the estimate is as good
+    # as the samples allow (1/sqrt(n) ~ 0.01 per entry; worst entry 0.132)
+    rng = np.random.default_rng(0)
+    grid = make_grid(0, range(1000), [(int(rng.integers(max(0, i - 3), i)), i, 0.05, 0.1)
+                                      for i in range(1, 1000)])
+    st = InjectionStats.uniform(grid)
+    drawn = draw_sample_covariance(draw_plan(grid, st, "dc"), 10 * 999, seed=1)
+    w = np.linalg.eigvalsh(drawn.covariance)
+    assert w[0] / w[-1] < 1e-12
+    pivots = np.diag(np.linalg.cholesky(drawn.scatter)) ** 2
+    assert pivots.min() / np.diag(drawn.scatter).max() > 0.8
+    est = estimate_concentration(drawn, method="direct")
+    J = dc_concentration(grid, st).matrix
+    assert _relative(est.concentration.matrix, J) < 0.14
+    err = edge_errors(reconstruct(est.concentration, "thresholding", est=est), grid)
+    assert err.false_positives <= 1 and err.false_negatives == 0
 
 
 # ----------------------------------------------------------------------
@@ -270,9 +356,9 @@ def test_estimate_auto_inverts_once(radial20, monkeypatch):
 
     calls = []
 
-    def counting_inverse(cov):
+    def counting_inverse(cov, system=None):
         calls.append(cov.shape)
-        return invert_covariance(cov)
+        return invert_covariance(cov, system)
 
     monkeypatch.setattr(estimation, "invert_covariance", counting_inverse)
     s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), "dc", 200, seed=1)

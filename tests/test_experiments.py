@@ -26,7 +26,7 @@ from gridtopo.experiments import (
 from gridtopo.grid import grid_hash, save_grid
 from gridtopo.learning import DEFAULT_Z, default_exact_tau1, default_exact_tau2
 from gridtopo.powerflow import ConcentrationMatrix, InjectionStats, dc_concentration
-from gridtopo.sampling import derive_trial_seed, generate_voltage_samples
+from gridtopo.sampling import derive_trial_seed, draw_plan, generate_voltage_samples
 from gridtopo.estimation import estimate_concentration
 
 
@@ -183,7 +183,8 @@ def test_reconstruct_rejects_unknown_algorithm(radial20):
 
 def test_run_single_trial_success(radial20):
     spec = ExperimentSpec(seed=1)
-    rec = run_single_trial(radial20, spec.stats_for(radial20), spec, 2000, 0)
+    stats = spec.stats_for(radial20)
+    rec = run_single_trial(radial20, stats, draw_plan(radial20, stats, spec.model), spec, 2000, 0)
     assert (rec.fp, rec.fn, rec.total) == (0, 0, 0)
     assert rec.method == "direct"  # 2000 >= 5 * 19
     assert rec.error is None
@@ -355,7 +356,8 @@ def test_lc_thresholding_trial_validates_one_concentration(radial20, monkeypatch
 
     monkeypatch.setattr(ConcentrationMatrix, "__init__", counting_validate)
     spec = ExperimentSpec(model="lc", estimator="direct", seed=1)
-    rec = run_single_trial(radial20, spec.stats_for(radial20), spec, 2000, 0)
+    stats = spec.stats_for(radial20)
+    rec = run_single_trial(radial20, stats, draw_plan(radial20, stats, spec.model), spec, 2000, 0)
     assert rec.error is None
     assert built == ["lc"]
 

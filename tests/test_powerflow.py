@@ -15,6 +15,7 @@ from gridtopo.grid import Grid, Line, builtin_grid, bus_distance, make_grid, red
 from gridtopo.powerflow import (
     ConcentrationMatrix,
     InjectionStats,
+    Pairs,
     VarLabel,
     dc_concentration,
     dc_labels,
@@ -114,6 +115,20 @@ def test_concentration_matrix_symmetrizes_and_checks():
         ConcentrationMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]), labels, "dc")
     with pytest.raises(ModelMismatchError):
         ConcentrationMatrix(np.eye(2), labels, "ac")
+
+
+def test_pairs_of_dense_share_one_row_major_upper_triangle():
+    # the index is built once per size and read-only; its order is the
+    # row-major upper triangle that every reader of a Pairs assumes
+    A = np.arange(36.0).reshape(6, 6)
+    p, q = Pairs.of_dense(A + A.T), Pairs.of_dense(np.eye(6))
+    rows, cols = np.nonzero(~np.tri(6, dtype=bool))
+    assert np.array_equal(p.rows, rows) and np.array_equal(p.cols, cols)
+    assert np.array_equal(p.vals, (A + A.T)[rows, cols])
+    assert q.rows is p.rows and q.cols is p.cols
+    assert not (p.rows.flags.writeable or p.cols.flags.writeable)
+    assert np.array_equal(p.dense(), A + A.T)
+    assert Pairs.of_dense(np.eye(5)).rows.size == 10
 
 
 def test_concentration_matrix_checks_gram_products_too(radial20):

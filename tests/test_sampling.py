@@ -34,6 +34,7 @@ from gridtopo.sampling import (
     SampleCovariance,
     SampleSet,
     derive_trial_seed,
+    draw_plan,
     draw_sample_covariance,
     generate_injections,
     generate_voltage_samples,
@@ -244,8 +245,8 @@ def test_drawn_covariance_has_the_moments_of_the_sample_covariance(model, n):
     sigma = (dc_phase_covariance if model == "dc" else lc_voltage_covariance)(grid, st)
     var = (sigma**2 + np.outer(np.diag(sigma), np.diag(sigma))) / n
     T = 2000
-    drawn = np.array([draw_sample_covariance(grid, st, model, n, seed).covariance
-                      for seed in range(T)])
+    plan = draw_plan(grid, st, model)
+    drawn = np.array([draw_sample_covariance(plan, n, seed).covariance for seed in range(T)])
     oracle = np.array([empirical_covariance(generate_voltage_samples(grid, st, model, n, seed).data)
                        for seed in range(T, 2 * T)])
     assert _moment_z_scores(drawn, sigma, var).max() < 5.0
@@ -257,9 +258,10 @@ def test_drawn_covariance_has_the_moments_of_the_sample_covariance(model, n):
 @pytest.mark.parametrize("model", ["dc", "lc"])
 def test_same_seed_reproduces_the_drawn_covariance(radial20, model):
     st = InjectionStats.uniform(radial20)
-    a = draw_sample_covariance(radial20, st, model, 50, seed=9)
-    b = draw_sample_covariance(radial20, st, model, 50, seed=9)
-    c = draw_sample_covariance(radial20, st, model, 50, seed=10)
+    plan = draw_plan(radial20, st, model)
+    a = draw_sample_covariance(plan, 50, seed=9)
+    b = draw_sample_covariance(plan, 50, seed=9)
+    c = draw_sample_covariance(plan, 50, seed=10)
     assert np.array_equal(a.covariance, b.covariance)
     assert not np.array_equal(a.covariance, c.covariance)
     assert np.array_equal(a.covariance, a.covariance.T)
@@ -281,9 +283,9 @@ def test_drawn_covariance_maps_the_documented_bartlett_factor(radial20, n):
     block = np.concatenate([np.arange(0, 2 * N, 2), np.arange(1, 2 * N, 2)])
     scatter = (R.T @ R)[np.ix_(block, block)]  # (z_p; z_q) block order
     A = lc_system_matrix(radial20)
-    lc = n * A @ draw_sample_covariance(radial20, st, "lc", n, seed=4).covariance @ A.T
+    lc = n * A @ draw_sample_covariance(draw_plan(radial20, st, "lc"), n, seed=4).covariance @ A.T
     H = reduced_laplacian(radial20)
-    dc = n * H @ draw_sample_covariance(radial20, st, "dc", n, seed=4).covariance @ H.T
+    dc = n * H @ draw_sample_covariance(draw_plan(radial20, st, "dc"), n, seed=4).covariance @ H.T
     tol = 1e-9 * np.abs(scatter).max()
     np.testing.assert_allclose(lc, scatter, rtol=0, atol=tol)
     np.testing.assert_allclose(dc, scatter[:N, :N], rtol=0, atol=tol)
@@ -294,7 +296,7 @@ def test_drawn_covariance_has_the_rank_of_the_samples(radial20, model, n):
     # below 2N the scatter has rank n either way, so the direct inverse fails
     # and auto falls back to glasso exactly where it would on samples
     st = InjectionStats.uniform(radial20)
-    drawn = draw_sample_covariance(radial20, st, model, n, seed=2)
+    drawn = draw_sample_covariance(draw_plan(radial20, st, model), n, seed=2)
     samples = generate_voltage_samples(radial20, st, model, n, seed=2)
     rank = min(n, samples.dim)
     assert np.linalg.matrix_rank(drawn.covariance) == rank
@@ -312,7 +314,8 @@ def test_estimate_reads_the_covariance_its_input_holds(radial20):
     # one estimator body: a SampleCovariance holding a SampleSet's covariance
     # gives the same estimate, bit for bit, by either method
     s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), "dc", 60, seed=3)
-    held = SampleCovariance(covariance=s.covariance, n=s.n, labels=s.labels, model=s.model)
+    held = SampleCovariance(scatter=s.covariance, system=np.eye(s.dim), n=s.n, labels=s.labels,
+                            model=s.model)
     for method in ("direct", "glasso"):
         a = estimate_concentration(s, method=method).to_dict()
         b = estimate_concentration(held, method=method).to_dict()
@@ -322,9 +325,9 @@ def test_estimate_reads_the_covariance_its_input_holds(radial20):
 def test_draw_rejects_bad_arguments(radial20):
     st = InjectionStats.uniform(radial20)
     with pytest.raises(ModelMismatchError):
-        draw_sample_covariance(radial20, st, "ac", 10, seed=0)
+        draw_plan(radial20, st, "ac")
     with pytest.raises(SampleFormatError):
-        draw_sample_covariance(radial20, st, "dc", 0, seed=0)
+        draw_sample_covariance(draw_plan(radial20, st, "dc"), 0, seed=0)
 
 
 def test_generate_defaults_to_dc(radial20):

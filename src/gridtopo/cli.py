@@ -171,9 +171,9 @@ def estimate(samples_path, method, lam, tol, max_iters, penalize_diagonal, out):
 @click.option("--algo", type=click.Choice(["counting", "thresholding"]),
               default="thresholding", show_default=True)
 @click.option("--tau1", default="auto", show_default=True,
-              help="GM threshold (number, 'auto' or 'gap').")
+              help="GM threshold (number or 'auto').")
 @click.option("--tau2", default="auto", show_default=True,
-              help="Edge threshold (negative number, 'auto' or 'gap').")
+              help="Edge threshold (negative number or 'auto').")
 @click.option("--compare-truth", is_flag=True, default=False,
               help="Also print fp/fn against the --grid line set.")
 @click.option("--out", type=click.Path(), default=None, help="Output topology JSON path.")

@@ -99,6 +99,10 @@ class ExperimentSpec:
                 float(value)
             except OverflowError:
                 raise ConfigError(f"{name} must fit in a float") from None
+        if not isinstance(self.grid, str):
+            raise ConfigError(f"grid must be a string, got {self.grid!r}")
+        if not isinstance(self.exact, bool):
+            raise ConfigError(f"exact must be true or false, got {self.exact!r}")
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.algorithm not in ALGORITHMS:
@@ -258,8 +262,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Execute the full sweep described by ``spec`` deterministically.
 
     With ``exact=True`` the sweep collapses to the one exact trial (n = 0).
-    ``workers > 1`` distributes trials over processes; either way records
-    come back in sweep order, (n, trial) ascending.
+    ``workers > 1`` distributes trials over ``min(workers, trials)``
+    processes; either way records come back in sweep order, (n, trial)
+    ascending.
     """
     grid = resolve_grid(spec.grid)
     stats = spec.stats_for(grid)
@@ -267,8 +272,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     plan = None if spec.exact else draw_plan(grid, stats, spec.model)
     tasks = [(0, 0)] if spec.exact else list(product(spec.sample_counts, range(spec.trials)))
     args = (repeat(grid), repeat(stats), repeat(plan), repeat(spec), *zip(*tasks))
-    if spec.workers > 1:
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+    # the pool forks all its workers at once, so it gets no more than the tasks
+    workers = min(spec.workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run_single_trial, *args, chunksize=1))
     else:
         records = list(map(run_single_trial, *args))

@@ -68,18 +68,18 @@ def check_tau(value, name: str):
 
 
 def parse_tau(value, name: str):
-    """The one parser of a threshold knob: ``"auto"``, ``"gap"`` or a number.
+    """The one parser of a threshold knob: ``"auto"`` or a number.
 
     Numbers are kept as given after :func:`check_tau`; a string that spells
     a number (a command-line flag) becomes a float first.
     """
     if isinstance(value, str):
-        if value in ("auto", "gap"):
+        if value == "auto":
             return value
         try:
             value = float(value)
         except ValueError:
-            raise ConfigError(f"{name} must be a number, 'auto' or 'gap', got {value!r}") from None
+            raise ConfigError(f"{name} must be a number or 'auto', got {value!r}") from None
     return check_tau(value, name)
 
 
@@ -133,36 +133,6 @@ def thresholding_noise_scale(est: EstimatedConcentration) -> Pairs:
     return se if est.concentration.model == "dc" else lc_bus_pairs(se)
 
 
-def largest_gap_threshold(magnitudes: np.ndarray) -> float:
-    """Cut an array of magnitudes (read flat) at its largest relative gap.
-
-    Returns the geometric mean of the two values straddling the largest
-    ratio when sorted descending (values below 1e-12 of the maximum are
-    treated as zero).  A documented heuristic fallback; the noise-adaptive
-    default is preferred for estimated matrices.
-    """
-    v = np.sort(np.abs(np.asarray(magnitudes, dtype=float)).reshape(-1))[::-1]
-    if v.size == 0 or v[0] <= 0.0:
-        return 0.0
-    floor = 1e-12 * v[0]
-    if v.size == 1:
-        return math.sqrt(v[0] * floor)
-    lo = np.maximum(v[1:], floor)
-    ratios = v[:-1] / lo
-    k = int(np.argmax(ratios))
-    return float(math.sqrt(v[k] * lo[k]))
-
-
-def _gap_threshold(magnitudes: np.ndarray, pairs: Pairs, unlisted: bool) -> float:
-    """:func:`largest_gap_threshold` of off-diagonal ``magnitudes`` read from
-    ``pairs`` as the dense array gives it: each entry twice, as (i, j) and
-    (j, i), and, if ``unlisted``, the 0 of the positions not listed (one 0
-    cuts like many).  A cut of 0 (no pair to read) falls back to the
-    diagonal scale, as the exact default does."""
-    cut = largest_gap_threshold(np.concatenate([np.repeat(magnitudes, 2), np.zeros(int(unlisted))]))
-    return cut if cut > 0 else EXACT_TAU_REL * _exact_scale(pairs)
-
-
 def resolve_tau1(
     tau1: float | str,
     conc: ConcentrationMatrix,
@@ -172,13 +142,9 @@ def resolve_tau1(
 
     Numbers pass through.  "auto" on an estimate uses the noise-adaptive rule
     (z-score DEFAULT_Z against per-entry standard errors); on an exact matrix
-    the fixed relative default.  "gap" cuts at the largest relative gap of
-    the sorted off-diagonal magnitudes.
+    the fixed relative default.
     """
     tau1 = parse_tau(tau1, "tau1")
-    if tau1 == "gap":
-        J = conc.pairs
-        return _gap_threshold(np.abs(J.vals), J, J.vals.size < J.dim * (J.dim - 1) // 2), None
     if tau1 == "auto":
         if est is not None:
             return DEFAULT_Z, gm_noise_scale(est)
@@ -194,9 +160,6 @@ def resolve_tau2(
     """Same contract as :func:`resolve_tau1` for the (negative) tau2 knob,
     read on the thresholding statistic."""
     tau2 = parse_tau(tau2, "tau2")
-    if tau2 == "gap":
-        stat = thresholding_statistic(conc)
-        return -_gap_threshold(-stat.vals[stat.vals < 0], stat, False), None
     if tau2 == "auto":
         if est is not None:
             return -DEFAULT_Z, thresholding_noise_scale(est)

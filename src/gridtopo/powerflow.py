@@ -46,6 +46,8 @@ class VarLabel(NamedTuple):
 
 
 def parse_label(text: str) -> VarLabel:
+    if not isinstance(text, str):
+        raise ValueError(f"bad variable label {text!r}; expected a string v_<bus> or theta_<bus>")
     kind, _, bus = text.rpartition("_")
     if kind not in ("v", "theta") or not bus.removeprefix("-").isdigit():
         raise ValueError(f"bad variable label {text!r}; expected v_<bus> or theta_<bus>")

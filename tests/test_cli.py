@@ -283,25 +283,6 @@ def test_learn_exact_on_a_grid_without_bus_pairs(runner, tmp_path, lines, model)
     assert "fp=0 fn=0 total=0" in result.output
 
 
-@pytest.mark.parametrize("knob,algo", [("--tau2", "thresholding"), ("--tau1", "counting")])
-@pytest.mark.parametrize("model", ["dc", "lc"])
-def test_learn_exact_gap_on_a_grid_without_bus_pairs(runner, tmp_path, model, knob, algo):
-    # gap has no entry to cut between, so it takes auto's diagonal scale
-    # instead of a threshold of 0; counting then meets its own limit
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps({"reference": 0, "buses": [0, 1],
-                                "lines": [{"i": 0, "j": 1, "r": 0.05, "x": 0.1}]}))
-    args = ["learn", "--conc", "exact", "--grid", str(path), "--model", model, "--algo", algo,
-            knob, "gap", "--compare-truth"]
-    if algo == "thresholding":
-        result = invoke_ok(runner, args)
-        assert "learned 0 edges over 1 buses" in result.output
-        assert "fp=0 fn=0 total=0" in result.output
-    else:
-        payload = stderr_error(runner.invoke(main, args))
-        assert payload["error"] == "ReconstructionError"
-
-
 def test_learn_exact_prints_topology_json(runner):
     result = invoke_ok(runner, ["learn", "--conc", "exact", "--grid", "radial20"])
     doc = json.loads(result.output.split("\n", 1)[1])
@@ -416,8 +397,15 @@ def test_experiment_seed_precedence(runner, tmp_path):
         (["experiment"], {"exact": True, "tau2": 0.5}, "tau2 must be a negative number"),
         (["learn", "--conc", "exact", "--grid", "radial20", "--algo", "counting",
           "--tau2", "0.5"], None, "tau2 must be a negative number"),
+        (["learn", "--conc", "exact", "--grid", "radial20", "--tau1", "gap"], None,
+         "tau1 must be a number or 'auto', got 'gap'"),
+        (["learn", "--conc", "exact", "--grid", "radial20", "--tau2", "gap"], None,
+         "tau2 must be a number or 'auto', got 'gap'"),
+        (["experiment", "--exact", "--tau2", "gap"], None, "tau2 must be a number or 'auto', got 'gap'"),
+        (["experiment"], {"exact": True, "tau1": "gap"}, "tau1 must be a number or 'auto', got 'gap'"),
     ],
-    ids=["experiment-tau2-flag", "experiment-tau1-flag", "experiment-config", "learn-tau2-flag"],
+    ids=["experiment-tau2-flag", "experiment-tau1-flag", "experiment-config", "learn-tau2-flag",
+         "learn-tau1-gap", "learn-tau2-gap", "experiment-tau2-gap", "experiment-config-gap"],
 )
 def test_wrong_sign_tau_is_rejected_up_front(runner, tmp_path, args, config, match):
     if config is not None:

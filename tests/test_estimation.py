@@ -417,6 +417,7 @@ ONE_BY_ONE = ESTIMATE_DOC % ("[[1.0]]", '"theta_1"')
         (ESTIMATE_DOC % ('[[2.0, 1.0], [0.0, 2.0]]', '"theta_1", "theta_2"'), "not symmetric"),
         (ESTIMATE_DOC % ('[[1.0, 2.0], [2.0, 1.0]]', '"theta_1", "theta_2"'), "not positive definite"),
         (ESTIMATE_DOC % ('[[1.0]]', '"x_1"'), "bad variable label"),
+        (ESTIMATE_DOC % ('[[1.0]]', '0'), "bad variable label 0; expected a string"),
         (ESTIMATE_DOC % ('[["a"]]', '"theta_1"'), "could not convert"),
         (ESTIMATE_DOC.replace('"n_samples": 5', '"n_samples": 0') % ('[[1.0]]', '"theta_1"'),
          "n_samples must be positive"),
@@ -449,8 +450,8 @@ ONE_BY_ONE = ESTIMATE_DOC % ("[[1.0]]", '"theta_1"')
         (ONE_BY_ONE.replace('"direct"', '"banana"'), "method must be 'direct' or 'glasso', got 'banana'"),
         (ONE_BY_ONE.replace('"direct"', '5'), "method must be 'direct' or 'glasso', got 5"),
     ],
-    ids=["invalid-json", "missing-labels", "asymmetric", "not-pd", "bad-label", "non-numeric",
-         "zero-samples", "lc-without-v", "repeated-bus", "fractional-samples", "string-samples",
+    ids=["invalid-json", "missing-labels", "asymmetric", "not-pd", "bad-label", "integer-label",
+         "non-numeric", "zero-samples", "lc-without-v", "repeated-bus", "fractional-samples", "string-samples",
          "bool-samples", "huge-entry", "string-converged", "integer-converged", "fractional-iterations",
          "bool-iterations", "string-lambda", "bool-lambda", "negative-lambda", "nan-lambda", "huge-lambda",
          "integer-termination", "string-trace", "trace-with-a-string", "list-kkt", "unknown-method",

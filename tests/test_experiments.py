@@ -2,6 +2,7 @@
 import csv
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,6 +79,10 @@ def test_spec_defaults_roundtrip():
         ({"sigma_qq": None}, "sigma_qq must be a number, got None"),
         ({"sigma_pq": [0.5]}, r"sigma_pq must be a number, got \[0.5\]"),
         ({"sigma_pp": 10**400}, "sigma_pp must fit in a float"),
+        ({"tau1": "gap"}, "tau1 must be a number or 'auto', got 'gap'"),
+        ({"tau2": "gap"}, "tau2 must be a number or 'auto', got 'gap'"),
+        ({"grid": 5}, "grid must be a string, got 5"),
+        ({"exact": "false"}, "exact must be true or false, got 'false'"),
     ],
 )
 def test_spec_validation(kw, match):
@@ -161,13 +166,6 @@ def test_resolve_tau_auto_on_estimates(radial20):
     assert t1 == DEFAULT_Z and s1.dim == 19 and np.all(s1.vals > 0) and np.all(s1.diagonal > 0)
     t2, s2 = resolve_tau2("auto", est.concentration, est)
     assert t2 == -DEFAULT_Z and s2.dim == 19
-
-
-def test_resolve_tau_gap_mode(radial20):
-    conc = dc_concentration(radial20, InjectionStats.uniform(radial20))
-    t1, _ = resolve_tau1("gap", conc, None)
-    t2, _ = resolve_tau2("gap", conc, None)
-    assert t1 > 0 > t2
 
 
 def test_reconstruct_rejects_unknown_algorithm(radial20):
@@ -302,6 +300,32 @@ def test_sweep_summary_and_worker_equivalence():
 
     par = run_experiment(ExperimentSpec(sample_counts=(300, 600), trials=3, seed=5, workers=2))
     assert par.records == res.records
+
+
+def test_pool_is_sized_to_the_tasks(monkeypatch):
+    # the pool forks all its workers on the first submit, so it never gets
+    # more than there are trials; one task runs in this process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    exact = ExperimentSpec(grid="ieee14", exact=True)
+    assert run_experiment(replace(exact, workers=8)).records == run_experiment(exact).records
+    sampled = ExperimentSpec(grid="ieee14", sample_counts=(60,), trials=2, seed=3)
+    assert run_experiment(replace(sampled, workers=8)).records == run_experiment(sampled).records
+    assert sizes == [2]
 
 
 def test_summary_math_on_handmade_records():

@@ -31,7 +31,6 @@ from gridtopo.learning import (
     edge_errors,
     gm_noise_scale,
     hybridize,
-    largest_gap_threshold,
     learn_by_counting,
     learn_by_thresholding,
     learn_parameters,
@@ -159,15 +158,6 @@ def test_hybridize_merges_lc_vertices(loopy20_c4):
     assert hybrid == hybridize(dc_gm)
 
 
-def test_largest_gap_threshold():
-    assert largest_gap_threshold(np.array([10.0, 9.0, 1.0, 0.5])) == pytest.approx(3.0)
-    assert largest_gap_threshold(np.array([2.0, 2.0, 2.0])) == pytest.approx(2.0)
-    assert largest_gap_threshold(np.array([])) == 0.0
-    assert largest_gap_threshold(np.array([0.0])) == 0.0
-    one = largest_gap_threshold(np.array([5.0]))
-    assert 0.0 < one < 5.0
-
-
 # ----------------------------------------------------------------------
 # algorithm 1: counting
 # ----------------------------------------------------------------------
@@ -211,11 +201,9 @@ def test_pair_scans_match_the_masked_copies(all_builtins, model):
         J = conc.matrix
         off = J[~np.eye(len(J), dtype=bool)]
         assert default_exact_tau1(conc) == 1e-4 * np.abs(off).max()
-        assert resolve_tau1("gap", conc, None)[0] == largest_gap_threshold(np.abs(off))
         stat = J if model == "dc" else block(conc, "v", "v") + block(conc, "theta", "theta")
         stat_off = stat[~np.eye(len(stat), dtype=bool)]
         assert default_exact_tau2(conc) == -1e-4 * np.abs(stat_off).max()
-        assert resolve_tau2("gap", conc, None)[0] == -largest_gap_threshold(np.abs(stat_off[stat_off < 0]))
         tau1 = default_exact_tau1(conc)
         rows, cols = np.nonzero(np.triu(np.abs(J) >= tau1, k=1))
         want = {tuple(sorted((conc.labels[a], conc.labels[b]))) for a, b in zip(rows, cols)}
@@ -241,14 +229,11 @@ def dense_off(M):
     return M[~np.eye(len(M), dtype=bool)]
 
 
-def dense_tau(conc, knob, rule):
-    """The exact-matrix tau1/tau2 rules as they read the dense statistic."""
+def dense_tau(conc, knob):
+    """The exact-matrix tau1/tau2 default as it reads the dense statistic."""
     M = conc.matrix if knob == "tau1" else dense_statistic(conc)
-    off = dense_off(M)
-    default = 1e-4 * (np.abs(off).max(initial=0.0) or np.abs(np.diag(M)).max(initial=0.0))
-    if knob == "tau1":
-        return (largest_gap_threshold(np.abs(off)) if rule == "gap" else 0.0) or default
-    return -((largest_gap_threshold(np.abs(off[off < 0])) if rule == "gap" else 0.0) or default)
+    tau = 1e-4 * (np.abs(dense_off(M)).max(initial=0.0) or np.abs(np.diag(M)).max(initial=0.0))
+    return tau if knob == "tau1" else -tau
 
 
 def dense_edges(mask, keys):
@@ -257,15 +242,12 @@ def dense_edges(mask, keys):
 
 
 def assert_pairs_read_like_the_dense_matrix(conc, est=None):
-    for knob, resolve in (("tau1", resolve_tau1), ("tau2", resolve_tau2)):
-        for rule in ("gap",) if est is not None else ("auto", "gap"):
-            assert resolve(rule, conc, est) == (dense_tau(conc, knob, rule), None), (knob, rule)
     t1, s1 = resolve_tau1("auto", conc, est)  # on an estimate: z-scores against per-entry scales
     t2, s2 = resolve_tau2("auto", conc, est)
     J, stat = conc.matrix, dense_statistic(conc)
     se = se_stat = 1.0
     if est is None:
-        assert s1 is None and s2 is None
+        assert (t1, s1, t2, s2) == (dense_tau(conc, "tau1"), None, dense_tau(conc, "tau2"), None)
     else:
         se = dense_standard_error(J, est.n_samples)
         h = len(se) // 2
@@ -332,7 +314,7 @@ def test_pair_reads_of_estimates_equal_the_dense_oracle(name, n, seed, model):
 
 
 @pytest.mark.parametrize("pairs", [
-    # d = 2: one pair, read twice by the dense gap cut
+    # d = 2: one pair
     Pairs(np.array([2.0, 3.0]), np.array([0]), np.array([1]), np.array([-1.0])),
     # all magnitudes equal, every position listed
     Pairs(np.full(4, 4.0), np.array([0, 0, 0, 1, 1, 2]), np.array([1, 2, 3, 2, 3, 3]),
@@ -343,7 +325,9 @@ def test_pair_reads_of_estimates_equal_the_dense_oracle(name, n, seed, model):
     Pairs(np.full(4, 4.0), np.array([0, 1, 2]), np.array([1, 2, 3]), np.array([-1.0, 0.0, -0.5])),
 ], ids=["d2", "equal-full", "equal-sparse", "listed-zero"])
 @pytest.mark.parametrize("model", ["dc", "lc"])
-def test_pair_gap_corners_equal_the_dense_oracle(pairs, model):
+def test_unlisted_pair_corners_equal_the_dense_oracle(pairs, model):
+    # auto's scale and both scans read the zeros of unlisted positions (and
+    # a listed zero) as the dense view holds them
     buses = range(1, (pairs.dim if model == "dc" else pairs.dim // 2) + 1)
     labels = tuple(VarLabel("theta", b) for b in buses)
     if model == "lc":
@@ -352,26 +336,6 @@ def test_pair_gap_corners_equal_the_dense_oracle(pairs, model):
     assert_pairs_read_like_the_dense_matrix(conc)
     dense = ConcentrationMatrix(conc.matrix, labels, model)
     assert_pairs_read_like_the_dense_matrix(dense)
-    assert resolve_tau1("gap", dense, None) == resolve_tau1("gap", conc, None)
-
-
-@pytest.mark.parametrize("knob,algo", [("tau1", "counting"), ("tau2", "thresholding")])
-@pytest.mark.parametrize("model", ["dc", "lc"])
-@pytest.mark.parametrize("name", sorted(NO_PAIR_GRIDS))
-def test_gap_without_bus_pairs_falls_back_to_the_diagonal(name, model, knob, algo):
-    # no coupled bus pair to cut between: gap takes the exact default's
-    # diagonal scale instead of a cut of 0, which no learner accepts
-    lines = NO_PAIR_GRIDS[name]
-    g = make_grid(0, range(len(lines) + 1), lines)
-    conc = (dc_concentration if model == "dc" else lc_concentration)(g, InjectionStats.uniform(g))
-    resolve, default = (resolve_tau1, default_exact_tau1) if knob == "tau1" else (resolve_tau2, default_exact_tau2)
-    if model == "dc" or knob == "tau2":
-        assert resolve("gap", conc, None) == (default(conc), None)
-    if algo == "thresholding":
-        assert edge_errors(reconstruct(conc, algo, tau2="gap"), g).total == 0
-    else:
-        with pytest.raises(ReconstructionError, match="no non-leaf skeleton"):
-            reconstruct(conc, algo, tau1="gap")
 
 
 def test_exact_path_never_builds_the_dense_view(make_random_tree, monkeypatch):
@@ -395,11 +359,10 @@ def test_exact_path_never_builds_the_dense_view(make_random_tree, monkeypatch):
     for model in ("dc", "lc"):
         conc = (dc_concentration if model == "dc" else lc_concentration)(g, stats)
         for algo in ("thresholding", "counting"):
-            for rule in ("auto", "gap"):
-                try:
-                    reconstruct(conc, algo, tau1=rule, tau2=rule)
-                except (AmbiguousLeafError, ReconstructionError):
-                    pass  # counting's own limits, met after the scan
+            try:
+                reconstruct(conc, algo)
+            except (AmbiguousLeafError, ReconstructionError):
+                pass  # counting's own limits, met after the scan
         assert "matrix" not in vars(conc)
     assert check_sufficiency(g, stats).certificates
 

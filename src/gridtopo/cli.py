@@ -16,6 +16,7 @@ import click
 
 from . import __version__
 from .estimation import (
+    ESTIMATORS,
     GlassoConfig,
     estimate_concentration,
     load_estimate_json,
@@ -44,6 +45,8 @@ from .learning import (
 )
 from .powerflow import InjectionStats, dc_concentration, lc_concentration
 from .sampling import generate_voltage_samples, load_samples_csv, write_samples_csv
+
+ESTIMATOR_HELP = "auto = direct: the inverse covariance, needs n >= d; glasso: the graphical lasso."
 
 
 def _cli_errors(fn):
@@ -136,8 +139,8 @@ def sample(grid_ref, model, n, seed, out, sigma_pp, sigma_qq, sigma_pq):
 @main.command()
 @click.option("--samples", "samples_path", required=True, type=click.Path(exists=True),
               help="Sample CSV produced by the sample command.")
-@click.option("--method", type=click.Choice(["auto", "direct", "glasso"]),
-              default="auto", show_default=True)
+@click.option("--method", type=click.Choice(ESTIMATORS), default="auto", show_default=True,
+              help=ESTIMATOR_HELP)
 @click.option("--lambda", "lam", default="auto", show_default=True,
               help="Glasso penalty (number or 'auto').")
 @click.option("--tol", type=float, default=1e-6, show_default=True,
@@ -151,8 +154,8 @@ def sample(grid_ref, model, n, seed, out, sigma_pp, sigma_qq, sigma_pq):
 def estimate(samples_path, method, lam, tol, max_iters, penalize_diagonal, out):
     """Estimate the concentration matrix from samples."""
     lam = parse_lambda(lam, "--lambda")
-    samples = load_samples_csv(samples_path)
     cfg = GlassoConfig(tol=tol, max_iters=max_iters, diagonal_penalized=penalize_diagonal)
+    samples = load_samples_csv(samples_path)
     est = estimate_concentration(samples, method=method, lam=lam, config=cfg)
     write_estimate_json(est, out)
     detail = f"lambda={est.lam:.6g}, iterations={est.iterations}" if est.method == "glasso" else "direct inverse"
@@ -184,11 +187,13 @@ def learn(conc, grid_ref, model, algo, tau1, tau2, compare_truth, out,
     """Reconstruct the topology from a concentration matrix."""
     tau1, tau2 = parse_tau(tau1, "tau1"), parse_tau(tau2, "tau2")
 
-    est = g = None
+    if grid_ref is None and (conc == "exact" or compare_truth):
+        flag = "--conc exact" if conc == "exact" else "--compare-truth"
+        raise ConfigError(f"{flag} requires --grid")
+    g = resolve_grid(grid_ref) if conc == "exact" or compare_truth else None
+
+    est = None
     if conc == "exact":
-        if grid_ref is None:
-            raise ConfigError("--conc exact requires --grid")
-        g = resolve_grid(grid_ref)
         stats = InjectionStats.uniform(g, sigma_pp, sigma_qq, sigma_pq)
         matrix = (dc_concentration if model == "dc" else lc_concentration)(g, stats)
     else:
@@ -201,9 +206,7 @@ def learn(conc, grid_ref, model, algo, tau1, tau2, compare_truth, out,
     click.echo(f"learned {len(topo.edges)} edges over {len(topo.buses)} buses ({algo})"
                + (f" -> {out}" if out else ""))
     if compare_truth:
-        if grid_ref is None:
-            raise ConfigError("--compare-truth requires --grid")
-        err = edge_errors(topo, g if g is not None else resolve_grid(grid_ref))
+        err = edge_errors(topo, g)
         click.echo(f"fp={err.false_positives} fn={err.false_negatives} total={err.total}")
     elif not out:
         click.echo(json.dumps(topo.to_dict(), indent=2))
@@ -236,7 +239,7 @@ def certify(grid_ref, out, sigma_pp, sigma_qq, sigma_pq):
 @click.option("--grid", "grid_ref", default=None)
 @click.option("--model", type=click.Choice(["dc", "lc"]), default=None)
 @click.option("--algo", type=click.Choice(["counting", "thresholding"]), default=None)
-@click.option("--estimator", type=click.Choice(["auto", "direct", "glasso"]), default=None)
+@click.option("--estimator", type=click.Choice(ESTIMATORS), default=None, help=ESTIMATOR_HELP)
 @click.option("--counts", default=None, help="Comma-separated sample counts.")
 @click.option("--trials", type=int, default=None)
 @click.option("--seed", type=int, default=None)

@@ -1,10 +1,11 @@
 """Concentration-matrix estimation from voltage samples.
 
-Two estimators behind one interface:
+Two estimators behind one interface, named by :data:`ESTIMATORS`:
 
-* ``direct``: invert the empirical covariance through one Cholesky factor
-  (valid when n >= d and the factor is numerically full rank);
-* ``glasso``: l1-penalized maximum likelihood
+* ``direct`` (and ``auto``, the default, which is the same estimate):
+  invert the empirical covariance through one Cholesky factor (valid when
+  n >= d and the factor is numerically full rank, else an error);
+* ``glasso``, run only on request: l1-penalized maximum likelihood
 
       minimize_S  -log det S + <S, cov> + lam * ||S||_1(off-diagonal)
 
@@ -238,6 +239,9 @@ def select_lambda(samples: SampleSet | SampleCovariance) -> float:
 # one estimator interface
 # ----------------------------------------------------------------------
 
+#: the estimator names every caller accepts; "auto" is "direct"
+ESTIMATORS = ("auto", "direct", "glasso")
+
 
 def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -338,33 +342,23 @@ def estimate_concentration(
 ) -> EstimatedConcentration:
     """Estimate the concentration matrix from samples or their drawn covariance.
 
-    ``method="auto"`` uses the direct inverse when n >= 5d and the empirical
-    covariance is numerically full rank, otherwise falls back to the
-    graphical lasso with ``lam`` (``"auto"`` resolves via
-    :func:`select_lambda`).  ``method="direct"`` raises
-    :class:`RankDeficiencyError` when n < d.
+    ``method="auto"`` is ``"direct"``: the inverse through one Cholesky
+    factor, which raises :class:`RankDeficiencyError` when n < d or the
+    factor fails.  Only ``method="glasso"`` runs the graphical lasso, with
+    ``lam`` (``"auto"`` resolves via :func:`select_lambda`).
     """
-    if method not in ("auto", "direct", "glasso"):
+    if method not in ESTIMATORS:
         raise ConfigError(f"unknown estimator {method!r}")
     lam = parse_lambda(lam, "lambda")
-    d = samples.dim
-
-    J = None
-    if method == "direct":
+    if method != "glasso":
+        d = samples.dim
         if samples.n < d:
-            raise RankDeficiencyError(f"{samples.n} samples of {d} variables are rank deficient")
+            raise RankDeficiencyError(f"{samples.n} samples of {d} variables are rank deficient: "
+                                      f"the direct estimate needs n >= {d}; method 'glasso' "
+                                      f"estimates from fewer")
         J = invert_covariance(samples.scatter, samples.system)
-    elif method == "auto" and samples.n >= 5 * d:
-        try:
-            J = invert_covariance(samples.scatter, samples.system)
-        except RankDeficiencyError:
-            pass
-
-    if J is not None:
-        return EstimatedConcentration(
-            concentration=ConcentrationMatrix(J, samples.labels, samples.model),
-            method="direct", n_samples=samples.n,
-        )
+        return EstimatedConcentration(ConcentrationMatrix(J, samples.labels, samples.model),
+                                      method="direct", n_samples=samples.n)
 
     lam_val = select_lambda(samples) if lam == "auto" else float(lam)
     S, info = graphical_lasso(samples.covariance, lam_val, config)

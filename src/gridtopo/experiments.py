@@ -25,7 +25,7 @@ from itertools import product, repeat
 import numpy as np
 
 from . import __version__
-from .estimation import EstimatedConcentration, estimate_concentration, parse_lambda
+from .estimation import ESTIMATORS, EstimatedConcentration, estimate_concentration, parse_lambda
 from .exceptions import ConfigError, GridTopoError
 from .grid import BUILTIN_GRIDS, Grid, builtin_grid, grid_hash, load_grid
 from .learning import (
@@ -49,7 +49,6 @@ from .sampling import generate_voltage_samples  # noqa: F401
 
 MODELS = ("dc", "lc")
 ALGORITHMS = ("counting", "thresholding")
-ESTIMATORS = ("auto", "direct", "glasso")
 
 RESULT_COLUMNS = ("grid", "model", "algo", "estimator", "n", "trial", "fp", "fn", "total")
 

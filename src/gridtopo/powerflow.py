@@ -49,7 +49,8 @@ def parse_label(text: str) -> VarLabel:
     if not isinstance(text, str):
         raise ValueError(f"bad variable label {text!r}; expected a string v_<bus> or theta_<bus>")
     kind, _, bus = text.rpartition("_")
-    if kind not in ("v", "theta") or not bus.removeprefix("-").isdigit():
+    if (kind not in ("v", "theta") or not (bus.isascii() and bus.removeprefix("-").isdigit())
+            or VarLabel(kind, int(bus)).text != text):
         raise ValueError(f"bad variable label {text!r}; expected v_<bus> or theta_<bus>")
     return VarLabel(kind, int(bus))
 

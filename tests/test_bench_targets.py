@@ -44,7 +44,7 @@ def test_estimate_reads_of_the_workloads(radial20, tmp_path, n, method):
     # the attributes the workloads read, and reconstruct() on a loaded
     # estimate, equal to what `learn --out` writes from the same file
     s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), "dc", n, seed=1)
-    est = estimate_concentration(s, method="auto", lam="auto")
+    est = estimate_concentration(s, method=method, lam="auto")
     assert est.method == method
     assert isinstance(est.iterations, int) and isinstance(est.termination, str)
     assert (est.kkt is None) == (method == "direct")

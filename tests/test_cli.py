@@ -112,7 +112,7 @@ def test_pipeline_recovers_topology(runner, tmp_path):
     assert samples.n == 2000 and samples.seed == 3
 
     result = invoke_ok(runner, ["estimate", "--samples", str(csv_path), "--out", str(est_path)])
-    assert "direct inverse" in result.output  # 2000 >= 5 * 19
+    assert "direct inverse" in result.output  # auto is the direct inverse
 
     result = invoke_ok(runner, [
         "learn", "--conc", str(est_path), "--algo", "thresholding",
@@ -151,6 +151,30 @@ def test_estimate_glasso_path(runner, tmp_path):
         "--out", str(tmp_path / "e2.json"),
     ]))
     assert payload["error"] == "ConfigError"
+
+
+def test_estimate_rejects_fewer_samples_than_variables(runner, tmp_path):
+    csv_path, out = tmp_path / "s.csv", tmp_path / "e.json"
+    invoke_ok(runner, ["sample", "--grid", "radial20", "--n", "10", "--out", str(csv_path)])
+    payload = stderr_error(runner.invoke(main, ["estimate", "--samples", str(csv_path),
+                                                "--out", str(out)]))
+    assert payload["error"] == "RankDeficiencyError"
+    assert payload["message"] == ("10 samples of 19 variables are rank deficient: the direct "
+                                  "estimate needs n >= 19; method 'glasso' estimates from fewer")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,match", [("--tol", "-1", "tol must be a positive number"),
+                                              ("--max-iters", "0", "max_iters must be an integer")])
+def test_estimate_rejects_a_bad_glasso_knob_before_reading_samples(runner, tmp_path, flag, value,
+                                                                  match):
+    samples, out = tmp_path / "s.csv", tmp_path / "e.json"
+    samples.write_text("not a sample file\n")
+    payload = stderr_error(runner.invoke(main, ["estimate", "--samples", str(samples), flag, value,
+                                                "--out", str(out)]))
+    assert payload["error"] == "ConfigError"
+    assert match in payload["message"]
+    assert not out.exists()
 
 
 def test_estimate_rejects_non_numeric_sample(runner, tmp_path):
@@ -294,6 +318,16 @@ def test_learn_exact_requires_grid(runner):
     payload = stderr_error(runner.invoke(main, ["learn", "--conc", "exact"]))
     assert payload["error"] == "ConfigError"
     assert "requires --grid" in payload["message"]
+
+
+def test_learn_compare_truth_requires_grid_before_any_output(runner, tmp_path):
+    est, out = tmp_path / "e.json", tmp_path / "t.json"
+    est.write_text(ESTIMATE_DOC % ('[[1.0]]', '"theta_1"'))
+    result = runner.invoke(main, ["learn", "--conc", str(est), "--compare-truth", "--out", str(out)])
+    assert result.stdout == ""
+    assert stderr_error(result) == {"error": "ConfigError",
+                                    "message": "--compare-truth requires --grid"}
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------------

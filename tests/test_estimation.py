@@ -340,15 +340,46 @@ def test_select_lambda_rate(radial20):
 # ----------------------------------------------------------------------
 
 
-def test_estimate_auto_switches_on_sample_size(radial20):
+def test_estimate_auto_is_the_direct_estimate(radial20):
     st = InjectionStats.uniform(radial20)
-    big = generate_voltage_samples(radial20, st, "dc", 200, seed=1)
-    small = generate_voltage_samples(radial20, st, "dc", 50, seed=1)
-    assert estimate_concentration(big).method == "direct"  # 200 >= 5*19
-    est = estimate_concentration(small)
+    s = generate_voltage_samples(radial20, st, "dc", 50, seed=1)
+    assert estimate_concentration(s).to_dict() == estimate_concentration(s, "direct").to_dict()
+    with pytest.raises(RankDeficiencyError, match="18 samples of 19 variables .* needs n >= 19"):
+        estimate_concentration(generate_voltage_samples(radial20, st, "dc", 18, seed=1))
+    # the graphical lasso runs on request only, with the rate-driven penalty
+    est = estimate_concentration(s, "glasso")
     assert est.method == "glasso"
-    assert est.lam == pytest.approx(select_lambda(small))
+    assert est.lam == pytest.approx(select_lambda(s))
     assert est.kkt is not None and est.converged
+
+
+@pytest.mark.parametrize("model", ["dc", "lc"])
+@pytest.mark.parametrize("name", BUILTIN_GRIDS)
+def test_estimate_auto_never_runs_the_graphical_lasso(monkeypatch, name, model):
+    # n from d - 1 to 5d - 1, the counts auto once sent to glasso, on samples
+    # and on a drawn covariance: auto is direct bit for bit, and raises with it
+    import gridtopo.estimation as estimation
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("graphical_lasso called")
+
+    monkeypatch.setattr(estimation, "graphical_lasso", refuse)
+    grid = builtin_grid(name)
+    st = InjectionStats.uniform(grid)
+    plan = draw_plan(grid, st, model)
+    d = len(plan.labels)
+    for n in (d - 1, d, 2 * d, 5 * d - 1):
+        for x in (generate_voltage_samples(grid, st, model, n, seed=n),
+                  draw_sample_covariance(plan, n, seed=n)):
+            outcome = {}
+            for method in ("auto", "direct"):
+                try:
+                    outcome[method] = estimate_concentration(x, method).to_dict()
+                except RankDeficiencyError as exc:
+                    outcome[method] = str(exc)
+            assert outcome["auto"] == outcome["direct"]
+            if n < d:
+                assert f"needs n >= {d}" in outcome["auto"]
 
 
 def test_estimate_auto_inverts_once(radial20, monkeypatch):
@@ -389,7 +420,7 @@ def test_estimate_standard_errors_shape(radial20):
 
 def test_estimate_json_roundtrip(tmp_path, radial20):
     s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), "dc", 60, seed=7)
-    est = estimate_concentration(s)  # glasso path: exercises every field
+    est = estimate_concentration(s, "glasso")  # exercises every field
     path = tmp_path / "est.json"
     write_estimate_json(est, path)
     back = load_estimate_json(path)

@@ -43,48 +43,52 @@ def test_spec_defaults_roundtrip():
     assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
 
-@pytest.mark.parametrize(
-    "kw,match",
-    [
-        ({"model": "ac"}, "model"),
-        ({"algorithm": "regression"}, "algorithm"),
-        ({"estimator": "mle"}, "estimator"),
-        ({"sample_counts": ()}, "must not be empty"),
-        ({"sample_counts": (100, 100)}, "strictly increasing"),
-        ({"sample_counts": (500, 100)}, "strictly increasing"),
-        ({"sample_counts": (0,)}, "positive"),
-        ({"trials": 0}, "trials"),
-        ({"seed": -1}, "seed"),
-        ({"tau1": "magic"}, "tau1"),
-        ({"tau2": float("nan")}, "tau2"),
-        ({"glasso_lambda": "tiny"}, "glasso_lambda"),
-        ({"workers": 0}, "workers"),
-        ({"tau1": -1.0}, "tau1 must be a positive number"),
-        ({"tau1": "0"}, "tau1 must be a positive number"),
-        ({"tau2": 0.5}, "tau2 must be a negative number"),
-        ({"tau2": None}, "tau2 must be a negative number"),
-        ({"glasso_lambda": -1.0}, "glasso_lambda must be a finite number >= 0"),
-        ({"glasso_lambda": float("nan")}, "glasso_lambda must be a finite number >= 0"),
-        ({"trials": 2.5}, "trials must be an integer, got 2.5"),
-        ({"trials": "3"}, "trials must be an integer, got '3'"),
-        ({"trials": True}, "trials must be an integer, got True"),
-        ({"workers": 1.5}, "workers must be an integer, got 1.5"),
-        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
-        ({"sample_counts": (500.7,)}, "each sample count must be an integer, got 500.7"),
-        ({"sample_counts": (500, False)}, "each sample count must be an integer, got False"),
-        ({"sample_counts": 500}, "sample_counts must be a list of integers"),
-        ({"sigma_pp": "abc"}, "sigma_pp must be a number, got 'abc'"),
-        ({"sigma_pp": "2"}, "sigma_pp must be a number, got '2'"),
-        ({"sigma_pp": True}, "sigma_pp must be a number, got True"),
-        ({"sigma_qq": None}, "sigma_qq must be a number, got None"),
-        ({"sigma_pq": [0.5]}, r"sigma_pq must be a number, got \[0.5\]"),
-        ({"sigma_pp": 10**400}, "sigma_pp must fit in a float"),
-        ({"tau1": "gap"}, "tau1 must be a number or 'auto', got 'gap'"),
-        ({"tau2": "gap"}, "tau2 must be a number or 'auto', got 'gap'"),
-        ({"grid": 5}, "grid must be a string, got 5"),
-        ({"exact": "false"}, "exact must be true or false, got 'false'"),
-    ],
-)
+# one row per rejected spec: a fixed tag, the fields and the error they raise.
+# The case id is "<tag>-<error>", so adding a row renames no other case; the
+# tags kw0-kw36 keep the ids these rows had when ids were numbered by position.
+SPEC_REJECTS = [
+    ("kw0", {"model": "ac"}, "model"),
+    ("kw1", {"algorithm": "regression"}, "algorithm"),
+    ("kw2", {"estimator": "mle"}, "estimator"),
+    ("kw3", {"sample_counts": ()}, "must not be empty"),
+    ("kw4", {"sample_counts": (100, 100)}, "strictly increasing"),
+    ("kw5", {"sample_counts": (500, 100)}, "strictly increasing"),
+    ("kw6", {"sample_counts": (0,)}, "positive"),
+    ("kw7", {"trials": 0}, "trials"),
+    ("kw8", {"seed": -1}, "seed"),
+    ("kw9", {"tau1": "magic"}, "tau1"),
+    ("kw10", {"tau2": float("nan")}, "tau2"),
+    ("kw11", {"glasso_lambda": "tiny"}, "glasso_lambda"),
+    ("kw12", {"workers": 0}, "workers"),
+    ("kw13", {"tau1": -1.0}, "tau1 must be a positive number"),
+    ("kw14", {"tau1": "0"}, "tau1 must be a positive number"),
+    ("kw15", {"tau2": 0.5}, "tau2 must be a negative number"),
+    ("kw16", {"tau2": None}, "tau2 must be a negative number"),
+    ("kw17", {"glasso_lambda": -1.0}, "glasso_lambda must be a finite number >= 0"),
+    ("kw18", {"glasso_lambda": float("nan")}, "glasso_lambda must be a finite number >= 0"),
+    ("kw19", {"trials": 2.5}, "trials must be an integer, got 2.5"),
+    ("kw20", {"trials": "3"}, "trials must be an integer, got '3'"),
+    ("kw21", {"trials": True}, "trials must be an integer, got True"),
+    ("kw22", {"workers": 1.5}, "workers must be an integer, got 1.5"),
+    ("kw23", {"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ("kw24", {"sample_counts": (500.7,)}, "each sample count must be an integer, got 500.7"),
+    ("kw25", {"sample_counts": (500, False)}, "each sample count must be an integer, got False"),
+    ("kw26", {"sample_counts": 500}, "sample_counts must be a list of integers"),
+    ("kw27", {"sigma_pp": "abc"}, "sigma_pp must be a number, got 'abc'"),
+    ("kw28", {"sigma_pp": "2"}, "sigma_pp must be a number, got '2'"),
+    ("kw29", {"sigma_pp": True}, "sigma_pp must be a number, got True"),
+    ("kw30", {"sigma_qq": None}, "sigma_qq must be a number, got None"),
+    ("kw31", {"sigma_pq": [0.5]}, r"sigma_pq must be a number, got \[0.5\]"),
+    ("kw32", {"sigma_pp": 10**400}, "sigma_pp must fit in a float"),
+    ("kw33", {"tau1": "gap"}, "tau1 must be a number or 'auto', got 'gap'"),
+    ("kw34", {"tau2": "gap"}, "tau2 must be a number or 'auto', got 'gap'"),
+    ("kw35", {"grid": 5}, "grid must be a string, got 5"),
+    ("kw36", {"exact": "false"}, "exact must be true or false, got 'false'"),
+]
+
+
+@pytest.mark.parametrize("kw,match", [row[1:] for row in SPEC_REJECTS],
+                         ids=[f"{tag}-{match}" for tag, _, match in SPEC_REJECTS])
 def test_spec_validation(kw, match):
     with pytest.raises(ConfigError, match=match):
         ExperimentSpec(**kw)
@@ -184,7 +188,7 @@ def test_run_single_trial_success(radial20):
     stats = spec.stats_for(radial20)
     rec = run_single_trial(radial20, stats, draw_plan(radial20, stats, spec.model), spec, 2000, 0)
     assert (rec.fp, rec.fn, rec.total) == (0, 0, 0)
-    assert rec.method == "direct"  # 2000 >= 5 * 19
+    assert rec.method == "direct"  # auto is the direct estimate
     assert rec.error is None
     assert rec.seed == derive_trial_seed(1, 2000, 0)
 

@@ -60,7 +60,8 @@ def test_labels_and_parse(radial20):
     assert parse_label("theta_12") == VarLabel("theta", 12)
     assert parse_label("v_3").text == "v_3"
     assert parse_label("theta_-3") == VarLabel("theta", -3)  # bus ids may be negative
-    for bad in ("x_1", "theta_", "v_one", "12", "theta_--3", "theta_+3"):
+    for bad in ("x_1", "theta_", "v_one", "12", "theta_--3", "theta_+3",
+                "theta_03", "theta_\u0663", "v_-0", "theta_\u00b2"):
         with pytest.raises(ValueError):
             parse_label(bad)
 

@@ -293,8 +293,8 @@ def test_drawn_covariance_maps_the_documented_bartlett_factor(radial20, n):
 
 @pytest.mark.parametrize("model,n", [("lc", 20), ("lc", 37), ("dc", 10), ("dc", 60), ("dc", 95)])
 def test_drawn_covariance_has_the_rank_of_the_samples(radial20, model, n):
-    # below 2N the scatter has rank n either way, so the direct inverse fails
-    # and auto falls back to glasso exactly where it would on samples
+    # below 2N the scatter has rank n either way, so the direct inverse (auto
+    # with it) fails exactly where it would on samples
     st = InjectionStats.uniform(radial20)
     drawn = draw_sample_covariance(draw_plan(radial20, st, model), n, seed=2)
     samples = generate_voltage_samples(radial20, st, model, n, seed=2)
@@ -302,12 +302,12 @@ def test_drawn_covariance_has_the_rank_of_the_samples(radial20, model, n):
     assert np.linalg.matrix_rank(drawn.covariance) == rank
     assert np.linalg.matrix_rank(samples.covariance) == rank
     for source in (drawn, samples):
-        if rank < source.dim:
-            with pytest.raises(RankDeficiencyError):
-                estimate_concentration(source, method="direct")
-        if model == "dc":
-            want = "direct" if n >= 5 * source.dim else "glasso"
-            assert estimate_concentration(source, method="auto").method == want
+        for method in ("direct", "auto"):
+            if rank < source.dim:
+                with pytest.raises(RankDeficiencyError):
+                    estimate_concentration(source, method=method)
+            else:
+                assert estimate_concentration(source, method=method).method == "direct"
 
 
 def test_estimate_reads_the_covariance_its_input_holds(radial20):

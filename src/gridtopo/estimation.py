@@ -15,12 +15,13 @@ Two estimators behind one interface, named by :data:`ESTIMATORS`:
 
 Samples are treated as zero-mean (fluctuations around an operating point),
 so the empirical covariance is X^T X / n without mean subtraction.  The
-direct estimate factors the input's ``scatter`` S, the covariance itself for
-a SampleSet and the scatter of its whitened draw for the SampleCovariance
-an experiment trial draws, which stays well conditioned however
-ill-conditioned the covariance is; the graphical lasso reads ``covariance``.
-An estimate holds its matrix once, as a ConcentrationMatrix, with the KKT
-residuals glasso computed for the S it returned.
+direct estimate is one solve (numpy's LU one) and a Gram product: against
+the checked Cholesky factor of a SampleSet's covariance, or against C^T, the
+drawn factor of the whitened scatter a SampleCovariance holds, which stays
+well conditioned however ill-conditioned the covariance is.  The graphical
+lasso reads ``covariance``.  An estimate holds its matrix once, as a
+ConcentrationMatrix, with the KKT residuals glasso computed for the S it
+returned.
 """
 from __future__ import annotations
 
@@ -32,21 +33,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError, RankDeficiencyError
+from .exceptions import ConfigError, ModelMismatchError, RankDeficiencyError
 from .powerflow import ConcentrationMatrix, parse_label
 from .sampling import SampleCovariance, SampleSet
 # re-exported: the zero-mean covariance is defined next to the samples
 from .sampling import empirical_covariance  # noqa: F401
 
-def invert_covariance(cov: np.ndarray, system: np.ndarray | None = None) -> np.ndarray:
-    """The direct estimate M^T S^{-1} M of the covariance M^{-1} S M^{-T}
-    (M the identity when ``system`` is None), with an explicit rank check.
+def invert_covariance(cov: np.ndarray) -> np.ndarray:
+    """The inverse of a covariance, with an explicit rank check.
 
-    One Cholesky factor S = L L^T gives it as A^T A with A = L^{-1} M,
-    exactly symmetric, without forming S^{-1} or the covariance.  Raises
-    :class:`RankDeficiencyError` naming the pivot when the factor fails or
-    its smallest pivot L_ii^2 is at most 10 d eps max_i S_ii, ten times the
-    rounding error of a d-term sum in S.
+    One Cholesky factor cov = L L^T gives it as A^T A with A = L^{-1},
+    exactly symmetric.  Raises :class:`RankDeficiencyError` naming the pivot
+    when the factor fails or its smallest pivot L_ii^2 is at most
+    10 d eps max_i cov_ii, ten times the rounding error of a d-term sum in
+    cov.
     """
     S = np.asarray(cov, dtype=float)
     d = S.shape[0]
@@ -64,7 +64,7 @@ def invert_covariance(cov: np.ndarray, system: np.ndarray | None = None) -> np.n
             f"covariance is numerically rank deficient: smallest Cholesky pivot "
             f"{pivot:.6e} against tolerance {tol:.6e}"
         )
-    A = np.linalg.solve(L, np.eye(d) if system is None else system)
+    A = np.linalg.solve(L, np.eye(d))
     return A.T @ A
 
 
@@ -330,7 +330,7 @@ def load_estimate_json(path) -> EstimatedConcentration:
         return EstimatedConcentration.from_dict(doc)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, ModelMismatchError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -342,10 +342,10 @@ def estimate_concentration(
 ) -> EstimatedConcentration:
     """Estimate the concentration matrix from samples or their drawn covariance.
 
-    ``method="auto"`` is ``"direct"``: the inverse through one Cholesky
-    factor, which raises :class:`RankDeficiencyError` when n < d or the
-    factor fails.  Only ``method="glasso"`` runs the graphical lasso, with
-    ``lam`` (``"auto"`` resolves via :func:`select_lambda`).
+    ``method="auto"`` is ``"direct"``: the inverse through one solve against
+    a triangular factor, which raises :class:`RankDeficiencyError` when
+    n < d or a SampleSet's factor fails.  Only ``method="glasso"`` runs the graphical
+    lasso, with ``lam`` (``"auto"`` resolves via :func:`select_lambda`).
     """
     if method not in ESTIMATORS:
         raise ConfigError(f"unknown estimator {method!r}")
@@ -356,7 +356,12 @@ def estimate_concentration(
             raise RankDeficiencyError(f"{samples.n} samples of {d} variables are rank deficient: "
                                       f"the direct estimate needs n >= {d}; method 'glasso' "
                                       f"estimates from fewer")
-        J = invert_covariance(samples.scatter, samples.system)
+        if isinstance(samples, SampleCovariance):
+            # the inverse of M^{-1} C^T C M^{-T} / n; C's diagonal is positive
+            A = np.linalg.solve(samples.factor.T, samples.system)
+            J = samples.n * (A.T @ A)
+        else:
+            J = invert_covariance(samples.covariance)
         return EstimatedConcentration(ConcentrationMatrix(J, samples.labels, samples.model),
                                       method="direct", n_samples=samples.n)
 

@@ -6,11 +6,12 @@ sweep is reproducible bit-for-bit: per-trial seeds derive from
 (seed, n, trial) and result CSVs carry no timestamps (wall-clock metadata
 lives in a JSON sidecar next to the CSV).  Every trial goes through
 :func:`run_single_trial`.  A sampled trial draws the covariance of its n
-snapshots directly (:func:`gridtopo.sampling.draw_sample_covariance`) from
-the sweep's :class:`~gridtopo.sampling.DrawPlan` (whitened system, draw
-column order and labels), built once per sweep, and never builds the
-snapshots; an exact run is the one trial n = 0, which learns from the
-analytic concentration matrix instead and needs no plan.
+snapshots as the Bartlett factor of their whitened scatter
+(:func:`gridtopo.sampling.draw_sample_covariance`) from the sweep's
+:class:`~gridtopo.sampling.DrawPlan`, built once per sweep, and never
+builds the snapshots or their scatter; an exact run is the one trial
+n = 0, which learns from the analytic concentration matrix instead and
+needs no plan.
 """
 from __future__ import annotations
 

@@ -193,6 +193,11 @@ class ConcentrationMatrix:
         if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] != len(labels):
             raise ValueError("concentration matrix shape does not match labels")
         check_layout(labels, model)
+        bad = np.argwhere(~np.isfinite(M))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"concentration matrix entry ({labels[i].text}, {labels[j].text}) "
+                             f"is {M[i, j]}, not a finite number")
         # symmetrised inverses arrive exactly symmetric
         if not np.array_equal(M, M.T):
             scale = np.abs(M).max()

@@ -4,23 +4,23 @@ Injections are drawn i.i.d. per snapshot: each non-reference bus gets a
 correlated (p, q) pair from its 2x2 covariance via an explicit Cholesky
 factor, then the linearized power flow maps injections to voltages.  Both
 steps are linear, so a :class:`DrawPlan` holds them once: the whitened
-system matrix M (:func:`gridtopo.powerflow.whitened_system`) and the column
-of the standard normal draw z that feeds each of M's rows; the samples are
-the single product ``z @ W``, W = M^{-T} with its rows in z's order.  All
-randomness flows through ``numpy.random.default_rng`` (PCG64) seeded from a
-single integer, so a (grid, stats, model, n, seed) tuple reproduces the
-same samples bit-for-bit on a fixed numpy version.
+system matrix M (:func:`gridtopo.powerflow.whitened_system`), whose rows
+take the standard normal draw in (z_p; z_q) block order.  The ``sample``
+command's snapshots are the single product ``z @ W`` of the draw z, its
+(z_p, z_q) columns interleaved per bus, and W = M^{-T} with its rows in z's
+order.  All randomness flows through ``numpy.random.default_rng`` (PCG64)
+seeded from a single integer, so a (grid, stats, model, n, seed) tuple
+reproduces the same samples bit-for-bit on a fixed numpy version.
 
-An experiment trial only needs the samples' scatter X^T X = W^T (z^T z) W,
-so :func:`draw_sample_covariance` draws it without drawing z: z^T z is a
+An experiment trial only needs the samples' covariance, so
+:func:`draw_sample_covariance` draws it without drawing z: z^T z is a
 standard Wishart matrix, and its Bartlett factor R (z = QR) takes O(N^2)
 normal and N chi-square draws instead of n * 2N normal draws (Odell and
-Feiveson 1966).  The same seed gives both models the same R, so DC and LC
-trials remain paired.  A sweep builds its plan once for all its trials.  A
-drawn :class:`SampleCovariance` holds the scatter of the whitened draw and
-M, so the direct estimate factors the former alone.
-``generate_voltage_samples`` (the ``sample`` command) still draws the
-snapshots themselves.
+Feiveson 1966).  R's columns are read in M's block order, and DC reads the
+leading N (z_p) of them, so DC and LC trials at one seed remain paired.  A
+drawn :class:`SampleCovariance` holds M and R's leading d columns, a
+triangle once n >= d, so the direct estimate solves against them and never
+forms the scatter.  A sweep builds its plan once for all its trials.
 """
 from __future__ import annotations
 
@@ -87,6 +87,11 @@ class SampleSet:
             check_layout(self.labels, self.model)
         except ValueError as exc:
             raise SampleFormatError(str(exc)) from None
+        bad = np.argwhere(~np.isfinite(self.data))
+        if bad.size:
+            i, j = bad[0]
+            raise SampleFormatError(f"snapshot {i}, column {self.labels[j].text}: "
+                                    f"{self.data[i, j]} is not a finite number")
 
     @property
     def n(self) -> int:
@@ -100,22 +105,15 @@ class SampleSet:
     def covariance(self) -> np.ndarray:
         return empirical_covariance(self.data)
 
-    #: snapshots are voltages already: no system whitens them
-    system = None
-
-    @property
-    def scatter(self) -> np.ndarray:
-        """The matrix the direct estimate factors: the covariance itself."""
-        return self.covariance
-
 
 @dataclass(frozen=True, eq=False)
 class SampleCovariance:
     """The zero-mean covariance X^T X / n of n snapshots that were never
-    drawn, held as the scatter S of their whitened draw and the whitened
-    system M: X^T X / n = M^{-1} S M^{-T}."""
+    drawn, held as the whitened system M and the factor C (upper triangular
+    once n >= d) of their whitened draw's scatter C^T C:
+    X^T X / n = M^{-1} C^T C M^{-T} / n."""
 
-    scatter: np.ndarray
+    factor: np.ndarray
     system: np.ndarray
     n: int
     labels: tuple[VarLabel, ...]
@@ -127,38 +125,29 @@ class SampleCovariance:
 
     @cached_property
     def covariance(self) -> np.ndarray:
-        """M^{-1} S M^{-T}, formed on first access (the graphical lasso
-        reads it; the direct estimate does not)."""
-        Minv = np.linalg.inv(self.system)
-        cov = Minv @ self.scatter @ Minv.T
-        return (cov + cov.T) / 2.0
+        """B B^T / n with B = M^{-1} C^T, formed on first access (the
+        graphical lasso reads it; the direct estimate does not)."""
+        B = np.linalg.solve(self.system, self.factor.T)
+        return B @ B.T / self.n
 
 
 @dataclass(frozen=True, eq=False)
 class DrawPlan:
     """What every draw on one (grid, stats, model) shares: the whitened
-    system M, the width 2N of the interleaved (z_p, z_q) normal draw,
-    ``order``, the draw column that feeds each of M's block-order rows, and
-    the variable labels.  Built once by :func:`draw_plan`; it pickles, so a
-    sweep sends it to its worker processes as it is."""
+    system M, the width 2N of the (z_p; z_q) normal draw, and the variable
+    labels.  Built once by :func:`draw_plan`; it pickles, so a sweep sends
+    it to its worker processes as it is."""
 
     model: str
     system: np.ndarray
     width: int
-    order: np.ndarray
     labels: tuple[VarLabel, ...]
 
 
 def draw_plan(grid: Grid, stats: InjectionStats, model: str) -> DrawPlan:
-    """The :class:`DrawPlan` of ``model`` on ``grid`` with injections ``stats``.
-
-    Row r of M takes the block-order draw r: z_p of bus r % N, or z_q of
-    that bus once r >= N (LC only), which is z column 2 (r % N) + r // N.
-    """
-    M = whitened_system(grid, stats, model)
-    r = np.arange(M.shape[0])
+    """The :class:`DrawPlan` of ``model`` on ``grid`` with injections ``stats``."""
     labels = dc_labels(grid) if model == "dc" else lc_labels(grid)
-    return DrawPlan(model, M, 2 * stats.n, 2 * (r % stats.n) + r // stats.n, labels)
+    return DrawPlan(model, whitened_system(grid, stats, model), 2 * stats.n, labels)
 
 
 def generate_injections(stats: InjectionStats, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -178,15 +167,16 @@ def _sample_map(plan: DrawPlan) -> np.ndarray:
     """W (2N x d): row k is the voltage response to a unit value of column k
     of the interleaved (z_p, z_q) draw, so the samples are z @ W.
 
-    M^{-1} maps a (z_p; z_q) block-order draw to voltages, so W is M^{-T}
-    with its rows spread into the interleaved order: one solve of M against
-    the unit draws placed at ``plan.order``.  Under DC the z_q rows stay
-    zero: multiplying only the z_p columns would first copy them out of z,
-    n rows, to save a few milliseconds.
+    M's row r takes z_p of bus r % N, or z_q of that bus once r >= N (LC
+    only): z column 2 (r % N) + r // N.  So W is M^{-T} with its rows spread
+    into the interleaved order, one solve of M against the unit draws placed
+    there.  Under DC the z_q rows stay zero: multiplying only the z_p
+    columns would first copy them out of z, n rows, to save milliseconds.
     """
-    d = plan.system.shape[0]
+    d, N = plan.system.shape[0], plan.width // 2
+    r = np.arange(d)
     units = np.zeros((d, plan.width))
-    units[np.arange(d), plan.order] = 1.0
+    units[r, 2 * (r % N) + r // N] = 1.0
     return np.linalg.solve(plan.system, units).T
 
 
@@ -215,28 +205,25 @@ def generate_voltage_samples(
 def draw_sample_covariance(plan: DrawPlan, n: int, seed: int) -> SampleCovariance:
     """The covariance of n voltage snapshots, drawn without drawing them.
 
-    The snapshots' scatter is W^T (z^T z) W with z the n x 2N normal draw of
-    :func:`generate_voltage_samples`.  z^T z = R^T R for the R of a QR of z,
-    and R (m x 2N, m = min(n, 2N), upper trapezoidal) is drawn directly from
-    ``default_rng(seed)``: one ``standard_normal((m, 2N))`` of which only the
-    entries above the diagonal are kept, then ``sqrt(chisquare(n - i))`` on
-    diagonal i = 0 .. m-1.  For n < 2N the scatter has rank n, as the
-    samples' has.  The draw does not depend on the model, so DC and LC at
-    one seed map the same z^T z.
-
-    With C = R[:, plan.order], RW = C M^{-T}, so the result holds the
-    whitened scatter S = C^T C / n and M, and its covariance is
-    M^{-1} S M^{-T}.
+    The snapshots are M^{-1} z for a standard normal z of n rows in
+    (z_p; z_q) block order, so their scatter is M^{-1} (z^T z) M^{-T}, and
+    z^T z = R^T R for the R of a QR of z.  R (m x 2N, m = min(n, 2N), upper
+    trapezoidal) is drawn from ``default_rng(seed)``: one
+    ``standard_normal((m, 2N))`` of which only the entries above the
+    diagonal are kept, then ``sqrt(chisquare(n - i))`` on diagonal i.  The
+    d variables read R's leading d columns (DC its N z_p, LC all 2N), so DC
+    and LC at one seed share R.  Rows from d on are zero there, so the
+    result holds C = R[:min(n, d), :d]: upper triangular with a positive
+    diagonal for n >= d, and of rank n, as the samples' scatter, for n < d.
     """
     if n <= 0:
         raise SampleFormatError(f"sample count must be positive, got {n}")
-    k = plan.width
+    k, d = plan.width, len(plan.labels)
     m = min(n, k)
     rng = np.random.default_rng(int(seed))
     R = np.triu(rng.standard_normal((m, k)), 1)
     R[np.arange(m), np.arange(m)] = np.sqrt(rng.chisquare(n - np.arange(m)))
-    C = R[:, plan.order]
-    return SampleCovariance(scatter=C.T @ C / n, system=plan.system, n=n,
+    return SampleCovariance(factor=R[:min(n, d), :d], system=plan.system, n=n,
                             labels=plan.labels, model=plan.model)
 
 

@@ -261,9 +261,16 @@ ESTIMATE_DOC = '{"matrix": %s, "labels": [%s], "model": "dc", "method": "direct"
          "method must be 'direct' or 'glasso', got 'banana'"),
         (ESTIMATE_DOC.replace('"direct"', '5') % ('[[1.0]]', '"theta_1"'),
          "method must be 'direct' or 'glasso', got 5"),
+        (ESTIMATE_DOC % ('[[1.0, NaN], [NaN, 1.0]]', '"theta_1", "theta_2"'),
+         "concentration matrix entry (theta_1, theta_2) is nan, not a finite number"),
+        (ESTIMATE_DOC % ('[[1.0, Infinity], [Infinity, 1.0]]', '"theta_1", "theta_2"'),
+         "concentration matrix entry (theta_1, theta_2) is inf, not a finite number"),
+        (ESTIMATE_DOC.replace('"dc"', '"ac"') % ('[[1.0]]', '"theta_1"'),
+         "model must be 'dc' or 'lc', got 'ac'"),
     ],
     ids=["invalid-json", "missing-field", "asymmetric", "not-pd", "bad-label", "non-numeric",
-         "zero-samples", "lc-without-v", "repeated-bus", "unknown-method", "integer-method"],
+         "zero-samples", "lc-without-v", "repeated-bus", "unknown-method", "integer-method",
+         "nan-pair", "inf-pair", "unknown-model"],
 )
 def test_learn_rejects_malformed_estimate(runner, tmp_path, text, match):
     path = tmp_path / "bad.json"

@@ -1,6 +1,9 @@
 """Covariance estimation and the graphical lasso solver."""
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridtopo.estimation import (
     EstimatedConcentration,
@@ -43,14 +46,9 @@ def test_empirical_covariance_zero_mean_form():
 
 def test_invert_covariance_matches_numpy():
     cov = random_pd_cov(np.random.default_rng(0), 6)
-    np.testing.assert_allclose(invert_covariance(cov), np.linalg.inv(cov), rtol=1e-9)
-    # with a system M, cov is the scatter S of the covariance M^{-1} S M^{-T}:
-    # the estimate is that covariance's inverse, exactly symmetric
-    M = np.random.default_rng(1).standard_normal((6, 6)) + 3 * np.eye(6)
-    J = invert_covariance(cov, M)
-    Minv = np.linalg.inv(M)
+    J = invert_covariance(cov)
     assert np.array_equal(J, J.T)
-    np.testing.assert_allclose(J, np.linalg.inv(Minv @ cov @ Minv.T), rtol=1e-9)
+    np.testing.assert_allclose(J, np.linalg.inv(cov), rtol=1e-9)
 
 
 def test_invert_covariance_matches_analytic_concentration(radial20):
@@ -76,21 +74,17 @@ def test_invert_covariance_rank_deficiency():
 
 
 def _covariance_as_formed(grid, st, model, n, seed):
-    """A drawn trial covariance formed as the sweep once formed it: the
-    Bartlett factor R that draw_sample_covariance documents, the
-    unit-response map W (rows of M^{-T} at their interleaved draw columns),
-    then (RW)^T (RW) / n, symmetrised."""
+    """A drawn trial covariance formed densely: the Bartlett factor R that
+    draw_sample_covariance documents, its columns z's in (z_p; z_q) block
+    order, of which the d variables read the leading d, mapped through
+    M^{-T}, then (R M^{-T})^T (R M^{-T}) / n, symmetrised."""
     M = whitened_system(grid, st, model)
     d, k = M.shape[0], 2 * st.n
-    units = np.zeros((d, k))
-    r = np.arange(d)
-    units[r, 2 * (r % st.n) + r // st.n] = 1.0
-    W = np.linalg.solve(M, units).T
     m = min(n, k)
     rng = np.random.default_rng(seed)
     R = np.triu(rng.standard_normal((m, k)), 1)
     R[np.arange(m), np.arange(m)] = np.sqrt(rng.chisquare(n - np.arange(m)))
-    B = R @ W
+    B = R[:, :d] @ np.linalg.inv(M).T
     cov = B.T @ B / n
     return (cov + cov.T) / 2.0
 
@@ -123,13 +117,43 @@ def test_direct_estimate_is_the_inverse_of_the_formed_covariance(name, model):
     assert max(worst.values()) <= 1e-9, worst
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([1, 2, 5]))
+def test_drawn_estimate_is_the_inverse_on_random_grids(make_random_tree, make_random_triangle_grid,
+                                                       seed, triangles, multiple):
+    # random trees and triangle grids with random per-bus stats, n = d, 2d
+    # or 5d: the factor route equals np.linalg.inv of the covariance formed
+    # densely, within 1e-9 or, only at n = d, whose draws can be
+    # ill-conditioned, within that inverse's own forward error cond * eps;
+    # and the DC draw at one seed is the z_p block of the LC one
+    rng = np.random.default_rng(seed)
+    grid = make_random_triangle_grid(rng) if triangles else make_random_tree(rng, int(rng.integers(2, 16)))
+    k = len(grid.non_reference_buses)
+    pp, qq = rng.uniform(0.5, 2.0, k), rng.uniform(0.5, 2.0, k)
+    stats = InjectionStats(pp, qq, rng.uniform(-0.9, 0.9, k) * np.sqrt(pp * qq))
+    for model in ("dc", "lc"):
+        plan = draw_plan(grid, stats, model)
+        n = multiple * len(plan.labels)
+        formed = _covariance_as_formed(grid, stats, model, n, seed)
+        est = estimate_concentration(draw_sample_covariance(plan, n, seed), method="direct")
+        bound = max(1e-9, np.linalg.cond(formed) * np.finfo(float).eps) if multiple == 1 else 1e-9
+        assert _relative(est.concentration.matrix, np.linalg.inv(formed)) <= bound
+    n = multiple * 2 * k
+    dc, lc = (draw_sample_covariance(draw_plan(grid, stats, model), n, seed) for model in ("dc", "lc"))
+    assert np.array_equal(dc.factor, lc.factor[:k, :k])
+    lc_scatter = lc.factor.T @ lc.factor
+    np.testing.assert_allclose(dc.factor.T @ dc.factor, lc_scatter[:k, :k],
+                               rtol=0, atol=1e-12 * np.abs(lc_scatter).max())
+
+
 def test_deep_feeder_estimates_at_full_rank():
     # a 1 000-bus tree, each bus fed from one of the 3 buses before it: its
     # DC covariance H^{-1} P H^{-1} has condition number cond(H)^2, so at
     # n = 10d the drawn covariance's eigenvalue ratio falls below 1e-12 (the
-    # rank test on the covariance's eigenvalues refused it).  The whitened
-    # scatter's factor is far from singular, and the estimate is as good
-    # as the samples allow (1/sqrt(n) ~ 0.01 per entry; worst entry 0.132)
+    # rank test on the covariance's eigenvalues refused it).  The drawn
+    # factor of the whitened scatter is far from singular, and the estimate
+    # is as good as the samples allow (1/sqrt(n) ~ 0.01 per entry; worst
+    # entry 0.1399)
     rng = np.random.default_rng(0)
     grid = make_grid(0, range(1000), [(int(rng.integers(max(0, i - 3), i)), i, 0.05, 0.1)
                                       for i in range(1, 1000)])
@@ -137,8 +161,11 @@ def test_deep_feeder_estimates_at_full_rank():
     drawn = draw_sample_covariance(draw_plan(grid, st, "dc"), 10 * 999, seed=1)
     w = np.linalg.eigvalsh(drawn.covariance)
     assert w[0] / w[-1] < 1e-12
-    pivots = np.diag(np.linalg.cholesky(drawn.scatter)) ** 2
-    assert pivots.min() / np.diag(drawn.scatter).max() > 0.8
+    # C^T / sqrt(n) is the whitened scatter's Cholesky factor: its smallest
+    # pivot against the scatter's largest diagonal entry
+    C = drawn.factor
+    assert np.array_equal(C, np.triu(C)) and C.shape == (999, 999)
+    assert np.diag(C).min() ** 2 / (C**2).sum(axis=0).max() > 0.8
     est = estimate_concentration(drawn, method="direct")
     J = dc_concentration(grid, st).matrix
     assert _relative(est.concentration.matrix, J) < 0.14
@@ -387,9 +414,9 @@ def test_estimate_auto_inverts_once(radial20, monkeypatch):
 
     calls = []
 
-    def counting_inverse(cov, system=None):
+    def counting_inverse(cov):
         calls.append(cov.shape)
-        return invert_covariance(cov, system)
+        return invert_covariance(cov)
 
     monkeypatch.setattr(estimation, "invert_covariance", counting_inverse)
     s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), "dc", 200, seed=1)
@@ -480,16 +507,25 @@ ONE_BY_ONE = ESTIMATE_DOC % ("[[1.0]]", '"theta_1"')
         (ONE_BY_ONE.replace("}", ', "kkt": [1]}'), r"kkt must be an object or null, got \[1\]"),
         (ONE_BY_ONE.replace('"direct"', '"banana"'), "method must be 'direct' or 'glasso', got 'banana'"),
         (ONE_BY_ONE.replace('"direct"', '5'), "method must be 'direct' or 'glasso', got 5"),
+        (ESTIMATE_DOC % ('[[1.0, NaN], [NaN, 1.0]]', '"theta_1", "theta_2"'),
+         r"concentration matrix entry \(theta_1, theta_2\) is nan, not a finite number"),
+        (ESTIMATE_DOC % ('[[1.0, Infinity], [Infinity, 1.0]]', '"theta_1", "theta_2"'),
+         r"concentration matrix entry \(theta_1, theta_2\) is inf, not a finite number"),
+        (ONE_BY_ONE.replace('"dc"', '"ac"'), "model must be 'dc' or 'lc', got 'ac'"),
     ],
     ids=["invalid-json", "missing-labels", "asymmetric", "not-pd", "bad-label", "integer-label",
          "non-numeric", "zero-samples", "lc-without-v", "repeated-bus", "fractional-samples", "string-samples",
          "bool-samples", "huge-entry", "string-converged", "integer-converged", "fractional-iterations",
          "bool-iterations", "string-lambda", "bool-lambda", "negative-lambda", "nan-lambda", "huge-lambda",
          "integer-termination", "string-trace", "trace-with-a-string", "list-kkt", "unknown-method",
-         "integer-method"],
+         "integer-method", "nan-pair", "inf-pair", "unknown-model"],
 )
 def test_load_estimate_json_rejects_malformed_files(tmp_path, text, match):
     path = tmp_path / "bad.json"
     path.write_text(text)
-    with pytest.raises(ConfigError, match=match):
-        load_estimate_json(path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConfigError, match=match) as exc:
+            load_estimate_json(path)
+    assert str(exc.value).startswith(f"{path}: ")
+    assert caught == []

@@ -249,17 +249,18 @@ _OK = (0, 0, None)
 
 # Per-trial (fp, fn, error) of the sweep below, recorded with each trial's
 # covariance drawn through the Bartlett factor of its Wishart scatter
-# (draw_sample_covariance), not from snapshots.  Every counting trial hits
-# the known leaf/skeleton defect and scores all 18 lines missed.
+# (draw_sample_covariance), its columns read in (z_p; z_q) block order, not
+# from snapshots.  Every counting trial hits the known leaf/skeleton defect
+# and scores all 18 lines missed.
 PINNED_MINI_SWEEP = {
     ("dc", "thresholding"): [_OK] * 10,
     ("dc", "counting"): [(0, 18, e) for e in [
-        _NO_SKELETON, _NO_SKELETON, _leaf(1, []), _NO_SKELETON, _leaf(1, [2, 3]),
-        _leaf(1, []), _leaf(4, []), _leaf(1, []), _leaf(4, []), _leaf(1, [2, 3])]],
+        _NO_SKELETON, _NO_SKELETON, _NO_SKELETON, _leaf(3, [1, 2]), _NO_SKELETON,
+        _leaf(1, []), _leaf(1, []), _leaf(1, []), _leaf(1, [2, 3]), _leaf(1, [])]],
     ("lc", "thresholding"): [_OK] * 10,
     ("lc", "counting"): [(0, 18, e) for e in [
-        _leaf(3, [1, 2]), _leaf(3, [1, 2]), _NO_SKELETON, _NO_SKELETON, _leaf(1, [2, 9]),
-        _leaf(1, []), _leaf(1, []), _leaf(1, [2, 3]), _leaf(3, []), _leaf(1, [])]],
+        _leaf(3, [1, 2]), _NO_SKELETON, _leaf(1, []), _NO_SKELETON, _NO_SKELETON,
+        _leaf(4, []), _leaf(3, []), _leaf(4, []), _leaf(6, []), _leaf(1, [2, 9])]],
 }
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridtopo.estimation import empirical_covariance, estimate_concentration
+from gridtopo.estimation import empirical_covariance, estimate_concentration, graphical_lasso, select_lambda
 from gridtopo.exceptions import (
     InvalidInjectionStatsError,
     ModelMismatchError,
@@ -273,15 +273,15 @@ def test_same_seed_reproduces_the_drawn_covariance(radial20, model):
 def test_drawn_covariance_maps_the_documented_bartlett_factor(radial20, n):
     # with unit, uncorrelated injections z^T z is the scatter of (p, q); the
     # power flow maps the drawn covariances back to it, and DC and LC at one
-    # seed map the same R^T R, built here as draw_sample_covariance documents
+    # seed map the same R^T R, built here as draw_sample_covariance documents:
+    # its columns are z's in (z_p; z_q) block order
     N = 19
     st = InjectionStats(np.ones(N), np.ones(N), np.zeros(N))
     rng = np.random.default_rng(4)
     m = min(n, 2 * N)
     R = np.triu(rng.standard_normal((m, 2 * N)), 1)
     R[np.arange(m), np.arange(m)] = np.sqrt(rng.chisquare(n - np.arange(m)))
-    block = np.concatenate([np.arange(0, 2 * N, 2), np.arange(1, 2 * N, 2)])
-    scatter = (R.T @ R)[np.ix_(block, block)]  # (z_p; z_q) block order
+    scatter = R.T @ R
     A = lc_system_matrix(radial20)
     lc = n * A @ draw_sample_covariance(draw_plan(radial20, st, "lc"), n, seed=4).covariance @ A.T
     H = reduced_laplacian(radial20)
@@ -311,15 +311,24 @@ def test_drawn_covariance_has_the_rank_of_the_samples(radial20, model, n):
 
 
 def test_estimate_reads_the_covariance_its_input_holds(radial20):
-    # one estimator body: a SampleCovariance holding a SampleSet's covariance
-    # gives the same estimate, bit for bit, by either method
-    s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), "dc", 60, seed=3)
-    held = SampleCovariance(scatter=s.covariance, system=np.eye(s.dim), n=s.n, labels=s.labels,
-                            model=s.model)
-    for method in ("direct", "glasso"):
-        a = estimate_concentration(s, method=method).to_dict()
-        b = estimate_concentration(held, method=method).to_dict()
-        assert a == b
+    # one estimator interface: a SampleCovariance holding sqrt(n) times the
+    # Cholesky factor of a SampleSet's covariance gives the same direct
+    # estimate bit for bit (n = 64: scaling by sqrt(n) = 8 is exact), and
+    # runs glasso on the covariance it holds, which is the SampleSet's
+    # within rounding, so the two glasso estimates agree within its tol
+    s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), "dc", 64, seed=3)
+    held = SampleCovariance(factor=np.sqrt(s.n) * np.linalg.cholesky(s.covariance).T,
+                            system=np.eye(s.dim), n=s.n, labels=s.labels, model=s.model)
+    assert estimate_concentration(held, "direct").to_dict() == estimate_concentration(s, "direct").to_dict()
+    np.testing.assert_allclose(held.covariance, s.covariance, rtol=1e-12, atol=0)
+    a = estimate_concentration(s, method="glasso")
+    b = estimate_concentration(held, method="glasso")
+    lam = select_lambda(held)
+    assert b.lam == lam
+    assert np.array_equal(b.concentration.matrix, graphical_lasso(held.covariance, lam)[0])
+    assert (a.method, a.n_samples, a.lam) == (b.method, b.n_samples, b.lam)
+    np.testing.assert_allclose(b.concentration.matrix, a.concentration.matrix,
+                               rtol=0, atol=1e-6 * np.abs(a.concentration.matrix).max())
 
 
 def test_draw_rejects_bad_arguments(radial20):
@@ -352,6 +361,17 @@ def test_sampleset_validation(radial20):
         SampleSet(np.zeros((4, 3)), labels, "dc", 0, "h")
     with pytest.raises(ModelMismatchError):
         SampleSet(np.zeros((4, 19)), labels, "ac", 0, "h")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_sampleset_rejects_a_non_finite_entry(radial20, value):
+    # an in-memory set fails where it is built, naming the entry, and never
+    # reaches the Cholesky factor of its covariance
+    data = np.ones((40, 19))
+    data[7, 2] = value
+    with pytest.raises(SampleFormatError) as exc:
+        SampleSet(data, dc_labels(radial20), "dc", 0, "h")
+    assert str(exc.value) == f"snapshot 7, column theta_3: {value} is not a finite number"
 
 
 @pytest.mark.parametrize(

@@ -224,13 +224,13 @@ def certify(grid_ref, out, sigma_pp, sigma_qq, sigma_pq):
     report = check_sufficiency(g, stats)
     if out:
         write_sufficiency_csv(report, out)
-        click.echo(f"wrote {len(report.certificates)} certificates to {out}")
+        lines = [f"wrote {len(report.certificates)} certificates to {out}"]
     else:
-        click.echo(",".join(CERTIFICATE_COLUMNS))
-        for c in report.certificates:
-            click.echo(",".join(certificate_row(c)))
+        lines = [",".join(CERTIFICATE_COLUMNS)]
+        lines += [",".join(certificate_row(c)) for c in report.certificates]
     ok = sum(1 for c in report.certificates if c.satisfied)
-    click.echo(f"satisfied: {ok}/{len(report.certificates)}", err=False)
+    lines.append(f"satisfied: {ok}/{len(report.certificates)}")
+    click.echo("\n".join(lines))  # one write: each echo flushes
 
 
 @main.command()

@@ -344,8 +344,11 @@ def estimate_concentration(
 
     ``method="auto"`` is ``"direct"``: the inverse through one solve against
     a triangular factor, which raises :class:`RankDeficiencyError` when
-    n < d or a SampleSet's factor fails.  Only ``method="glasso"`` runs the graphical
-    lasso, with ``lam`` (``"auto"`` resolves via :func:`select_lambda`).
+    n < d, a SampleSet's factor fails or the result is not a valid
+    concentration matrix.  A drawn stack of trials gives one stacked solve
+    and one stacked :class:`ConcentrationMatrix`.  Only ``method="glasso"``
+    runs the graphical lasso, on one covariance, with ``lam`` (``"auto"``
+    resolves via :func:`select_lambda`).
     """
     if method not in ESTIMATORS:
         raise ConfigError(f"unknown estimator {method!r}")
@@ -357,13 +360,22 @@ def estimate_concentration(
                                       f"the direct estimate needs n >= {d}; method 'glasso' "
                                       f"estimates from fewer")
         if isinstance(samples, SampleCovariance):
-            # the inverse of M^{-1} C^T C M^{-T} / n; C's diagonal is positive
-            A = np.linalg.solve(samples.factor.T, samples.system)
-            J = samples.n * (A.T @ A)
+            # the inverse of M^{-1} C^T C M^{-T} / n; C's diagonal is positive.
+            # M is broadcast to every trial of a stack (numpy 1.x would read
+            # a lone (d, d) M under a (T, d, d) C^T as a stack of vectors)
+            C, M = samples.factor, samples.system
+            A = np.linalg.solve(C.swapaxes(-1, -2), np.broadcast_to(M, C.shape[:-2] + M.shape))
+            J = A.swapaxes(-1, -2) @ A
+            J *= samples.n
+            del A  # validation needs only J
         else:
             J = invert_covariance(samples.covariance)
-        return EstimatedConcentration(ConcentrationMatrix(J, samples.labels, samples.model),
-                                      method="direct", n_samples=samples.n)
+        try:
+            conc = ConcentrationMatrix(J, samples.labels, samples.model)
+        except ValueError as exc:
+            raise RankDeficiencyError(f"the direct estimate is not a concentration matrix: "
+                                      f"{exc}") from None
+        return EstimatedConcentration(conc, method="direct", n_samples=samples.n)
 
     lam_val = select_lambda(samples) if lam == "auto" else float(lam)
     S, info = graphical_lasso(samples.covariance, lam_val, config)

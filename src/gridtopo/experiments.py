@@ -4,14 +4,19 @@ An :class:`ExperimentSpec` pins everything that affects results (grid, model,
 algorithm, estimator, sample counts, trial count, seed, thresholds), so a
 sweep is reproducible bit-for-bit: per-trial seeds derive from
 (seed, n, trial) and result CSVs carry no timestamps (wall-clock metadata
-lives in a JSON sidecar next to the CSV).  Every trial goes through
-:func:`run_single_trial`.  A sampled trial draws the covariance of its n
-snapshots as the Bartlett factor of their whitened scatter
+lives in a JSON sidecar next to the CSV).  The trials of each n run as
+stacks through :func:`run_trials`, of which :func:`run_single_trial` is the
+stack of one.  A sampled trial draws the covariance of its n snapshots as
+the Bartlett factor of their whitened scatter
 (:func:`gridtopo.sampling.draw_sample_covariance`) from the sweep's
 :class:`~gridtopo.sampling.DrawPlan`, built once per sweep, and never
-builds the snapshots or their scatter; an exact run is the one trial
-n = 0, which learns from the analytic concentration matrix instead and
-needs no plan.
+builds the snapshots or their scatter.  A stack draws each trial from its
+own seed, as alone, then estimates and thresholds all of them at once:
+one stacked solve, one stacked concentration-matrix check and one pass of
+noise scales and threshold masks; only counting's set logic and the
+scoring run per trial, so a stack's records are those of its trials run
+one at a time.  An exact run is the one trial n = 0, which learns from the
+analytic concentration matrix instead and needs no plan.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ import json
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from itertools import product, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -172,16 +177,31 @@ def reconstruct(
     tau1: float | str = "auto",
     tau2: float | str = "auto",
     est: EstimatedConcentration | None = None,
-) -> LearnedTopology:
-    """One learning step on a concentration matrix (exact or estimated)."""
+) -> LearnedTopology | list[LearnedTopology | GridTopoError]:
+    """One learning step on a concentration matrix (exact or estimated).
+
+    A stack of trials' matrices is thresholded in one pass and gives a list
+    with, per trial, its topology or the package error its counting raised.
+    """
     if algorithm == "counting":
         t1, scale = resolve_tau1(tau1, conc, est)
         gm = build_graphical_model(conc, t1, scale)
-        return learn_by_counting(gm)
+        if gm.mask.ndim == 1:
+            return learn_by_counting(gm)
+        return [_learn_or_error(gm[k]) for k in range(len(gm.mask))]
     if algorithm == "thresholding":
         t2, scale = resolve_tau2(tau2, conc, est)
         return learn_by_thresholding(conc, t2, scale)
     raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
+
+
+def _learn_or_error(gm) -> LearnedTopology | GridTopoError:
+    try:
+        return learn_by_counting(gm)
+    except GridTopoError as exc:
+        # its traceback's frames reach the list that will hold it: a cycle
+        # that keeps the stack alive until the next garbage collection
+        return exc.with_traceback(None)
 
 
 # ----------------------------------------------------------------------
@@ -222,64 +242,99 @@ class ExperimentResult:
         return out
 
 
-def run_single_trial(grid: Grid, stats: InjectionStats, plan: DrawPlan | None,
-                     spec: ExperimentSpec, n: int, trial: int) -> TrialRecord:
-    """One trial, scored against the grid's lines.
+#: most bytes of one (T, d, d) array of a stack of T trials, 8 T d^2.  A
+#: stack holds about three at once, so a sweep's peak memory stays near one
+#: trial's; above d = 128 every stack is one trial.
+STACK_BYTES = 256 * 2**10
+
+
+def run_trials(grid: Grid, stats: InjectionStats, plan: DrawPlan | None,
+               spec: ExperimentSpec, n: int, trials: tuple[int, ...]) -> list[TrialRecord]:
+    """The trials ``trials`` at sample count n as one stack, each scored
+    against the grid's lines.
 
     ``n = 0`` is the exact trial: learning runs on the analytic
     concentration matrix, with no seed and method ``"exact"``, and draws
-    nothing, so it needs no ``plan``.  Any other n draws the covariance of n
-    snapshots from the sweep's ``plan``, estimates and learns, seeded from
-    (spec.seed, n, trial).
+    nothing, so it needs no ``plan``.  Any other n draws each trial's
+    covariance of n snapshots from the sweep's ``plan``, seeded from
+    (spec.seed, n, trial), then estimates and learns them as a stack; a
+    single trial is drawn unstacked, the one form the graphical lasso takes.
 
     Failures of any stage that raise a package error are recorded in the
     trial and scored as a reconstruction with no edges (everything missed);
-    the sweep carries on.
+    the sweep carries on.  A failure of the stack as a whole reruns its
+    trials one at a time, so only the trials it belongs to record it.
     """
-    seed = None if n == 0 else derive_trial_seed(spec.seed, n, trial)
-    error = None
+    seeds = [None if n == 0 else derive_trial_seed(spec.seed, n, t) for t in trials]
     method = "exact" if n == 0 else None
     try:
         if n == 0:
             conc = (dc_concentration if spec.model == "dc" else lc_concentration)(grid, stats)
             est = None
         else:
-            drawn = draw_sample_covariance(plan, n, seed)
+            drawn = draw_sample_covariance(plan, n, seeds if len(trials) > 1 else seeds[0])
             est = estimate_concentration(drawn, method=spec.estimator, lam=spec.glasso_lambda)
             conc, method = est.concentration, est.method
-        topo = reconstruct(conc, spec.algorithm, spec.tau1, spec.tau2, est=est)
+        learned = reconstruct(conc, spec.algorithm, spec.tau1, spec.tau2, est=est)
     except GridTopoError as exc:
-        error = f"{type(exc).__name__}: {exc}"
-        topo = LearnedTopology(buses=grid.non_reference_buses, edges=frozenset(),
-                               algorithm=spec.algorithm)
-    err = edge_errors(topo, grid)
-    return TrialRecord(n=n, trial=trial, fp=err.false_positives,
-                       fn=err.false_negatives, total=err.total, seed=seed,
-                       error=error, method=method)
+        if len(trials) > 1:
+            return [rec for t in trials for rec in run_trials(grid, stats, plan, spec, n, (t,))]
+        learned = exc.with_traceback(None)  # this frame holds it: no cycle
+    records = []
+    for trial, seed, topo in zip(trials, seeds, learned if isinstance(learned, list) else [learned]):
+        error = None
+        if isinstance(topo, GridTopoError):
+            error = f"{type(topo).__name__}: {topo}"
+            topo = LearnedTopology(buses=grid.non_reference_buses, edges=frozenset(),
+                                   algorithm=spec.algorithm)
+        err = edge_errors(topo, grid)
+        records.append(TrialRecord(n=n, trial=trial, fp=err.false_positives,
+                                   fn=err.false_negatives, total=err.total, seed=seed,
+                                   error=error, method=method))
+    return records
+
+
+def run_single_trial(grid: Grid, stats: InjectionStats, plan: DrawPlan | None,
+                     spec: ExperimentSpec, n: int, trial: int) -> TrialRecord:
+    """One trial, scored against the grid's lines: :func:`run_trials` of it alone."""
+    return run_trials(grid, stats, plan, spec, n, (trial,))[0]
+
+
+def _stacks(spec: ExperimentSpec, d: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The sweep's tasks, (n, trials) in sweep order: each n's trials in
+    contiguous stacks within :data:`STACK_BYTES`, at least one per worker;
+    the graphical lasso takes one trial per stack."""
+    if spec.exact:
+        return [(0, (0,))]
+    size = 1 if spec.estimator == "glasso" else max(1, STACK_BYTES // (8 * d * d))
+    count = max(-(-spec.trials // size), min(spec.workers, spec.trials))
+    chunks = [tuple(c.tolist()) for c in np.array_split(np.arange(spec.trials), count)]
+    return [(n, chunk) for n in spec.sample_counts for chunk in chunks]
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Execute the full sweep described by ``spec`` deterministically.
 
     With ``exact=True`` the sweep collapses to the one exact trial (n = 0).
-    ``workers > 1`` distributes trials over ``min(workers, trials)``
-    processes; either way records come back in sweep order, (n, trial)
-    ascending.
+    The trials of each n run as stacks (:func:`run_trials`); ``workers > 1``
+    distributes the stacks over ``min(workers, stacks)`` processes.  Either
+    way records come back in sweep order, (n, trial) ascending.
     """
     grid = resolve_grid(spec.grid)
     stats = spec.stats_for(grid)
     # an exact sweep draws nothing, and M is a dense d x d array
     plan = None if spec.exact else draw_plan(grid, stats, spec.model)
-    tasks = [(0, 0)] if spec.exact else list(product(spec.sample_counts, range(spec.trials)))
+    tasks = _stacks(spec, len(plan.labels) if plan else 0)
     args = (repeat(grid), repeat(stats), repeat(plan), repeat(spec), *zip(*tasks))
     # the pool forks all its workers at once, so it gets no more than the tasks
     workers = min(spec.workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_single_trial, *args, chunksize=1))
+            stacks = list(pool.map(run_trials, *args, chunksize=1))
     else:
-        records = list(map(run_single_trial, *args))
-    return ExperimentResult(spec=spec, grid_hash=grid_hash(grid), records=tuple(records))
+        stacks = list(map(run_trials, *args))
+    records = tuple(rec for stack in stacks for rec in stack)
+    return ExperimentResult(spec=spec, grid_hash=grid_hash(grid), records=records)
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -114,7 +115,7 @@ def concentration_standard_error(pairs: Pairs, n: int) -> Pairs:
     """
     d = pairs.diagonal
     return pairs._replace(diagonal=np.sqrt((d * d + d**2) / n),
-                          vals=np.sqrt((d[pairs.rows] * d[pairs.cols] + pairs.vals**2) / n))
+                          vals=np.sqrt((d[..., pairs.rows] * d[..., pairs.cols] + pairs.vals**2) / n))
 
 
 def gm_noise_scale(est: EstimatedConcentration) -> Pairs:
@@ -177,8 +178,11 @@ def _scaled(pairs: Pairs, values: np.ndarray, scale: Pairs | None) -> np.ndarray
     return values / scale.vals
 
 
-def _pairs_where(pairs: Pairs, mask: np.ndarray, keys) -> frozenset:
-    """Ordered ``keys`` pairs at the positions of ``pairs`` where ``mask`` holds."""
+def _pairs_where(pairs, mask: np.ndarray, keys) -> frozenset | list[frozenset]:
+    """Ordered ``keys`` pairs at the positions (``rows``, ``cols``) of
+    ``pairs`` where ``mask`` holds; for a stacked mask, one set per trial."""
+    if mask.ndim > 1:
+        return [_pairs_where(pairs, m, keys) for m in mask]
     at = np.flatnonzero(mask)
     return frozenset(_pair(keys[a], keys[b]) for a, b in zip(pairs.rows[at].tolist(), pairs.cols[at].tolist()))
 
@@ -188,14 +192,57 @@ def _pairs_where(pairs: Pairs, mask: np.ndarray, keys) -> frozenset:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
 class GraphicalModel:
-    """Thresholded conditional-independence graph over voltage variables."""
+    """Thresholded conditional-independence graph over voltage variables.
 
-    labels: tuple[VarLabel, ...]
-    edges: frozenset[tuple[VarLabel, VarLabel]]
-    model: str
-    tau1: float
+    Held as variable-index pairs (``rows`` < ``cols``) and the boolean
+    ``mask`` of those that are edges.  A mask with a leading trial axis holds
+    one graph per trial of a stack, and ``gm[k]`` is trial k's.
+    """
+
+    def __init__(self, labels, edges, model: str, tau1: float):
+        """The graph whose edges are the label pairs ``edges``."""
+        labels = tuple(labels)
+        at = {lab: k for k, lab in enumerate(labels)}
+        ends = np.array([sorted((at[a], at[b])) for a, b in edges], dtype=int).reshape(-1, 2)
+        self.labels, self.model, self.tau1 = labels, model, tau1
+        self.rows, self.cols, self.mask = ends[:, 0], ends[:, 1], np.ones(len(ends), dtype=bool)
+
+    @classmethod
+    def _of_mask(cls, labels: tuple[VarLabel, ...], rows: np.ndarray, cols: np.ndarray,
+                 mask: np.ndarray, model: str, tau1: float) -> "GraphicalModel":
+        gm = object.__new__(cls)
+        gm.labels, gm.model, gm.tau1 = labels, model, tau1
+        gm.rows, gm.cols, gm.mask = rows, cols, mask
+        return gm
+
+    def __getitem__(self, k: int) -> "GraphicalModel":
+        """Trial k's graph; it shares the stack's bus adjacency."""
+        gm = self._of_mask(self.labels, self.rows, self.cols, self.mask[k], self.model, self.tau1)
+        gm.buses, gm.adjacency = self.buses, self.adjacency[k]
+        return gm
+
+    @property
+    def edges(self) -> frozenset[tuple[VarLabel, VarLabel]]:
+        return _pairs_where(self, self.mask, self.labels)
+
+    @cached_property
+    def buses(self) -> tuple[int, ...]:
+        return tuple(sorted({lab.bus for lab in self.labels}))
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """(..., B, B) boolean bus adjacency over :attr:`buses`: two buses
+        join when any of their variables do (a variable pair on one bus
+        joins nothing)."""
+        at = {b: k for k, b in enumerate(self.buses)}
+        bus = np.array([at[lab.bus] for lab in self.labels], dtype=int)
+        i, j = bus[self.rows], bus[self.cols]
+        *trial, e = np.nonzero(self.mask)
+        adj = np.zeros(self.mask.shape[:-1] + (len(at), len(at)), dtype=bool)
+        adj[(*trial, i[e], j[e])] = adj[(*trial, j[e], i[e])] = True
+        adj[..., np.arange(len(at)), np.arange(len(at))] = False
+        return adj
 
 
 def build_graphical_model(
@@ -207,26 +254,23 @@ def build_graphical_model(
 
     ``scale`` holds positive per-entry scales at the positions of ``conc.pairs``;
     passing the entry standard errors makes tau1 a z-score.  ``scale=None``
-    keeps the plain scalar rule.
+    keeps the plain scalar rule.  A stacked ``conc`` gives a stacked model.
     """
     check_tau(tau1, "tau1")
     J = conc.pairs
-    edges = _pairs_where(J, _scaled(J, np.abs(J.vals), scale) >= tau1, conc.labels)
-    return GraphicalModel(labels=conc.labels, edges=edges, model=conc.model, tau1=tau1)
+    mask = _scaled(J, np.abs(J.vals), scale) >= tau1
+    return GraphicalModel._of_mask(conc.labels, J.rows, J.cols, mask, conc.model, tau1)
 
 
 def hybridize(gm: GraphicalModel) -> dict[int, set[int]]:
-    """The bus adjacency of ``gm``: buses join when any of their variables do.
+    """The bus adjacency of ``gm`` as sets: buses join when any of their
+    variables do.
 
     The interesting case is LC (two variables per bus); for a DC model this
     is a plain relabeling since every bus has a single theta variable.
     """
-    adj: dict[int, set[int]] = {b: set() for b in sorted({lab.bus for lab in gm.labels})}
-    for a, b in gm.edges:
-        if a.bus != b.bus:
-            adj[a.bus].add(b.bus)
-            adj[b.bus].add(a.bus)
-    return adj
+    buses = gm.buses
+    return {b: {buses[k] for k in np.flatnonzero(row).tolist()} for b, row in zip(buses, gm.adjacency)}
 
 
 # ----------------------------------------------------------------------
@@ -373,17 +417,19 @@ def learn_by_thresholding(
     Hg (A+C) Hg + Hb (A+C) Hb and which is therefore negative exactly on
     lines for triangle-free grids.  ``scale`` (optional, positive, at the
     statistic's bus pairs) divides the statistic entry-wise so tau2 can be a
-    z-score; ``scale=None`` keeps the plain scalar rule.
+    z-score; ``scale=None`` keeps the plain scalar rule.  A stacked ``conc``
+    gives a list of topologies, one per trial.
     """
     check_tau(tau2, "tau2")
     stat = thresholding_statistic(conc)
     buses = conc.buses
-    return LearnedTopology(
-        buses=buses,
-        edges=_pairs_where(stat, _scaled(stat, stat.vals, scale) <= tau2, buses),
-        algorithm="thresholding",
-        params={"tau2": tau2, "model": conc.model},
-    )
+    edges = _pairs_where(stat, _scaled(stat, stat.vals, scale) <= tau2, buses)
+
+    def topology(edges: frozenset) -> LearnedTopology:
+        return LearnedTopology(buses=buses, edges=edges, algorithm="thresholding",
+                               params={"tau2": tau2, "model": conc.model})
+
+    return [topology(e) for e in edges] if isinstance(edges, list) else topology(edges)
 
 
 # ----------------------------------------------------------------------

@@ -151,7 +151,9 @@ def _upper_triangle(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 class Pairs(NamedTuple):
     """A symmetric d x d array as its diagonal and its upper-triangle entries
-    (rows < cols, in row-major order); positions not listed hold 0."""
+    (rows < cols, in row-major order); positions not listed hold 0.  A
+    stack of trials' arrays shares the positions: ``diagonal`` is then
+    (T, d) and ``vals`` (T, P)."""
 
     diagonal: np.ndarray
     rows: np.ndarray
@@ -160,20 +162,21 @@ class Pairs(NamedTuple):
 
     @classmethod
     def of_dense(cls, A: np.ndarray) -> "Pairs":
-        """Every upper-triangle position of the symmetric array A."""
-        rows, cols = _upper_triangle(A.shape[0])
-        return cls(A.diagonal().copy(), rows, cols, A[rows, cols])
+        """Every upper-triangle position of the symmetric array(s) A."""
+        rows, cols = _upper_triangle(A.shape[-1])
+        return cls(A.diagonal(axis1=-2, axis2=-1).copy(), rows, cols, A[..., rows, cols])
 
     @property
     def dim(self) -> int:
-        return self.diagonal.size
+        return self.diagonal.shape[-1]
 
     def dense(self) -> np.ndarray:
-        """The d x d array these pairs stand for."""
-        A = np.zeros((self.dim, self.dim))
-        A[self.rows, self.cols] = self.vals
-        A[self.cols, self.rows] = self.vals
-        A[np.diag_indices(self.dim)] = self.diagonal
+        """The (..., d, d) array these pairs stand for."""
+        d = self.dim
+        A = np.zeros(self.diagonal.shape + (d,))
+        A[..., self.rows, self.cols] = self.vals
+        A[..., self.cols, self.rows] = self.vals
+        A[..., np.arange(d), np.arange(d)] = self.diagonal
         return A
 
 
@@ -185,25 +188,30 @@ class ConcentrationMatrix:
     (:func:`dc_concentration`, :func:`lc_concentration`) only the variable
     pairs whose buses are at most two lines apart.  :attr:`matrix`, the dense
     d x d array, is built from the pairs on first access and kept.
+
+    A (T, d, d) matrix is a stack of T trials' matrices over one set of
+    labels, checked as a whole (one stacked Cholesky factor, the layout
+    once); its pairs carry the trial axis.
     """
 
     def __init__(self, matrix: np.ndarray, labels, model: str):
         M = np.asarray(matrix, dtype=float)
         labels = tuple(labels)
-        if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] != len(labels):
+        if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2] or M.shape[-1] != len(labels):
             raise ValueError("concentration matrix shape does not match labels")
         check_layout(labels, model)
         bad = np.argwhere(~np.isfinite(M))
         if bad.size:
-            i, j = bad[0]
+            i, j = bad[0, -2:]
             raise ValueError(f"concentration matrix entry ({labels[i].text}, {labels[j].text}) "
-                             f"is {M[i, j]}, not a finite number")
+                             f"is {M[(*bad[0],)]}, not a finite number")
         # symmetrised inverses arrive exactly symmetric
-        if not np.array_equal(M, M.T):
-            scale = np.abs(M).max()
-            if not np.allclose(M, M.T, atol=1e-8 * max(scale, 1.0)):
+        MT = M.swapaxes(-1, -2)
+        if not np.array_equal(M, MT):
+            scale = np.abs(M).max(axis=(-2, -1), keepdims=True)
+            if not np.allclose(M, MT, atol=1e-8 * np.maximum(scale, 1.0)):
                 raise ValueError("concentration matrix is not symmetric")
-            M = (M + M.T) / 2.0
+            M = (M + MT) / 2.0
         try:
             np.linalg.cholesky(M)
         except np.linalg.LinAlgError:
@@ -384,14 +392,16 @@ def lc_bus_pairs(pairs: Pairs) -> Pairs:
     """The v-v plus theta-theta block sum of an array indexed like an LC
     concentration, as bus pairs: the layout puts the v labels first and the
     theta labels after them in the same bus order, so each block's upper
-    entries are bus pairs, summed by position (v-v first)."""
+    entries are bus pairs.  Every producer of LC pairs lists both blocks at
+    the same bus pairs in the same order (all of them, or H_b's pattern),
+    so the sum adds aligned entries; unaligned pairs raise ``ValueError``."""
     n = pairs.dim // 2
-    key = pairs.rows * n + pairs.cols
     vv, tt = pairs.cols < n, pairs.rows >= n  # rows < cols
-    pos, at = np.unique(np.concatenate([key[vv], key[tt] - n * (n + 1)]), return_inverse=True)
-    sums = np.bincount(at, weights=np.concatenate([pairs.vals[vv], pairs.vals[tt]]))
-    r, c = np.divmod(pos, n)
-    return Pairs(pairs.diagonal[:n] + pairs.diagonal[n:], r, c, sums)
+    r, c = pairs.rows[vv], pairs.cols[vv]
+    if not (np.array_equal(r, pairs.rows[tt] - n) and np.array_equal(c, pairs.cols[tt] - n)):
+        raise ValueError("the v-v and theta-theta blocks are not listed at the same bus pairs")
+    return Pairs(pairs.diagonal[..., :n] + pairs.diagonal[..., n:], r, c,
+                 pairs.vals[..., vv] + pairs.vals[..., tt])
 
 
 def lc_threshold_statistic(conc: ConcentrationMatrix) -> np.ndarray:

@@ -27,7 +27,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -111,7 +113,8 @@ class SampleCovariance:
     """The zero-mean covariance X^T X / n of n snapshots that were never
     drawn, held as the whitened system M and the factor C (upper triangular
     once n >= d) of their whitened draw's scatter C^T C:
-    X^T X / n = M^{-1} C^T C M^{-T} / n."""
+    X^T X / n = M^{-1} C^T C M^{-T} / n.  A (T, min(n, d), d) factor is a
+    stack of T trials' draws at the same n."""
 
     factor: np.ndarray
     system: np.ndarray
@@ -127,8 +130,8 @@ class SampleCovariance:
     def covariance(self) -> np.ndarray:
         """B B^T / n with B = M^{-1} C^T, formed on first access (the
         graphical lasso reads it; the direct estimate does not)."""
-        B = np.linalg.solve(self.system, self.factor.T)
-        return B @ B.T / self.n
+        B = np.linalg.solve(self.system, self.factor.swapaxes(-1, -2))
+        return B @ B.swapaxes(-1, -2) / self.n
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,7 +205,7 @@ def generate_voltage_samples(
                      seed=int(seed), grid_hash=grid_hash(grid))
 
 
-def draw_sample_covariance(plan: DrawPlan, n: int, seed: int) -> SampleCovariance:
+def draw_sample_covariance(plan: DrawPlan, n: int, seed: int | Sequence[int]) -> SampleCovariance:
     """The covariance of n voltage snapshots, drawn without drawing them.
 
     The snapshots are M^{-1} z for a standard normal z of n rows in
@@ -215,15 +218,25 @@ def draw_sample_covariance(plan: DrawPlan, n: int, seed: int) -> SampleCovarianc
     and LC at one seed share R.  Rows from d on are zero there, so the
     result holds C = R[:min(n, d), :d]: upper triangular with a positive
     diagonal for n >= d, and of rank n, as the samples' scatter, for n < d.
+    The chi-square draws come last, so only the min(n, d) C reads are made.
+    A sequence of T seeds draws T trials, each as its seed alone would, into
+    one (T, min(n, d), d) stack of factors.
     """
     if n <= 0:
         raise SampleFormatError(f"sample count must be positive, got {n}")
+    stacked = not isinstance(seed, numbers.Integral)
+    seeds = seed if stacked else (seed,)
     k, d = plan.width, len(plan.labels)
-    m = min(n, k)
-    rng = np.random.default_rng(int(seed))
-    R = np.triu(rng.standard_normal((m, k)), 1)
-    R[np.arange(m), np.arange(m)] = np.sqrt(rng.chisquare(n - np.arange(m)))
-    return SampleCovariance(factor=R[:min(n, d), :d], system=plan.system, n=n,
+    m, rank = min(n, k), min(n, d)
+    factor = np.empty((len(seeds), rank, d))
+    chi = np.empty((len(seeds), rank))
+    for t, s in enumerate(seeds):
+        rng = np.random.default_rng(int(s))
+        factor[t] = rng.standard_normal((m, k))[:rank, :d]
+        chi[t] = rng.chisquare(n - np.arange(rank))
+    factor[:, np.tri(rank, d, -1, dtype=bool)] = 0.0
+    factor[:, np.arange(rank), np.arange(rank)] = np.sqrt(chi)
+    return SampleCovariance(factor=factor if stacked else factor[0], system=plan.system, n=n,
                             labels=plan.labels, model=plan.model)
 
 

@@ -6,12 +6,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import edge_set
 from gridtopo import __version__, estimation, experiments, sampling
 from gridtopo.exceptions import ConfigError
 from gridtopo.experiments import (
+    ALGORITHMS,
+    MODELS,
     RESULT_COLUMNS,
+    STACK_BYTES,
     ExperimentResult,
     ExperimentSpec,
     TrialRecord,
@@ -331,6 +335,85 @@ def test_pool_is_sized_to_the_tasks(monkeypatch):
     sampled = ExperimentSpec(grid="ieee14", sample_counts=(60,), trials=2, seed=3)
     assert run_experiment(replace(sampled, workers=8)).records == run_experiment(sampled).records
     assert sizes == [2]
+
+
+@pytest.mark.parametrize("estimator", ["direct", "glasso"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("model", MODELS)
+@settings(max_examples=6, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from([8, 20, 60, 400]), min_size=1, max_size=2, unique=True),
+       st.integers(1, 4), st.integers(0, 2**16), st.sampled_from([1, 2]))
+def test_stacked_sweep_records_equal_single_trials(model, algorithm, estimator, counts, trials,
+                                                   seed, workers):
+    # a sweep stacks each n's trials; its records are those of the trials
+    # run one at a time, n < d (8 and, under LC, 20 on ieee14) included.
+    # lambda 1 only makes the graphical lasso converge sooner than auto
+    spec = ExperimentSpec(grid="ieee14", model=model, algorithm=algorithm, estimator=estimator,
+                          sample_counts=tuple(sorted(counts)), trials=trials, seed=seed,
+                          workers=workers, glasso_lambda=1.0)
+    grid = resolve_grid(spec.grid)
+    stats = spec.stats_for(grid)
+    plan = draw_plan(grid, stats, model)
+    want = tuple(run_single_trial(grid, stats, plan, spec, n, t)
+                 for n in spec.sample_counts for t in range(trials))
+    assert run_experiment(spec).records == want
+
+
+def test_a_sweep_validates_one_stacked_concentration_per_sample_count(monkeypatch):
+    shapes = []
+    validate = ConcentrationMatrix.__init__
+
+    def counting_validate(self, matrix, *args):
+        validate(self, matrix, *args)
+        shapes.append(np.shape(matrix))
+
+    monkeypatch.setattr(ConcentrationMatrix, "__init__", counting_validate)
+    run_experiment(ExperimentSpec(model="lc", estimator="direct", sample_counts=(2000,),
+                                  trials=6, seed=1))
+    assert shapes == [(6, 38, 38)]
+
+
+@pytest.mark.parametrize("d", [19, 38, 128, 129, 999])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stacks_are_bounded_and_cover_the_sweep_in_order(d, workers):
+    spec = ExperimentSpec(sample_counts=(100, 200), trials=60, workers=workers)
+    tasks = experiments._stacks(spec, d)
+    assert [(n, t) for n, trials in tasks for t in trials] == [
+        (n, t) for n in (100, 200) for t in range(60)]
+    assert all(len(trials) == 1 or 8 * len(trials) * d * d <= STACK_BYTES for _, trials in tasks)
+    assert len(tasks) >= 2 * workers
+    assert ({len(trials) for _, trials in tasks} == {1}) == (d > 128)
+    glasso = experiments._stacks(replace(spec, estimator="glasso"), 19)
+    assert {len(trials) for _, trials in glasso} == {1}
+
+
+def test_a_failed_estimate_is_recorded_in_its_trial(monkeypatch, tmp_path):
+    # a drawn trial whose estimate is not a valid concentration matrix fails
+    # alone; the other trials of its stack are scored as without it
+    spec = ExperimentSpec(sample_counts=(300,), trials=3, seed=2)
+    want = run_experiment(spec).records
+    bad = derive_trial_seed(2, 300, 1)
+    draw = experiments.draw_sample_covariance
+
+    def draw_with_a_bad_trial(plan, n, seed):
+        drawn = draw(plan, n, seed)
+        seeds = [seed] if isinstance(seed, int) else list(seed)
+        factor = drawn.factor.reshape(len(seeds), *drawn.factor.shape[-2:]).copy()
+        factor[[s == bad for s in seeds]] = np.nan
+        return replace(drawn, factor=factor.reshape(drawn.factor.shape))
+
+    monkeypatch.setattr(experiments, "draw_sample_covariance", draw_with_a_bad_trial)
+    res = run_experiment(spec)
+    assert res.records[::2] == want[::2]
+    failed = res.records[1]
+    assert (failed.fp, failed.fn, failed.total, failed.seed) == (0, 18, 18, bad)
+    assert failed.error == ("RankDeficiencyError: the direct estimate is not a concentration "
+                            "matrix: concentration matrix entry (theta_1, theta_1) is nan, "
+                            "not a finite number")
+    out = tmp_path / "r.csv"
+    write_results_csv(res, out)
+    meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
+    assert meta["trial_errors"] == {"300/1": failed.error}
 
 
 def test_summary_math_on_handmade_records():

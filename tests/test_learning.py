@@ -49,7 +49,7 @@ from gridtopo.powerflow import (
     dc_phase_covariance,
     lc_concentration,
 )
-from gridtopo.sampling import generate_voltage_samples
+from gridtopo.sampling import draw_plan, draw_sample_covariance, generate_voltage_samples
 
 
 def path_grid(n_buses: int, r: float = 0.0, x: float = 1.0):
@@ -383,6 +383,25 @@ def test_estimate_path_never_builds_the_dense_view(radial20, monkeypatch, model)
         except ReconstructionError:
             pass  # counting's own limit on a radial grid, met after the scan
     assert "matrix" not in vars(est.concentration)
+
+
+@pytest.mark.parametrize("model", ["dc", "lc"])
+def test_a_stack_learns_each_trial_as_alone(radial20, model):
+    # one threshold pass over a stack of estimates: each trial's edges,
+    # graphical model and bus adjacency are those it has estimated alone
+    plan = draw_plan(radial20, InjectionStats.uniform(radial20), model)
+    seeds = [11, 12, 13, 14]
+    stack = estimate_concentration(draw_sample_covariance(plan, 400, seeds))
+    alone = [estimate_concentration(draw_sample_covariance(plan, 400, s)) for s in seeds]
+    topos = reconstruct(stack.concentration, "thresholding", est=stack)
+    assert [t.edges for t in topos] == [
+        reconstruct(e.concentration, "thresholding", est=e).edges for e in alone]
+    t1, scale = resolve_tau1("auto", stack.concentration, stack)
+    gm = build_graphical_model(stack.concentration, t1, scale)
+    for k, est in enumerate(alone):
+        one = build_graphical_model(est.concentration, *resolve_tau1("auto", est.concentration, est))
+        assert gm[k].edges == one.edges and len(one.edges) > 0
+        assert hybridize(gm[k]) == hybridize(one)
 
 
 def test_counting_ambiguous_leaf_is_named():

@@ -20,6 +20,7 @@ from gridtopo.powerflow import (
     dc_concentration,
     dc_labels,
     dc_phase_covariance,
+    lc_bus_pairs,
     lc_concentration,
     lc_labels,
     lc_system_matrix,
@@ -148,6 +149,42 @@ def test_concentration_matrix_checks_gram_products_too(radial20):
     for indefinite in (-J, J - 2.0 * np.abs(J).max() * np.eye(J.shape[0]), near - np.diag(np.diag(near))):
         with pytest.raises(ValueError, match="not positive definite"):
             ConcentrationMatrix(indefinite, labels, "dc")
+
+
+def test_a_stack_of_concentrations_is_each_of_its_trials(radial20):
+    # a (T, d, d) stack is checked as a whole; its pairs are the trials' own
+    stats = InjectionStats.uniform(radial20)
+    J = lc_concentration(radial20, stats).matrix
+    labels = lc_labels(radial20)
+    trials = [J, 2.0 * J, J + np.eye(38)]
+    stack = ConcentrationMatrix(np.stack(trials), labels, "lc")
+    for k, M in enumerate(trials):
+        one = ConcentrationMatrix(M, labels, "lc").pairs
+        assert np.array_equal(stack.pairs.diagonal[k], one.diagonal)
+        assert np.array_equal(stack.pairs.vals[k], one.vals)
+        assert np.array_equal(lc_bus_pairs(stack.pairs).vals[k], lc_bus_pairs(one).vals)
+    assert np.array_equal(stack.matrix, np.stack(trials))
+    bad = np.stack(trials)
+    bad[2, 3, 21] = np.inf
+    with pytest.raises(ValueError, match=r"entry \(v_4, theta_3\) is inf"):
+        ConcentrationMatrix(bad, labels, "lc")
+    bad = np.stack(trials)
+    bad[1, 0, 1] += 1e-3 * np.abs(J).max()
+    with pytest.raises(ValueError, match="not symmetric"):
+        ConcentrationMatrix(bad, labels, "lc")
+    with pytest.raises(ValueError, match="not positive definite"):
+        ConcentrationMatrix(np.stack([J, -J]), labels, "lc")
+
+
+def test_lc_bus_pairs_needs_both_blocks_at_the_same_bus_pairs():
+    # v_1 v_2 theta_1 theta_2: the v-v pair (0, 1) has no theta-theta twin
+    # (2, 3), so the block sum refuses rather than drop or misplace a term
+    pairs = Pairs(np.ones(4), np.array([0, 0]), np.array([1, 3]), np.array([-1.0, 0.5]))
+    with pytest.raises(ValueError, match="not listed at the same bus pairs"):
+        lc_bus_pairs(pairs)
+    folded = lc_bus_pairs(pairs._replace(rows=np.array([0, 2]), cols=np.array([1, 3])))
+    assert (folded.rows.tolist(), folded.cols.tolist(), folded.vals.tolist()) == ([0], [1], [-0.5])
+    assert folded.diagonal.tolist() == [2.0, 2.0]
 
 
 @pytest.mark.parametrize(

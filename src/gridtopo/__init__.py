@@ -42,6 +42,7 @@ from .estimation import (
 )
 from .learning import (
     GraphicalModel,
+    LearnedStack,
     LearnedTopology,
     SufficiencyReport,
     build_graphical_model,

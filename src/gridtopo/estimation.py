@@ -334,6 +334,16 @@ def load_estimate_json(path) -> EstimatedConcentration:
         raise ConfigError(f"{path}: {exc}") from None
 
 
+def rank_deficiency(n: int, d: int, method: str) -> RankDeficiencyError | None:
+    """The error :func:`estimate_concentration` raises before any solve for
+    n samples of d variables, or None: ``method`` "direct" and "auto" need
+    n >= d."""
+    if method == "glasso" or n >= d:
+        return None
+    return RankDeficiencyError(f"{n} samples of {d} variables are rank deficient: the direct "
+                               f"estimate needs n >= {d}; method 'glasso' estimates from fewer")
+
+
 def estimate_concentration(
     samples: SampleSet | SampleCovariance,
     method: str = "auto",
@@ -353,18 +363,14 @@ def estimate_concentration(
     if method not in ESTIMATORS:
         raise ConfigError(f"unknown estimator {method!r}")
     lam = parse_lambda(lam, "lambda")
+    if (error := rank_deficiency(samples.n, samples.dim, method)) is not None:
+        raise error
     if method != "glasso":
-        d = samples.dim
-        if samples.n < d:
-            raise RankDeficiencyError(f"{samples.n} samples of {d} variables are rank deficient: "
-                                      f"the direct estimate needs n >= {d}; method 'glasso' "
-                                      f"estimates from fewer")
         if isinstance(samples, SampleCovariance):
             # the inverse of M^{-1} C^T C M^{-T} / n; C's diagonal is positive.
-            # M is broadcast to every trial of a stack (numpy 1.x would read
-            # a lone (d, d) M under a (T, d, d) C^T as a stack of vectors)
+            # A lone (d, d) M is solved against every trial of a stacked C^T
             C, M = samples.factor, samples.system
-            A = np.linalg.solve(C.swapaxes(-1, -2), np.broadcast_to(M, C.shape[:-2] + M.shape))
+            A = np.linalg.solve(C.swapaxes(-1, -2), M)
             J = A.swapaxes(-1, -2) @ A
             J *= samples.n
             del A  # validation needs only J

@@ -11,11 +11,12 @@ the Bartlett factor of their whitened scatter
 (:func:`gridtopo.sampling.draw_sample_covariance`) from the sweep's
 :class:`~gridtopo.sampling.DrawPlan`, built once per sweep, and never
 builds the snapshots or their scatter.  A stack draws each trial from its
-own seed, as alone, then estimates and thresholds all of them at once:
-one stacked solve, one stacked concentration-matrix check and one pass of
-noise scales and threshold masks; only counting's set logic and the
-scoring run per trial, so a stack's records are those of its trials run
-one at a time.  An exact run is the one trial n = 0, which learns from the
+own seed, as alone, then estimates, learns and scores all of them at once:
+one stacked solve, one stacked concentration-matrix check, one pass of
+noise scales and threshold masks, counting's array passes over the
+stacked bus adjacency and one scoring pass that reads that adjacency at
+the grid's lines, so a stack's records are those of its trials run one at
+a time.  An exact run is the one trial n = 0, which learns from the
 analytic concentration matrix instead and needs no plan.
 """
 from __future__ import annotations
@@ -31,10 +32,11 @@ from itertools import repeat
 import numpy as np
 
 from . import __version__
-from .estimation import ESTIMATORS, EstimatedConcentration, estimate_concentration, parse_lambda
+from .estimation import ESTIMATORS, EstimatedConcentration, estimate_concentration, parse_lambda, rank_deficiency
 from .exceptions import ConfigError, GridTopoError
 from .grid import BUILTIN_GRIDS, Grid, builtin_grid, grid_hash, load_grid
 from .learning import (
+    LearnedStack,
     LearnedTopology,
     build_graphical_model,
     edge_errors,
@@ -177,31 +179,20 @@ def reconstruct(
     tau1: float | str = "auto",
     tau2: float | str = "auto",
     est: EstimatedConcentration | None = None,
-) -> LearnedTopology | list[LearnedTopology | GridTopoError]:
+) -> LearnedTopology | LearnedStack:
     """One learning step on a concentration matrix (exact or estimated).
 
-    A stack of trials' matrices is thresholded in one pass and gives a list
-    with, per trial, its topology or the package error its counting raised.
+    A stack of trials' matrices is learned in one pass and gives a
+    :class:`LearnedStack`, which holds the package error, if any, that each
+    trial's counting met.
     """
     if algorithm == "counting":
         t1, scale = resolve_tau1(tau1, conc, est)
-        gm = build_graphical_model(conc, t1, scale)
-        if gm.mask.ndim == 1:
-            return learn_by_counting(gm)
-        return [_learn_or_error(gm[k]) for k in range(len(gm.mask))]
+        return learn_by_counting(build_graphical_model(conc, t1, scale))
     if algorithm == "thresholding":
         t2, scale = resolve_tau2(tau2, conc, est)
         return learn_by_thresholding(conc, t2, scale)
     raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
-
-
-def _learn_or_error(gm) -> LearnedTopology | GridTopoError:
-    try:
-        return learn_by_counting(gm)
-    except GridTopoError as exc:
-        # its traceback's frames reach the list that will hold it: a cycle
-        # that keeps the stack alive until the next garbage collection
-        return exc.with_traceback(None)
 
 
 # ----------------------------------------------------------------------
@@ -262,36 +253,40 @@ def run_trials(grid: Grid, stats: InjectionStats, plan: DrawPlan | None,
 
     Failures of any stage that raise a package error are recorded in the
     trial and scored as a reconstruction with no edges (everything missed);
-    the sweep carries on.  A failure of the stack as a whole reruns its
-    trials one at a time, so only the trials it belongs to record it.
+    the sweep carries on.  Too few samples for the direct estimate fail
+    every trial alike, before anything is drawn.  Any other failure of the
+    stack as a whole reruns its trials one at a time, so only the trials it
+    belongs to record it.
     """
     seeds = [None if n == 0 else derive_trial_seed(spec.seed, n, t) for t in trials]
     method = "exact" if n == 0 else None
-    try:
-        if n == 0:
-            conc = (dc_concentration if spec.model == "dc" else lc_concentration)(grid, stats)
-            est = None
-        else:
-            drawn = draw_sample_covariance(plan, n, seeds if len(trials) > 1 else seeds[0])
-            est = estimate_concentration(drawn, method=spec.estimator, lam=spec.glasso_lambda)
-            conc, method = est.concentration, est.method
-        learned = reconstruct(conc, spec.algorithm, spec.tau1, spec.tau2, est=est)
-    except GridTopoError as exc:
-        if len(trials) > 1:
-            return [rec for t in trials for rec in run_trials(grid, stats, plan, spec, n, (t,))]
-        learned = exc.with_traceback(None)  # this frame holds it: no cycle
-    records = []
-    for trial, seed, topo in zip(trials, seeds, learned if isinstance(learned, list) else [learned]):
-        error = None
-        if isinstance(topo, GridTopoError):
-            error = f"{type(topo).__name__}: {topo}"
-            topo = LearnedTopology(buses=grid.non_reference_buses, edges=frozenset(),
-                                   algorithm=spec.algorithm)
-        err = edge_errors(topo, grid)
-        records.append(TrialRecord(n=n, trial=trial, fp=err.false_positives,
-                                   fn=err.false_negatives, total=err.total, seed=seed,
-                                   error=error, method=method))
-    return records
+    learned = rank_deficiency(n, len(plan.labels), spec.estimator) if n else None
+    if learned is None:
+        try:
+            if n == 0:
+                conc = (dc_concentration if spec.model == "dc" else lc_concentration)(grid, stats)
+                est = None
+            else:
+                drawn = draw_sample_covariance(plan, n, seeds if len(trials) > 1 else seeds[0])
+                est = estimate_concentration(drawn, method=spec.estimator, lam=spec.glasso_lambda)
+                conc, method = est.concentration, est.method
+            learned = reconstruct(conc, spec.algorithm, spec.tau1, spec.tau2, est=est)
+        except GridTopoError as exc:
+            if len(trials) > 1:
+                return [rec for t in trials for rec in run_trials(grid, stats, plan, spec, n, (t,))]
+            learned = exc.with_traceback(None)  # this frame holds it: no cycle
+    if isinstance(learned, GridTopoError):
+        errors = (learned,) * len(trials)
+        learned = LearnedTopology(buses=grid.non_reference_buses, edges=frozenset(),
+                                  algorithm=spec.algorithm)
+    else:
+        errors = learned.errors if isinstance(learned, LearnedStack) else (None,)
+    err = edge_errors(learned, grid)
+    fps = np.broadcast_to(err.false_positives, len(trials)).tolist()
+    fns = np.broadcast_to(err.false_negatives, len(trials)).tolist()
+    return [TrialRecord(n=n, trial=trial, fp=fp, fn=fn, total=fp + fn, seed=seed,
+                        error=None if e is None else f"{type(e).__name__}: {e}", method=method)
+            for trial, seed, fp, fn, e in zip(trials, seeds, fps, fns, errors)]
 
 
 def run_single_trial(grid: Grid, stats: InjectionStats, plan: DrawPlan | None,

@@ -133,14 +133,19 @@ class Grid:
         return {b: tuple(sorted(v)) for b, v in nbrs.items()}
 
     @cached_property
+    def line_ends(self) -> np.ndarray:
+        """(lines, 2) row indices (:attr:`index_of`) of each line's ends, in
+        line order; the reference bus, which has no row, reads -1."""
+        order = self.index_of
+        return _read_only(np.array([(order.get(ln.i, -1), order.get(ln.j, -1)) for ln in self.lines],
+                                   dtype=np.intp).reshape(-1, 2))[0]
+
+    @cached_property
     def laplacian_index(self) -> tuple[np.ndarray, ...]:
         """Where line weights land in :func:`laplacian_entries`: the triples'
         (rows, cols); the (bus index, line) of every diagonal addend, in line
         order; and the line of every off-diagonal triple."""
-        order = self.index_of
-        n, m = len(order), len(self.lines)
-        ends = np.array([(order.get(ln.i, -1), order.get(ln.j, -1)) for ln in self.lines],
-                        dtype=np.intp).reshape(m, 2)
+        n, m, ends = len(self.index_of), len(self.lines), self.line_ends
         inner = np.flatnonzero((ends >= 0).all(axis=1))
         i, j = ends[inner].T
         on = ends.reshape(-1) >= 0

@@ -6,7 +6,8 @@ Two algorithms:
   (GM) whose edges join variables at grid distance 1 or 2, merge v/theta
   vertices per bus for the LC model, then separate true lines from two-hop
   artifacts by a purely combinatorial rule (guaranteed exact when the grid
-  has girth > 6 and >= 3 non-leaf buses);
+  has girth > 6 and >= 3 non-leaf buses), decided for a whole stack of
+  trials by array passes over the bus adjacency;
 * thresholding: keep bus pairs whose concentration entry (DC), or
   J_vv + J_theta,theta entry (LC), is below a negative tolerance
   (guaranteed exact for girth > 3, i.e. any triangle-free grid).
@@ -24,12 +25,11 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
 from .estimation import EstimatedConcentration
-from .exceptions import AmbiguousLeafError, ConfigError, GridStructureError, ReconstructionError
+from .exceptions import AmbiguousLeafError, ConfigError, GridStructureError, GridTopoError, ReconstructionError
 from .grid import Grid, laplacian_entries
 from .powerflow import (
     ConcentrationMatrix,
@@ -50,6 +50,29 @@ DEFAULT_Z = 5.0
 
 def _pair(a, b):
     return (a, b) if a < b else (b, a)
+
+
+def _nonzero(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``np.nonzero(a)``, found through the flat index: several times faster
+    on a boolean array of more than one axis."""
+    return np.unravel_index(np.flatnonzero(a), a.shape)
+
+
+def _edges(adjacency: np.ndarray, buses) -> frozenset[tuple[int, int]]:
+    """The ordered bus pairs joined in the (B, B) boolean ``adjacency``."""
+    r, c = _nonzero(adjacency)
+    up = r < c
+    return frozenset(_pair(buses[a], buses[b]) for a, b in zip(r[up].tolist(), c[up].tolist()))
+
+
+def _adjacency(i: np.ndarray, j: np.ndarray, mask: np.ndarray, size: int) -> np.ndarray:
+    """(..., size, size) boolean adjacency joining i[e] and j[e] wherever
+    ``mask[..., e]`` holds; the diagonal stays False."""
+    *trial, e = _nonzero(mask)
+    adj = np.zeros(mask.shape[:-1] + (size, size), dtype=bool)
+    adj[(*trial, i[e], j[e])] = adj[(*trial, j[e], i[e])] = True
+    adj[..., np.arange(size), np.arange(size)] = False
+    return adj
 
 
 # ----------------------------------------------------------------------
@@ -178,15 +201,6 @@ def _scaled(pairs: Pairs, values: np.ndarray, scale: Pairs | None) -> np.ndarray
     return values / scale.vals
 
 
-def _pairs_where(pairs, mask: np.ndarray, keys) -> frozenset | list[frozenset]:
-    """Ordered ``keys`` pairs at the positions (``rows``, ``cols``) of
-    ``pairs`` where ``mask`` holds; for a stacked mask, one set per trial."""
-    if mask.ndim > 1:
-        return [_pairs_where(pairs, m, keys) for m in mask]
-    at = np.flatnonzero(mask)
-    return frozenset(_pair(keys[a], keys[b]) for a, b in zip(pairs.rows[at].tolist(), pairs.cols[at].tolist()))
-
-
 # ----------------------------------------------------------------------
 # graphical model construction
 # ----------------------------------------------------------------------
@@ -224,7 +238,10 @@ class GraphicalModel:
 
     @property
     def edges(self) -> frozenset[tuple[VarLabel, VarLabel]]:
-        return _pairs_where(self, self.mask, self.labels)
+        """The edges of a single graph, as ordered label pairs."""
+        at = np.flatnonzero(self.mask)
+        labels = self.labels
+        return frozenset(_pair(labels[a], labels[b]) for a, b in zip(self.rows[at].tolist(), self.cols[at].tolist()))
 
     @cached_property
     def buses(self) -> tuple[int, ...]:
@@ -237,12 +254,7 @@ class GraphicalModel:
         joins nothing)."""
         at = {b: k for k, b in enumerate(self.buses)}
         bus = np.array([at[lab.bus] for lab in self.labels], dtype=int)
-        i, j = bus[self.rows], bus[self.cols]
-        *trial, e = np.nonzero(self.mask)
-        adj = np.zeros(self.mask.shape[:-1] + (len(at), len(at)), dtype=bool)
-        adj[(*trial, i[e], j[e])] = adj[(*trial, j[e], i[e])] = True
-        adj[..., np.arange(len(at)), np.arange(len(at))] = False
-        return adj
+        return _adjacency(bus[self.rows], bus[self.cols], self.mask, len(at))
 
 
 def build_graphical_model(
@@ -263,14 +275,10 @@ def build_graphical_model(
 
 
 def hybridize(gm: GraphicalModel) -> dict[int, set[int]]:
-    """The bus adjacency of ``gm`` as sets: buses join when any of their
-    variables do.
-
-    The interesting case is LC (two variables per bus); for a DC model this
-    is a plain relabeling since every bus has a single theta variable.
-    """
-    buses = gm.buses
-    return {b: {buses[k] for k in np.flatnonzero(row).tolist()} for b, row in zip(buses, gm.adjacency)}
+    """The bus adjacency of ``gm`` as sets.  The package reads
+    :attr:`GraphicalModel.adjacency`; only the traced benchmark run looks
+    this up."""
+    return {b: {gm.buses[k] for k in np.flatnonzero(row).tolist()} for b, row in zip(gm.buses, gm.adjacency)}
 
 
 # ----------------------------------------------------------------------
@@ -302,26 +310,53 @@ def write_topology_json(topo: LearnedTopology, path) -> None:
         fh.write("\n")
 
 
+@dataclass(frozen=True, eq=False)
+class LearnedStack:
+    """The reconstructions of a stack of T trials over one bus set.
+
+    ``adjacency`` is their (T, B, B) boolean bus adjacency over ``buses``;
+    ``errors[k]`` is the package error trial k's learning met, or None, and
+    a trial with an error has no edges.  ``stack[k]`` is trial k's
+    :class:`LearnedTopology`, or raises its error.
+    """
+
+    buses: tuple[int, ...]
+    adjacency: np.ndarray
+    algorithm: str
+    params: dict
+    errors: tuple[GridTopoError | None, ...]
+
+    def __getitem__(self, k: int) -> LearnedTopology:
+        if self.errors[k] is not None:
+            raise self.errors[k]
+        return LearnedTopology(self.buses, _edges(self.adjacency[k], self.buses),
+                               self.algorithm, self.params)
+
+
 @dataclass(frozen=True)
 class EdgeErrors:
-    """False positives/negatives of a reconstruction vs ground truth."""
+    """False positives/negatives of a reconstruction vs ground truth.  For a
+    :class:`LearnedStack` the counts are (T,) arrays and the edge sets are
+    not built (None)."""
 
     false_positives: int
     false_negatives: int
-    fp_edges: frozenset[tuple[int, int]]
-    fn_edges: frozenset[tuple[int, int]]
+    fp_edges: frozenset[tuple[int, int]] | None
+    fn_edges: frozenset[tuple[int, int]] | None
 
     @property
     def total(self) -> int:
         return self.false_positives + self.false_negatives
 
 
-def edge_errors(learned: LearnedTopology, truth: Grid) -> EdgeErrors:
+def edge_errors(learned: LearnedTopology | LearnedStack, truth: Grid) -> EdgeErrors:
     """Score learned edges against the grid's lines between non-reference buses.
 
     Lines incident to the reference are excluded: the reference carries no
     random injection, so no estimator sees them.  Raises if the learned bus
-    set does not match the grid's non-reference buses.
+    set does not match the grid's non-reference buses.  A stack is scored
+    as a whole: its adjacency read at the grid's lines (:attr:`Grid.line_ends`,
+    built once per grid) counts the lines found.
     """
     want_buses = set(truth.non_reference_buses)
     have_buses = set(learned.buses)
@@ -330,11 +365,17 @@ def edge_errors(learned: LearnedTopology, truth: Grid) -> EdgeErrors:
             f"learned topology covers buses {sorted(have_buses)} "
             f"but the grid's non-reference buses are {sorted(want_buses)}"
         )
-    truth_edges = {
-        ln.key for ln in truth.lines if truth.reference not in (ln.i, ln.j)
-    }
-    fp = frozenset(e for e in learned.edges if e not in truth_edges)
-    fn = frozenset(e for e in truth_edges if e not in learned.edges)
+    at = np.empty(len(learned.buses), dtype=np.intp)  # grid row -> learned bus index
+    at[[truth.index_of[b] for b in learned.buses]] = np.arange(len(learned.buses))
+    ends = truth.line_ends
+    i, j = at[ends[(ends >= 0).all(axis=1)]].T
+    if isinstance(learned, LearnedStack):
+        found = np.count_nonzero(learned.adjacency[:, i, j], axis=-1)
+        fp = np.count_nonzero(learned.adjacency, axis=(-2, -1)) // 2 - found
+        return EdgeErrors(fp, len(i) - found, None, None)
+    buses = learned.buses
+    truth_edges = frozenset(_pair(buses[a], buses[b]) for a, b in zip(i.tolist(), j.tolist()))
+    fp, fn = learned.edges - truth_edges, truth_edges - learned.edges
     return EdgeErrors(len(fp), len(fn), fp, fn)
 
 
@@ -343,7 +384,63 @@ def edge_errors(learned: LearnedTopology, truth: Grid) -> EdgeErrors:
 # ----------------------------------------------------------------------
 
 
-def learn_by_counting(gm: GraphicalModel) -> LearnedTopology:
+#: most (edge, neighbour) candidates one pass of the skeleton test gathers;
+#: bounds its memory on a near-complete graphical model
+WEDGE_CHUNK = 2**18
+
+
+def _packed(rows: np.ndarray) -> np.ndarray:
+    """Boolean rows (..., B) as bit-packed (..., ceil(B / 64)) uint64 words."""
+    bits = np.packbits(rows, axis=-1)
+    words = np.zeros(bits.shape[:-1] + (-(-rows.shape[-1] // 64) * 8,), dtype=np.uint8)
+    words[..., :bits.shape[-1]] = bits
+    return words.view(np.uint64)
+
+
+def _skeleton(A: np.ndarray) -> np.ndarray:
+    """The edges of the (T, B, B) bus adjacencies ``A`` that counting keeps:
+    (i, j) with two common neighbours that are not adjacent.
+
+    With w = A_i & A_j, c = |w| and s = w^T A w, w holds c(c - 1) ordered
+    pairs, s of them adjacent, so such a pair exists iff c(c - 1) - s > 0.
+    That difference sums |w & ~(A_k | {k})| over the wedges k in w, each a
+    popcount of bit-packed rows.  A bus adjacent to every other adds 0, so
+    the wedges taken are the neighbours k of i with A_jk that lack a
+    neighbour (on a near-complete model, a handful), gathered in passes of
+    at most about :data:`WEDGE_CHUNK` candidates.
+    """
+    T, B = A.shape[:2]
+    flat = A.reshape(T * B, B)  # row t*B + i is A[t, i]
+    row, nbr = _nonzero(flat)
+    up = row % B < nbr  # each edge once: the rows of i and of j > i
+    ri, rj = row[up], row[up] - row[up] % B + nbr[up]
+    lacks = np.bincount(row, minlength=T * B)[row - row % B + nbr] < B - 1
+    row, nbr = row[lacks], nbr[lacks]  # row r's such neighbours: nbr[first[r]:][:deg[r]]
+    deg = np.bincount(row, minlength=T * B)
+    first = np.cumsum(deg) - deg
+    packed = _packed(flat)
+    far = ~_packed(flat | (np.arange(T * B)[:, None] % B == np.arange(B)))  # non-neighbours but itself
+    reach = np.cumsum(deg[ri])
+    cuts = np.searchsorted(reach, np.arange(WEDGE_CHUNK, reach[-1] if len(reach) else 0,
+                                            WEDGE_CHUNK)).tolist()
+    kept = []
+    for lo, hi in zip([0, *cuts], [*cuts, len(ri)]):
+        d = deg[ri[lo:hi]]
+        e = np.repeat(np.arange(lo, hi), d)
+        k = nbr[np.repeat(first[ri[lo:hi]] - (np.cumsum(d) - d), d) + np.arange(len(e))]
+        wedge = flat[rj[e], k]
+        e, k = e[wedge], k[wedge]
+        rk = rj[e] - rj[e] % B + k  # the row of k in the edge's trial
+        w = packed[ri[lo:hi]] & packed[rj[lo:hi]]
+        apart = np.bitwise_count(far[rk] & w[e - lo]).sum(axis=-1)
+        kept.append(np.bincount(e - lo, weights=apart, minlength=hi - lo) > 0)
+    kept = np.concatenate(kept)
+    skel = np.zeros_like(flat)
+    skel[ri[kept], rj[kept] % B] = skel[rj[kept], ri[kept] % B] = True
+    return skel.reshape(A.shape)
+
+
+def learn_by_counting(gm: GraphicalModel) -> LearnedTopology | LearnedStack:
     """Separate true lines from two-hop GM artifacts by neighborhood counting.
 
     A GM edge (i,j) is kept as a line iff two distinct common GM-neighbors
@@ -354,50 +451,45 @@ def learn_by_counting(gm: GraphicalModel) -> LearnedTopology:
     a leaf to the unique skeleton vertex i whose closed skeleton
     neighborhood {i} + skel(i) equals u's skeleton-vertex GM neighborhood.
 
-    Raises :class:`ReconstructionError` when no skeleton edge is found (the
-    rule needs >= 3 non-leaf buses) and :class:`AmbiguousLeafError` naming
-    the vertex when a leaf has no or several attachment candidates.
+    Both steps are array passes over the bus adjacency
+    (:attr:`GraphicalModel.adjacency`), for every trial of a stacked
+    ``gm`` at once (:func:`_skeleton`; leaves compare bit-packed rows).  A
+    stacked ``gm`` gives a :class:`LearnedStack` that holds each trial's
+    error; a single one gives its topology or raises the error:
+    :class:`ReconstructionError` when no skeleton edge is found (the rule
+    needs >= 3 non-leaf buses) and :class:`AmbiguousLeafError` naming the
+    first vertex, in bus order, with no or several attachment candidates.
     """
-    adj = hybridize(gm)
-    vertices = tuple(adj)
+    buses = gm.buses
+    A = gm.adjacency if gm.mask.ndim > 1 else gm.adjacency[None]
+    skel = _skeleton(A)
+    discovered = skel.any(axis=-1)
+    want = A & discovered[:, None, :]  # want[t, u] = A_u & discovered
+    closed = skel | np.eye(len(buses), dtype=bool)
+    # i is in {i} | skel(i), so every candidate i of leaf u lies in want[t, u]
+    t, u, i = _nonzero(want & ~discovered[:, :, None])
+    hit = (_packed(want)[t, u] == _packed(closed)[t, i]).all(axis=-1)
+    t, u, i = t[hit], u[hit], i[hit]
+    count = np.bincount(t * len(buses) + u, minlength=discovered.size).reshape(discovered.shape)
+    skel[t, u, i] = skel[t, i, u] = True  # a trial where a leaf has several fails below
 
-    # k and l both neighbour i, so they sit at GM distance 2 unless adjacent
-    skeleton = {
-        (i, j) for i in vertices for j in adj[i]
-        if i < j and any(l not in adj[k] for k, l in combinations(adj[i] & adj[j], 2))
-    }
-
-    skel_adj: dict[int, set[int]] = {v: set() for v in vertices}
-    for i, j in skeleton:
-        skel_adj[i].add(j)
-        skel_adj[j].add(i)
-    discovered = {v for v in vertices if skel_adj[v]}
-    if not discovered:
-        raise ReconstructionError(
+    errors: list[GridTopoError | None] = [None] * len(A)
+    found = discovered.any(axis=-1)
+    for k in np.flatnonzero(~found).tolist():
+        errors[k] = ReconstructionError(
             "counting found no non-leaf skeleton edges; the rule needs a grid "
-            "with at least 3 non-leaf buses"
-        )
+            "with at least 3 non-leaf buses")
+    bad = ~discovered & (count != 1) & found[:, None]
+    for k in np.flatnonzero(bad.any(axis=-1)).tolist():
+        leaf = int(bad[k].argmax())
+        candidates = [buses[c] for c in i[(t == k) & (u == leaf)].tolist()]
+        errors[k] = AmbiguousLeafError(
+            f"leaf bus {buses[leaf]} has {len(candidates)} attachment candidates "
+            f"{candidates}; cannot determine its line")
+    skel[[e is not None for e in errors]] = False
 
-    edges = set(skeleton)
-    for u in vertices:
-        if u in discovered:
-            continue
-        want = adj[u] & discovered
-        # i is in {i} | skel(i), so every candidate lies in want
-        candidates = [i for i in want if want == ({i} | skel_adj[i])]
-        if len(candidates) != 1:
-            raise AmbiguousLeafError(
-                f"leaf bus {u} has {len(candidates)} attachment candidates "
-                f"{sorted(candidates)}; cannot determine its line"
-            )
-        edges.add(_pair(u, candidates[0]))
-
-    return LearnedTopology(
-        buses=vertices,
-        edges=frozenset(edges),
-        algorithm="counting",
-        params={"tau1": gm.tau1, "model": gm.model},
-    )
+    stack = LearnedStack(buses, skel, "counting", {"tau1": gm.tau1, "model": gm.model}, tuple(errors))
+    return stack if gm.mask.ndim > 1 else stack[0]
 
 
 # ----------------------------------------------------------------------
@@ -409,7 +501,7 @@ def learn_by_thresholding(
     conc: ConcentrationMatrix,
     tau2: float,
     scale: Pairs | None = None,
-) -> LearnedTopology:
+) -> LearnedTopology | LearnedStack:
     """Keep bus pairs whose detection statistic falls below tau2 < 0.
 
     DC: the statistic is the concentration entry itself.  LC: the sum of the
@@ -418,18 +510,15 @@ def learn_by_thresholding(
     lines for triangle-free grids.  ``scale`` (optional, positive, at the
     statistic's bus pairs) divides the statistic entry-wise so tau2 can be a
     z-score; ``scale=None`` keeps the plain scalar rule.  A stacked ``conc``
-    gives a list of topologies, one per trial.
+    gives a :class:`LearnedStack`.
     """
     check_tau(tau2, "tau2")
     stat = thresholding_statistic(conc)
-    buses = conc.buses
-    edges = _pairs_where(stat, _scaled(stat, stat.vals, scale) <= tau2, buses)
-
-    def topology(edges: frozenset) -> LearnedTopology:
-        return LearnedTopology(buses=buses, edges=edges, algorithm="thresholding",
-                               params={"tau2": tau2, "model": conc.model})
-
-    return [topology(e) for e in edges] if isinstance(edges, list) else topology(edges)
+    mask = _scaled(stat, stat.vals, scale) <= tau2
+    trials = mask if mask.ndim > 1 else mask[None]
+    stack = LearnedStack(conc.buses, _adjacency(stat.rows, stat.cols, trials, stat.dim), "thresholding",
+                         {"tau2": tau2, "model": conc.model}, (None,) * len(trials))
+    return stack if mask.ndim > 1 else stack[0]
 
 
 # ----------------------------------------------------------------------

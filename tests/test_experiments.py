@@ -416,6 +416,26 @@ def test_a_failed_estimate_is_recorded_in_its_trial(monkeypatch, tmp_path):
     assert meta["trial_errors"] == {"300/1": failed.error}
 
 
+def test_too_few_samples_fail_a_stack_before_it_is_drawn(monkeypatch):
+    # n < d fails every trial of the direct estimate alike: that stack is
+    # never drawn, and only the n >= d stack draws, once
+    spec = ExperimentSpec(grid="ieee14", estimator="direct", sample_counts=(8, 60), trials=3, seed=4)
+    want = run_experiment(spec).records
+    draws = []
+    draw = experiments.draw_sample_covariance
+
+    def counting_draw(plan, n, seed):
+        draws.append(n)
+        return draw(plan, n, seed)
+
+    monkeypatch.setattr(experiments, "draw_sample_covariance", counting_draw)
+    assert run_experiment(spec).records == want
+    assert draws == [60]
+    error = ("RankDeficiencyError: 8 samples of 13 variables are rank deficient: the direct "
+             "estimate needs n >= 13; method 'glasso' estimates from fewer")
+    assert [(r.fp, r.fn, r.error) for r in want[:3]] == [(0, 18, error)] * 3
+
+
 def test_summary_math_on_handmade_records():
     recs = tuple(
         TrialRecord(n=100, trial=t, fp=fp, fn=0, total=fp, error=err)

@@ -2,18 +2,20 @@
 edge scoring and parameter recovery."""
 import csv
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import all_satisfied, block, edge_set, load_topology_json
-from gridtopo import grid as grid_module, powerflow
+from gridtopo import grid as grid_module, learning, powerflow
 from gridtopo.estimation import estimate_concentration
 from gridtopo.exceptions import (
     AmbiguousLeafError,
     ConfigError,
     GridStructureError,
+    GridTopoError,
     InvalidInjectionStatsError,
     ReconstructionError,
 )
@@ -22,6 +24,7 @@ from gridtopo.grid import builtin_grid, bus_distance, make_grid, reduced_laplaci
 from gridtopo.learning import (
     EdgeErrors,
     GraphicalModel,
+    LearnedStack,
     LearnedTopology,
     build_graphical_model,
     check_sufficiency,
@@ -421,6 +424,170 @@ def test_counting_ambiguous_leaf_is_named():
         learn_by_counting(gm)
 
 
+def counting_oracle(gm: GraphicalModel) -> LearnedTopology:
+    """Neighbourhood counting on one graphical model as a scan of bus sets,
+    the reference the array learner must match, errors included."""
+    adj = hybridize(gm)
+    vertices = tuple(adj)
+    # k and l both neighbour i, so they sit at GM distance 2 unless adjacent
+    skeleton = {
+        (i, j) for i in vertices for j in adj[i]
+        if i < j and any(l not in adj[k] for k, l in combinations(adj[i] & adj[j], 2))
+    }
+    skel_adj: dict[int, set[int]] = {v: set() for v in vertices}
+    for i, j in skeleton:
+        skel_adj[i].add(j)
+        skel_adj[j].add(i)
+    discovered = {v for v in vertices if skel_adj[v]}
+    if not discovered:
+        raise ReconstructionError(
+            "counting found no non-leaf skeleton edges; the rule needs a grid "
+            "with at least 3 non-leaf buses"
+        )
+    edges = set(skeleton)
+    for u in vertices:
+        if u in discovered:
+            continue
+        want = adj[u] & discovered
+        candidates = [i for i in want if want == ({i} | skel_adj[i])]
+        if len(candidates) != 1:
+            raise AmbiguousLeafError(
+                f"leaf bus {u} has {len(candidates)} attachment candidates "
+                f"{sorted(candidates)}; cannot determine its line"
+            )
+        edges.add((min(u, candidates[0]), max(u, candidates[0])))
+    return LearnedTopology(vertices, frozenset(edges), "counting",
+                           {"tau1": gm.tau1, "model": gm.model})
+
+
+def outcome(learn, gm):
+    """The edges ``learn(gm)`` returns, or the type and text of its error."""
+    try:
+        return learn(gm).edges
+    except GridTopoError as exc:
+        return type(exc), str(exc)
+
+
+def assert_stack_matches_oracle(gm: GraphicalModel):
+    # every trial of the stack, and the trial learned alone, as the oracle
+    stack = learn_by_counting(gm)
+    assert isinstance(stack, LearnedStack) and len(stack.errors) == len(gm.mask)
+    for k in range(len(gm.mask)):
+        want = outcome(counting_oracle, gm[k])
+        assert outcome(lambda _: stack[k], None) == want
+        assert outcome(learn_by_counting, gm[k]) == want
+        if stack.errors[k] is not None:
+            assert not stack.adjacency[k].any()
+
+
+@st.composite
+def bus_graph_stacks(draw, max_buses: int = 25, min_buses: int = 1) -> GraphicalModel:
+    """A stack of 1-4 graphical models over up to ``max_buses``, DC or LC-style
+    (v and theta per bus): each the distance <= 2 closure of a random
+    forest with chords (triangles included) and isolated buses, with a few
+    bus pairs flipped.  An LC bus pair is joined through a random non-empty
+    subset of its four variable pairs; a v-theta pair on one bus joins
+    nothing."""
+    n_buses = draw(st.integers(min_buses, max_buses))
+    model = draw(st.sampled_from(["dc", "lc"]))
+    trials = draw(st.integers(1, 4))
+    chords, isolated = draw(st.sampled_from([0, 0, 1, 3])), draw(st.sampled_from([0, 0, 0, 1, 2]))
+    flips = draw(st.sampled_from([0.0, 0.0, 0.0, 0.01, 0.05]))
+    splits = draw(st.sampled_from([0.0, 0.0, 0.03]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    buses = np.sort(rng.choice(4 * max_buses, n_buses, replace=False))
+    kinds = ["v", "theta"] if model == "lc" else ["theta"]
+    labels = tuple(VarLabel(kind, int(b)) for kind in kinds for b in buses)
+    rows, cols = np.triu_indices(len(labels), 1)
+    bus_of, kind_of = np.arange(len(labels)) % n_buses, np.arange(len(labels)) // n_buses
+    lo, hi = np.minimum(bus_of[rows], bus_of[cols]), np.maximum(bus_of[rows], bus_of[cols])
+    # which of the up to four variable pairs of a bus pair this one is
+    code = np.where(bus_of[rows] < bus_of[cols], 2 * kind_of[rows] + kind_of[cols],
+                    2 * kind_of[cols] + kind_of[rows])
+    masks = []
+    for _ in range(trials):
+        A = np.zeros((n_buses, n_buses), dtype=bool)
+        tree = rng.permutation(n_buses)[: max(n_buses - isolated, 0)]
+        for k in range(1, len(tree)):
+            if rng.random() >= splits:  # else a new component starts
+                A[tree[k], tree[rng.integers(k)]] = True
+        for _ in range(chords):
+            a, b = rng.integers(n_buses, size=2)
+            A[a, b] = a != b
+        A |= A.T
+        A |= (A.astype(int) @ A.astype(int) > 0) & ~np.eye(n_buses, dtype=bool)
+        A ^= np.triu(rng.random(A.shape) < flips, 1)
+        A = np.triu(A, 1)
+        A |= A.T
+        # each joined bus pair keeps one chosen variable pair and maybe more
+        chosen = rng.integers(len(kinds) ** 2, size=A.shape)[lo, hi] == code
+        mask = A[lo, hi] & (chosen | (rng.random(len(rows)) < 0.5))
+        masks.append(mask | ((lo == hi) & (rng.random(len(rows)) < 0.3)))
+    return GraphicalModel._of_mask(labels, rows, cols, np.array(masks), model, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bus_graph_stacks())
+def test_counting_on_a_stack_matches_the_set_scan(gm):
+    assert_stack_matches_oracle(gm)
+
+
+@settings(max_examples=25, deadline=None)
+@given(bus_graph_stacks(max_buses=140, min_buses=60))
+def test_counting_on_rows_of_several_words_matches_the_set_scan(gm):
+    # more than 64 buses: a packed row spans several uint64 words
+    assert_stack_matches_oracle(gm)
+
+
+@pytest.mark.parametrize("model", ["dc", "lc"])
+def test_counting_on_drawn_radial20_stacks_matches_the_set_scan(radial20, model):
+    # the sweep's estimates: at these counts counting fails, errs and succeeds
+    plan = draw_plan(radial20, InjectionStats.uniform(radial20), model)
+    for n in (200, 1000, 5000):
+        est = estimate_concentration(draw_sample_covariance(plan, n, list(range(20))))
+        gm = build_graphical_model(est.concentration, *resolve_tau1("auto", est.concentration, est))
+        assert_stack_matches_oracle(gm)
+
+
+def complete_gm(n_buses: int, missing=()) -> GraphicalModel:
+    """The DC graphical model joining every bus pair but ``missing``."""
+    labels = tuple(VarLabel("theta", b) for b in range(n_buses))
+    rows, cols = np.triu_indices(n_buses, 1)
+    mask = np.ones(len(rows), dtype=bool)
+    for k, l in missing:
+        mask[(rows == k) & (cols == l)] = False
+    return GraphicalModel._of_mask(labels, rows, cols, mask, "dc", 1.0)
+
+
+def test_counting_on_a_near_complete_graphical_model_is_bounded():
+    # every pair of a complete GM is adjacent, so no edge has a witness; with
+    # (k, l) missing, exactly the edges whose common neighbourhood holds both
+    # k and l (those touching neither) have one.  Leaves k and l then match
+    # every skeleton bus.  A scan of common-neighbour pairs would take minutes
+    n, k, l = 200, 37, 150
+    with pytest.raises(ReconstructionError, match="no non-leaf skeleton"):
+        learn_by_counting(complete_gm(n))
+    gm = complete_gm(n, [(k, l)])
+    others = [b for b in range(n) if b not in (k, l)]
+    want = np.zeros((n, n), dtype=bool)
+    want[np.ix_(others, others)] = True
+    np.fill_diagonal(want, False)
+    assert np.array_equal(learning._skeleton(gm.adjacency[None])[0], want)
+    with pytest.raises(AmbiguousLeafError) as info:
+        learn_by_counting(gm)
+    assert str(info.value) == (f"leaf bus {k} has {n - 2} attachment candidates {others}; "
+                               f"cannot determine its line")
+
+
+def test_the_skeleton_pass_is_chunked_without_changing_it(monkeypatch):
+    # passes of a few candidates each give the skeleton of one pass
+    gm = complete_gm(30, [(3, 9), (4, 20), (11, 12)])
+    one_pass = learning._skeleton(gm.adjacency[None])
+    monkeypatch.setattr(learning, "WEDGE_CHUNK", 7)
+    assert np.array_equal(learning._skeleton(gm.adjacency[None]), one_pass)
+    assert one_pass.any() and not one_pass.all()
+
+
 # ----------------------------------------------------------------------
 # algorithm 2: thresholding
 # ----------------------------------------------------------------------
@@ -489,6 +656,32 @@ def test_edge_errors_cases(radial20):
 
     with pytest.raises(GridStructureError, match="non-reference buses"):
         edge_errors(LearnedTopology((1, 2), frozenset(), "counting"), radial20)
+
+
+def test_a_stack_is_scored_as_each_of_its_trials(radial20):
+    # one mask pass over the stack gives each trial's counts, whatever the
+    # order its buses are listed in
+    plan = draw_plan(radial20, InjectionStats.uniform(radial20), "dc")
+    est = estimate_concentration(draw_sample_covariance(plan, 300, [1, 2, 3, 4]))
+    stack = reconstruct(est.concentration, "thresholding", tau2=-2.0, est=est)
+    order = np.random.default_rng(0).permutation(len(stack.buses))
+    shuffled = LearnedStack(tuple(np.array(stack.buses)[order].tolist()),
+                            stack.adjacency[:, order][:, :, order], "thresholding", {},
+                            stack.errors)
+    truth = edge_set(radial20) - {ln.key for ln in radial20.lines if radial20.reference in ln.key}
+    for learned in (stack, shuffled):
+        err = edge_errors(learned, radial20)
+        alone = [edge_errors(topo, radial20) for topo in learned]
+        assert [(e.fp_edges, e.fn_edges) for e in alone] == [
+            (topo.edges - truth, truth - topo.edges) for topo in learned]
+        assert err.false_positives.tolist() == [e.false_positives for e in alone]
+        assert err.false_negatives.tolist() == [e.false_negatives for e in alone]
+        assert err.total.tolist() == [e.total for e in alone]
+        assert err.fp_edges is None and err.fn_edges is None
+    assert sum(e.total for e in alone) > 0
+    with pytest.raises(GridStructureError, match="non-reference buses"):
+        edge_errors(LearnedStack((1, 2), np.zeros((1, 2, 2), dtype=bool), "counting", {}, (None,)),
+                    radial20)
 
 
 def test_topology_json_roundtrip(tmp_path, radial20):

@@ -201,12 +201,12 @@ def learn(conc, grid_ref, model, algo, tau1, tau2, compare_truth, out,
         matrix = est.concentration
 
     topo = reconstruct(matrix, algo, tau1=tau1, tau2=tau2, est=est)
+    err = edge_errors(topo, g) if compare_truth else None  # a bus-set mismatch fails before any output
     if out:
         write_topology_json(topo, out)
     click.echo(f"learned {len(topo.edges)} edges over {len(topo.buses)} buses ({algo})"
                + (f" -> {out}" if out else ""))
     if compare_truth:
-        err = edge_errors(topo, g)
         click.echo(f"fp={err.false_positives} fn={err.false_negatives} total={err.total}")
     elif not out:
         click.echo(json.dumps(topo.to_dict(), indent=2))

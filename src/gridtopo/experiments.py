@@ -13,10 +13,13 @@ the Bartlett factor of their whitened scatter
 builds the snapshots or their scatter.  A stack draws each trial from its
 own seed, as alone, then estimates, learns and scores all of them at once:
 one stacked solve, one stacked concentration-matrix check, one pass of
-noise scales and threshold masks, counting's array passes over the
-stacked bus adjacency and one scoring pass that reads that adjacency at
-the grid's lines, so a stack's records are those of its trials run one at
-a time.  An exact run is the one trial n = 0, which learns from the
+noise scales and threshold masks, and counting's array passes over the
+stacked bus adjacency.  The result is one
+:class:`~gridtopo.learning.LearnedTopology` of (T, B, B) adjacencies and
+each trial's error (a stack that failed as a whole has no edges), scored
+by one :func:`~gridtopo.learning.edge_errors` pass that reads it at the
+grid's lines, so a stack's records are those of its trials run one at a
+time.  An exact run is the one trial n = 0, which learns from the
 analytic concentration matrix instead and needs no plan.
 """
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .estimation import ESTIMATORS, EstimatedConcentration, estimate_concentrati
 from .exceptions import ConfigError, GridTopoError
 from .grid import BUILTIN_GRIDS, Grid, builtin_grid, grid_hash, load_grid
 from .learning import (
-    LearnedStack,
     LearnedTopology,
     build_graphical_model,
     edge_errors,
@@ -179,12 +181,12 @@ def reconstruct(
     tau1: float | str = "auto",
     tau2: float | str = "auto",
     est: EstimatedConcentration | None = None,
-) -> LearnedTopology | LearnedStack:
+) -> LearnedTopology:
     """One learning step on a concentration matrix (exact or estimated).
 
-    A stack of trials' matrices is learned in one pass and gives a
-    :class:`LearnedStack`, which holds the package error, if any, that each
-    trial's counting met.
+    A stack of trials' matrices is learned in one pass and gives one
+    topology of (T, B, B) adjacencies, which holds the package error, if
+    any, that each trial's counting met.
     """
     if algorithm == "counting":
         t1, scale = resolve_tau1(tau1, conc, est)
@@ -276,17 +278,15 @@ def run_trials(grid: Grid, stats: InjectionStats, plan: DrawPlan | None,
                 return [rec for t in trials for rec in run_trials(grid, stats, plan, spec, n, (t,))]
             learned = exc.with_traceback(None)  # this frame holds it: no cycle
     if isinstance(learned, GridTopoError):
-        errors = (learned,) * len(trials)
-        learned = LearnedTopology(buses=grid.non_reference_buses, edges=frozenset(),
-                                  algorithm=spec.algorithm)
-    else:
-        errors = learned.errors if isinstance(learned, LearnedStack) else (None,)
+        buses = grid.non_reference_buses
+        learned = LearnedTopology(buses, np.zeros((len(trials), len(buses), len(buses)), dtype=bool),
+                                  spec.algorithm, errors=(learned,) * len(trials))
     err = edge_errors(learned, grid)
     fps = np.broadcast_to(err.false_positives, len(trials)).tolist()
     fns = np.broadcast_to(err.false_negatives, len(trials)).tolist()
     return [TrialRecord(n=n, trial=trial, fp=fp, fn=fn, total=fp + fn, seed=seed,
                         error=None if e is None else f"{type(e).__name__}: {e}", method=method)
-            for trial, seed, fp, fn, e in zip(trials, seeds, fps, fns, errors)]
+            for trial, seed, fp, fn, e in zip(trials, seeds, fps, fns, learned.errors)]
 
 
 def run_single_trial(grid: Grid, stats: InjectionStats, plan: DrawPlan | None,

@@ -65,8 +65,9 @@ class Grid:
     """Immutable bus/line model with a designated reference bus.
 
     Valid by construction: ``Grid(...)`` raises on the first violation, so
-    every grid is connected with finite, positive line susceptances and its
-    reduced Laplacian H_b is positive definite.
+    every grid has a bus besides the reference, is connected with finite,
+    positive line susceptances and its reduced Laplacian H_b is positive
+    definite.
     """
 
     reference: int
@@ -86,6 +87,8 @@ class Grid:
             seen.add(b)
         if self.reference not in seen:
             raise GridStructureError(f"reference bus {self.reference} is not listed in buses")
+        if len(seen) < 2:
+            raise GridStructureError(f"grid has no bus besides the reference {self.reference}")
 
         keys: set[tuple[int, int]] = set()
         for k, ln in enumerate(self.lines):

@@ -58,13 +58,6 @@ def _nonzero(a: np.ndarray) -> tuple[np.ndarray, ...]:
     return np.unravel_index(np.flatnonzero(a), a.shape)
 
 
-def _edges(adjacency: np.ndarray, buses) -> frozenset[tuple[int, int]]:
-    """The ordered bus pairs joined in the (B, B) boolean ``adjacency``."""
-    r, c = _nonzero(adjacency)
-    up = r < c
-    return frozenset(_pair(buses[a], buses[b]) for a, b in zip(r[up].tolist(), c[up].tolist()))
-
-
 def _adjacency(i: np.ndarray, j: np.ndarray, mask: np.ndarray, size: int) -> np.ndarray:
     """(..., size, size) boolean adjacency joining i[e] and j[e] wherever
     ``mask[..., e]`` holds; the diagonal stays False."""
@@ -207,54 +200,24 @@ def _scaled(pairs: Pairs, values: np.ndarray, scale: Pairs | None) -> np.ndarray
 
 
 class GraphicalModel:
-    """Thresholded conditional-independence graph over voltage variables.
+    """Thresholded conditional-independence graph over voltage variables,
+    held as its bus adjacency.
 
-    Held as variable-index pairs (``rows`` < ``cols``) and the boolean
-    ``mask`` of those that are edges.  A mask with a leading trial axis holds
-    one graph per trial of a stack, and ``gm[k]`` is trial k's.
+    ``adjacency`` is the (..., B, B) boolean bus adjacency over ``buses``:
+    two buses join when any of their variables do (a variable pair on one
+    bus joins nothing).  A leading trial axis holds one graph per trial of
+    a stack.
     """
 
-    def __init__(self, labels, edges, model: str, tau1: float):
-        """The graph whose edges are the label pairs ``edges``."""
-        labels = tuple(labels)
-        at = {lab: k for k, lab in enumerate(labels)}
-        ends = np.array([sorted((at[a], at[b])) for a, b in edges], dtype=int).reshape(-1, 2)
-        self.labels, self.model, self.tau1 = labels, model, tau1
-        self.rows, self.cols, self.mask = ends[:, 0], ends[:, 1], np.ones(len(ends), dtype=bool)
-
-    @classmethod
-    def _of_mask(cls, labels: tuple[VarLabel, ...], rows: np.ndarray, cols: np.ndarray,
-                 mask: np.ndarray, model: str, tau1: float) -> "GraphicalModel":
-        gm = object.__new__(cls)
-        gm.labels, gm.model, gm.tau1 = labels, model, tau1
-        gm.rows, gm.cols, gm.mask = rows, cols, mask
-        return gm
-
-    def __getitem__(self, k: int) -> "GraphicalModel":
-        """Trial k's graph; it shares the stack's bus adjacency."""
-        gm = self._of_mask(self.labels, self.rows, self.cols, self.mask[k], self.model, self.tau1)
-        gm.buses, gm.adjacency = self.buses, self.adjacency[k]
-        return gm
-
-    @property
-    def edges(self) -> frozenset[tuple[VarLabel, VarLabel]]:
-        """The edges of a single graph, as ordered label pairs."""
-        at = np.flatnonzero(self.mask)
-        labels = self.labels
-        return frozenset(_pair(labels[a], labels[b]) for a, b in zip(self.rows[at].tolist(), self.cols[at].tolist()))
-
-    @cached_property
-    def buses(self) -> tuple[int, ...]:
-        return tuple(sorted({lab.bus for lab in self.labels}))
-
-    @cached_property
-    def adjacency(self) -> np.ndarray:
-        """(..., B, B) boolean bus adjacency over :attr:`buses`: two buses
-        join when any of their variables do (a variable pair on one bus
-        joins nothing)."""
+    def __init__(self, labels: tuple[VarLabel, ...], rows: np.ndarray, cols: np.ndarray,
+                 mask: np.ndarray, model: str, tau1: float):
+        """The graph joining variables ``labels[rows[e]]`` and
+        ``labels[cols[e]]`` wherever ``mask[..., e]`` holds."""
+        self.buses = tuple(sorted({lab.bus for lab in labels}))
         at = {b: k for k, b in enumerate(self.buses)}
-        bus = np.array([at[lab.bus] for lab in self.labels], dtype=int)
-        return _adjacency(bus[self.rows], bus[self.cols], self.mask, len(at))
+        bus = np.array([at[lab.bus] for lab in labels], dtype=int)
+        self.adjacency = _adjacency(bus[rows], bus[cols], mask, len(at))
+        self.model, self.tau1 = model, tau1
 
 
 def build_graphical_model(
@@ -271,7 +234,7 @@ def build_graphical_model(
     check_tau(tau1, "tau1")
     J = conc.pairs
     mask = _scaled(J, np.abs(J.vals), scale) >= tau1
-    return GraphicalModel._of_mask(conc.labels, J.rows, J.cols, mask, conc.model, tau1)
+    return GraphicalModel(conc.labels, J.rows, J.cols, mask, conc.model, tau1)
 
 
 def hybridize(gm: GraphicalModel) -> dict[int, set[int]]:
@@ -288,12 +251,33 @@ def hybridize(gm: GraphicalModel) -> dict[int, set[int]]:
 
 @dataclass(frozen=True, eq=False)
 class LearnedTopology:
-    """Reconstructed bus graph plus the algorithm and knobs that produced it."""
+    """Reconstructed bus graph plus the algorithm and knobs that produced it.
+
+    ``adjacency`` is the (B, B) boolean bus adjacency over ``buses`` of one
+    topology, or the (T, B, B) adjacencies of a stack of T trials.
+    ``errors[k]`` is the package error trial k's learning met, or None, and
+    a trial with an error has no edges.  ``topo[k]`` is trial k's topology,
+    or raises its error.
+    """
 
     buses: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
+    adjacency: np.ndarray
     algorithm: str
     params: dict = field(default_factory=dict)
+    errors: tuple[GridTopoError | None, ...] = (None,)
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The ordered bus pairs of one topology."""
+        r, c = _nonzero(self.adjacency)
+        up = r < c
+        buses = self.buses
+        return frozenset(_pair(buses[a], buses[b]) for a, b in zip(r[up].tolist(), c[up].tolist()))
+
+    def __getitem__(self, k: int) -> "LearnedTopology":
+        if self.errors[k] is not None:
+            raise self.errors[k]
+        return LearnedTopology(self.buses, self.adjacency[k], self.algorithm, self.params)
 
     def to_dict(self) -> dict:
         return {
@@ -310,53 +294,27 @@ def write_topology_json(topo: LearnedTopology, path) -> None:
         fh.write("\n")
 
 
-@dataclass(frozen=True, eq=False)
-class LearnedStack:
-    """The reconstructions of a stack of T trials over one bus set.
-
-    ``adjacency`` is their (T, B, B) boolean bus adjacency over ``buses``;
-    ``errors[k]`` is the package error trial k's learning met, or None, and
-    a trial with an error has no edges.  ``stack[k]`` is trial k's
-    :class:`LearnedTopology`, or raises its error.
-    """
-
-    buses: tuple[int, ...]
-    adjacency: np.ndarray
-    algorithm: str
-    params: dict
-    errors: tuple[GridTopoError | None, ...]
-
-    def __getitem__(self, k: int) -> LearnedTopology:
-        if self.errors[k] is not None:
-            raise self.errors[k]
-        return LearnedTopology(self.buses, _edges(self.adjacency[k], self.buses),
-                               self.algorithm, self.params)
-
-
 @dataclass(frozen=True)
 class EdgeErrors:
-    """False positives/negatives of a reconstruction vs ground truth.  For a
-    :class:`LearnedStack` the counts are (T,) arrays and the edge sets are
-    not built (None)."""
+    """False positives/negatives of a reconstruction vs ground truth: ints
+    for one topology, (T,) arrays for a stack."""
 
-    false_positives: int
-    false_negatives: int
-    fp_edges: frozenset[tuple[int, int]] | None
-    fn_edges: frozenset[tuple[int, int]] | None
+    false_positives: int | np.ndarray
+    false_negatives: int | np.ndarray
 
     @property
-    def total(self) -> int:
+    def total(self) -> int | np.ndarray:
         return self.false_positives + self.false_negatives
 
 
-def edge_errors(learned: LearnedTopology | LearnedStack, truth: Grid) -> EdgeErrors:
+def edge_errors(learned: LearnedTopology, truth: Grid) -> EdgeErrors:
     """Score learned edges against the grid's lines between non-reference buses.
 
     Lines incident to the reference are excluded: the reference carries no
     random injection, so no estimator sees them.  Raises if the learned bus
-    set does not match the grid's non-reference buses.  A stack is scored
-    as a whole: its adjacency read at the grid's lines (:attr:`Grid.line_ends`,
-    built once per grid) counts the lines found.
+    set does not match the grid's non-reference buses.  The adjacency, of
+    one topology or a whole stack, is read at the grid's lines
+    (:attr:`Grid.line_ends`, built once per grid) to count the lines found.
     """
     want_buses = set(truth.non_reference_buses)
     have_buses = set(learned.buses)
@@ -369,14 +327,9 @@ def edge_errors(learned: LearnedTopology | LearnedStack, truth: Grid) -> EdgeErr
     at[[truth.index_of[b] for b in learned.buses]] = np.arange(len(learned.buses))
     ends = truth.line_ends
     i, j = at[ends[(ends >= 0).all(axis=1)]].T
-    if isinstance(learned, LearnedStack):
-        found = np.count_nonzero(learned.adjacency[:, i, j], axis=-1)
-        fp = np.count_nonzero(learned.adjacency, axis=(-2, -1)) // 2 - found
-        return EdgeErrors(fp, len(i) - found, None, None)
-    buses = learned.buses
-    truth_edges = frozenset(_pair(buses[a], buses[b]) for a, b in zip(i.tolist(), j.tolist()))
-    fp, fn = learned.edges - truth_edges, truth_edges - learned.edges
-    return EdgeErrors(len(fp), len(fn), fp, fn)
+    found = np.count_nonzero(learned.adjacency[..., i, j], axis=-1)
+    fp = np.count_nonzero(learned.adjacency, axis=(-2, -1)) // 2 - found
+    return EdgeErrors(*(c if np.ndim(c) else int(c) for c in (fp, len(i) - found)))
 
 
 # ----------------------------------------------------------------------
@@ -440,7 +393,7 @@ def _skeleton(A: np.ndarray) -> np.ndarray:
     return skel.reshape(A.shape)
 
 
-def learn_by_counting(gm: GraphicalModel) -> LearnedTopology | LearnedStack:
+def learn_by_counting(gm: GraphicalModel) -> LearnedTopology:
     """Separate true lines from two-hop GM artifacts by neighborhood counting.
 
     A GM edge (i,j) is kept as a line iff two distinct common GM-neighbors
@@ -454,14 +407,14 @@ def learn_by_counting(gm: GraphicalModel) -> LearnedTopology | LearnedStack:
     Both steps are array passes over the bus adjacency
     (:attr:`GraphicalModel.adjacency`), for every trial of a stacked
     ``gm`` at once (:func:`_skeleton`; leaves compare bit-packed rows).  A
-    stacked ``gm`` gives a :class:`LearnedStack` that holds each trial's
-    error; a single one gives its topology or raises the error:
+    stacked ``gm`` gives one topology of (T, B, B) adjacencies that holds
+    each trial's error; a single one gives its topology or raises the error:
     :class:`ReconstructionError` when no skeleton edge is found (the rule
     needs >= 3 non-leaf buses) and :class:`AmbiguousLeafError` naming the
     first vertex, in bus order, with no or several attachment candidates.
     """
     buses = gm.buses
-    A = gm.adjacency if gm.mask.ndim > 1 else gm.adjacency[None]
+    A = gm.adjacency if gm.adjacency.ndim > 2 else gm.adjacency[None]
     skel = _skeleton(A)
     discovered = skel.any(axis=-1)
     want = A & discovered[:, None, :]  # want[t, u] = A_u & discovered
@@ -488,8 +441,8 @@ def learn_by_counting(gm: GraphicalModel) -> LearnedTopology | LearnedStack:
             f"{candidates}; cannot determine its line")
     skel[[e is not None for e in errors]] = False
 
-    stack = LearnedStack(buses, skel, "counting", {"tau1": gm.tau1, "model": gm.model}, tuple(errors))
-    return stack if gm.mask.ndim > 1 else stack[0]
+    stack = LearnedTopology(buses, skel, "counting", {"tau1": gm.tau1, "model": gm.model}, tuple(errors))
+    return stack if gm.adjacency.ndim > 2 else stack[0]
 
 
 # ----------------------------------------------------------------------
@@ -501,7 +454,7 @@ def learn_by_thresholding(
     conc: ConcentrationMatrix,
     tau2: float,
     scale: Pairs | None = None,
-) -> LearnedTopology | LearnedStack:
+) -> LearnedTopology:
     """Keep bus pairs whose detection statistic falls below tau2 < 0.
 
     DC: the statistic is the concentration entry itself.  LC: the sum of the
@@ -510,15 +463,13 @@ def learn_by_thresholding(
     lines for triangle-free grids.  ``scale`` (optional, positive, at the
     statistic's bus pairs) divides the statistic entry-wise so tau2 can be a
     z-score; ``scale=None`` keeps the plain scalar rule.  A stacked ``conc``
-    gives a :class:`LearnedStack`.
+    gives a stacked topology, (T, B, B), with no errors.
     """
     check_tau(tau2, "tau2")
     stat = thresholding_statistic(conc)
     mask = _scaled(stat, stat.vals, scale) <= tau2
-    trials = mask if mask.ndim > 1 else mask[None]
-    stack = LearnedStack(conc.buses, _adjacency(stat.rows, stat.cols, trials, stat.dim), "thresholding",
-                         {"tau2": tau2, "model": conc.model}, (None,) * len(trials))
-    return stack if mask.ndim > 1 else stack[0]
+    return LearnedTopology(conc.buses, _adjacency(stat.rows, stat.cols, mask, stat.dim), "thresholding",
+                           {"tau2": tau2, "model": conc.model}, (None,) * math.prod(mask.shape[:-1]))
 
 
 # ----------------------------------------------------------------------

@@ -30,16 +30,29 @@ def block(conc: ConcentrationMatrix, kind_row: str, kind_col: str) -> np.ndarray
     return conc.matrix[span[kind_row], span[kind_col]]
 
 
+def adjacency_of(buses, edges) -> np.ndarray:
+    """The (B, B) boolean adjacency over ``buses`` joining the bus pairs ``edges``."""
+    at = {b: k for k, b in enumerate(buses)}
+    adj = np.zeros((len(at), len(at)), dtype=bool)
+    for i, j in edges:
+        adj[at[i], at[j]] = adj[at[j], at[i]] = True
+    return adj
+
+
+def edges_of(adjacency: np.ndarray, buses) -> frozenset[tuple[int, int]]:
+    """The (low, high) bus pairs joined in the (B, B) ``adjacency`` over the
+    sorted ``buses``."""
+    rows, cols = np.nonzero(np.triu(adjacency, k=1))
+    return frozenset((buses[a], buses[b]) for a, b in zip(rows.tolist(), cols.tolist()))
+
+
 def load_topology_json(path) -> LearnedTopology:
     """A topology JSON as ``write_topology_json`` writes it, read back."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    return LearnedTopology(
-        buses=tuple(doc["buses"]),
-        edges=frozenset((min(i, j), max(i, j)) for i, j in doc["edges"]),
-        algorithm=doc["algorithm"],
-        params=doc.get("params", {}),
-    )
+    buses = tuple(doc["buses"])
+    return LearnedTopology(buses, adjacency_of(buses, doc["edges"]), doc["algorithm"],
+                           doc.get("params", {}))
 
 
 def all_satisfied(report: SufficiencyReport) -> bool:

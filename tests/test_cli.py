@@ -75,6 +75,29 @@ def test_every_command_rejects_a_line_whose_susceptance_overflows(runner, tmp_pa
     assert payload["message"].startswith(f"line (1,2): susceptance must be finite and positive, got {b}")
 
 
+@pytest.mark.parametrize("command", [
+    ["grid", "validate", "{grid}"],
+    ["grid", "info", "{grid}"],
+    ["certify", "--grid", "{grid}"],
+    ["sample", "--grid", "{grid}", "--n", "5", "--out", "{tmp}/s.csv"],
+    ["learn", "--conc", "exact", "--grid", "{grid}"],
+    ["experiment", "--grid", "{grid}", "--counts", "10", "--trials", "2", "--out", "{tmp}/r.csv"],
+    ["experiment", "--grid", "{grid}", "--estimator", "glasso", "--counts", "10", "--trials", "1",
+     "--out", "{tmp}/r.csv"],
+    ["experiment", "--grid", "{grid}", "--exact", "--out", "{tmp}/r.csv"],
+], ids=["validate", "info", "certify", "sample", "learn", "experiment", "experiment-glasso",
+        "experiment-exact"])
+def test_every_command_rejects_a_grid_of_the_reference_alone(runner, tmp_path, command):
+    # no bus to sample or pair to learn: one JSON error, exit 1, no output
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"reference": 0, "buses": [0], "lines": []}))
+    result = runner.invoke(main, [a.format(grid=path, tmp=tmp_path) for a in command])
+    assert stderr_error(result) == {"error": "GridStructureError",
+                                    "message": "grid has no bus besides the reference 0"}
+    assert result.stdout == ""
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize(
     "name,lines",
     [
@@ -334,6 +357,19 @@ def test_learn_compare_truth_requires_grid_before_any_output(runner, tmp_path):
     assert result.stdout == ""
     assert stderr_error(result) == {"error": "ConfigError",
                                     "message": "--compare-truth requires --grid"}
+    assert not out.exists()
+
+
+def test_learn_compare_truth_checks_the_bus_set_before_any_output(runner, tmp_path):
+    # a radial20 estimate scored against ieee14: the error comes before the
+    # topology is written or its "learned" line printed
+    samples, est, out = tmp_path / "s.csv", tmp_path / "e.json", tmp_path / "t.json"
+    invoke_ok(runner, ["sample", "--grid", "radial20", "--n", "500", "--seed", "1", "--out", str(samples)])
+    invoke_ok(runner, ["estimate", "--samples", str(samples), "--out", str(est)])
+    result = runner.invoke(main, ["learn", "--conc", str(est), "--grid", "ieee14", "--compare-truth",
+                                  "--out", str(out)])
+    assert stderr_error(result)["error"] == "GridStructureError"
+    assert result.stdout == ""
     assert not out.exists()
 
 

@@ -337,6 +337,7 @@ def test_girth_of_a_cycle_hung_off_a_tree():
         (0, [0, 1], [(0, 1, 0.1, 0.0)], InvalidLineError, "reactance must be positive"),
         (0, [0, 1], [(0, 1, math.nan, 0.2)], InvalidLineError, "non-finite"),
         (0, [0, 1, 2], [(0, 1, 0.1, 0.2)], GridStructureError, "not connected"),
+        (0, [0], [], GridStructureError, "no bus besides the reference 0"),
     ],
 )
 def test_make_grid_rejects_bad_input(reference, buses, lines, exc, match):

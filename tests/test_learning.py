@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_satisfied, block, edge_set, load_topology_json
+from conftest import adjacency_of, all_satisfied, block, edge_set, edges_of, load_topology_json
 from gridtopo import grid as grid_module, learning, powerflow
 from gridtopo.estimation import estimate_concentration
 from gridtopo.exceptions import (
@@ -24,7 +24,6 @@ from gridtopo.grid import builtin_grid, bus_distance, make_grid, reduced_laplaci
 from gridtopo.learning import (
     EdgeErrors,
     GraphicalModel,
-    LearnedStack,
     LearnedTopology,
     build_graphical_model,
     check_sufficiency,
@@ -112,8 +111,8 @@ def test_build_graphical_model_path4():
     g = path_grid(4)
     conc = dc_concentration(g, unit_stats(g))
     gm = build_graphical_model(conc, default_exact_tau1(conc))
-    t = lambda b: VarLabel("theta", b)
-    assert gm.edges == frozenset({(t(1), t(2)), (t(2), t(3)), (t(1), t(3))})
+    assert gm.buses == (1, 2, 3)
+    assert edges_of(gm.adjacency, gm.buses) == {(1, 2), (2, 3), (1, 3)}
 
 
 def test_build_graphical_model_knobs(radial20):
@@ -129,7 +128,7 @@ def test_build_graphical_model_knobs(radial20):
     tau = default_exact_tau1(conc)
     plain = build_graphical_model(conc, tau)
     scaled = build_graphical_model(conc, tau, scale=conc.pairs._replace(vals=np.ones_like(conc.pairs.vals)))
-    assert plain.edges == scaled.edges
+    assert np.array_equal(plain.adjacency, scaled.adjacency)
 
 
 def test_gm_support_is_distance_one_or_two(loopy20_c7):
@@ -138,12 +137,12 @@ def test_gm_support_is_distance_one_or_two(loopy20_c7):
     conc = dc_concentration(loopy20_c7, InjectionStats.uniform(loopy20_c7))
     gm = build_graphical_model(conc, default_exact_tau1(conc))
     want = {
-        (VarLabel("theta", i), VarLabel("theta", j))
+        (i, j)
         for i in loopy20_c7.non_reference_buses
         for j in loopy20_c7.non_reference_buses
         if i < j and bus_distance(loopy20_c7, i, j, through_reference=False) in (1, 2)
     }
-    assert gm.edges == want
+    assert edges_of(gm.adjacency, gm.buses) == want
 
 
 def test_hybridize_merges_lc_vertices(loopy20_c4):
@@ -209,8 +208,10 @@ def test_pair_scans_match_the_masked_copies(all_builtins, model):
         assert default_exact_tau2(conc) == -1e-4 * np.abs(stat_off).max()
         tau1 = default_exact_tau1(conc)
         rows, cols = np.nonzero(np.triu(np.abs(J) >= tau1, k=1))
-        want = {tuple(sorted((conc.labels[a], conc.labels[b]))) for a, b in zip(rows, cols)}
-        assert build_graphical_model(conc, tau1).edges == want
+        bus = [lab.bus for lab in conc.labels]
+        want = {tuple(sorted((bus[a], bus[b]))) for a, b in zip(rows, cols) if bus[a] != bus[b]}
+        gm = build_graphical_model(conc, tau1)
+        assert edges_of(gm.adjacency, gm.buses) == want
 
 
 # The dense oracle: every tau rule, noise scale and scan as it reads ``conc.matrix``.
@@ -240,8 +241,10 @@ def dense_tau(conc, knob):
 
 
 def dense_edges(mask, keys):
+    """The key pairs ``mask`` joins; a pair of equal keys (v and theta of one
+    bus) joins nothing."""
     rows, cols = np.nonzero(np.triu(mask, k=1))
-    return {tuple(sorted((keys[a], keys[b]))) for a, b in zip(rows, cols)}
+    return {tuple(sorted((keys[a], keys[b]))) for a, b in zip(rows, cols) if keys[a] != keys[b]}
 
 
 def assert_pairs_read_like_the_dense_matrix(conc, est=None):
@@ -255,8 +258,9 @@ def assert_pairs_read_like_the_dense_matrix(conc, est=None):
         se = dense_standard_error(J, est.n_samples)
         h = len(se) // 2
         se_stat = se if conc.model == "dc" else se[:h, :h] + se[h:, h:]
-    gm_want = dense_edges(np.abs(J) / se >= t1, conc.labels)
-    assert build_graphical_model(conc, t1, s1).edges == gm_want
+    gm_want = dense_edges(np.abs(J) / se >= t1, [lab.bus for lab in conc.labels])
+    gm = build_graphical_model(conc, t1, s1)
+    assert edges_of(gm.adjacency, gm.buses) == gm_want
     thr_want = dense_edges(stat / se_stat <= t2, conc.buses)
     assert learn_by_thresholding(conc, t2, s2).edges == thr_want
 
@@ -391,7 +395,7 @@ def test_estimate_path_never_builds_the_dense_view(radial20, monkeypatch, model)
 @pytest.mark.parametrize("model", ["dc", "lc"])
 def test_a_stack_learns_each_trial_as_alone(radial20, model):
     # one threshold pass over a stack of estimates: each trial's edges,
-    # graphical model and bus adjacency are those it has estimated alone
+    # graphical-model mask and bus adjacency are those it has estimated alone
     plan = draw_plan(radial20, InjectionStats.uniform(radial20), model)
     seeds = [11, 12, 13, 14]
     stack = estimate_concentration(draw_sample_covariance(plan, 400, seeds))
@@ -401,10 +405,16 @@ def test_a_stack_learns_each_trial_as_alone(radial20, model):
         reconstruct(e.concentration, "thresholding", est=e).edges for e in alone]
     t1, scale = resolve_tau1("auto", stack.concentration, stack)
     gm = build_graphical_model(stack.concentration, t1, scale)
+    J = stack.concentration.pairs
+    mask = np.abs(J.vals) / scale.vals >= t1
     for k, est in enumerate(alone):
-        one = build_graphical_model(est.concentration, *resolve_tau1("auto", est.concentration, est))
-        assert gm[k].edges == one.edges and len(one.edges) > 0
-        assert hybridize(gm[k]) == hybridize(one)
+        t1_alone, scale_alone = resolve_tau1("auto", est.concentration, est)
+        assert np.array_equal(mask[k], np.abs(est.concentration.pairs.vals) / scale_alone.vals >= t1_alone)
+        trial = GraphicalModel(stack.concentration.labels, J.rows, J.cols, mask[k], model, t1)
+        one = build_graphical_model(est.concentration, t1_alone, scale_alone)
+        assert np.array_equal(trial.adjacency, one.adjacency) and one.adjacency.any()
+        assert np.array_equal(gm.adjacency[k], one.adjacency)
+        assert hybridize(trial) == hybridize(one)
 
 
 def test_counting_ambiguous_leaf_is_named():
@@ -413,20 +423,21 @@ def test_counting_ambiguous_leaf_is_named():
     buses = (1, 2, 3, 4, 9)
     edges = {(1, 2), (1, 3), (2, 3)}
     edges |= {(b, 4) for b in (1, 2, 3)} | {(b, 9) for b in (1, 2, 3)}
-    theta = {b: VarLabel("theta", b) for b in buses}
-    gm = GraphicalModel(
-        labels=tuple(theta.values()),
-        edges=frozenset((theta[min(a, b)], theta[max(a, b)]) for a, b in edges),
-        model="dc",
-        tau1=1.0,
-    )
     with pytest.raises(AmbiguousLeafError, match="bus 4 has 3 attachment candidates"):
-        learn_by_counting(gm)
+        learn_by_counting(dc_gm(buses, edges))
 
 
-def counting_oracle(gm: GraphicalModel) -> LearnedTopology:
+def dc_gm(buses, edges) -> GraphicalModel:
+    """The DC graphical model over ``buses`` joining the bus pairs ``edges``."""
+    rows, cols = np.triu_indices(len(buses), 1)
+    mask = adjacency_of(buses, edges)[rows, cols]
+    return GraphicalModel(tuple(VarLabel("theta", b) for b in buses), rows, cols, mask, "dc", 1.0)
+
+
+def counting_oracle(gm: GraphicalModel) -> frozenset[tuple[int, int]]:
     """Neighbourhood counting on one graphical model as a scan of bus sets,
-    the reference the array learner must match, errors included."""
+    the reference the array learner must match, errors included: the edge
+    set it learns."""
     adj = hybridize(gm)
     vertices = tuple(adj)
     # k and l both neighbour i, so they sit at GM distance 2 unless adjacent
@@ -456,34 +467,36 @@ def counting_oracle(gm: GraphicalModel) -> LearnedTopology:
                 f"{sorted(candidates)}; cannot determine its line"
             )
         edges.add((min(u, candidates[0]), max(u, candidates[0])))
-    return LearnedTopology(vertices, frozenset(edges), "counting",
-                           {"tau1": gm.tau1, "model": gm.model})
+    return frozenset(edges)
 
 
-def outcome(learn, gm):
-    """The edges ``learn(gm)`` returns, or the type and text of its error."""
+def outcome(edges):
+    """The edge set ``edges()`` returns, or the type and text of its error."""
     try:
-        return learn(gm).edges
+        return edges()
     except GridTopoError as exc:
         return type(exc), str(exc)
 
 
-def assert_stack_matches_oracle(gm: GraphicalModel):
-    # every trial of the stack, and the trial learned alone, as the oracle
-    stack = learn_by_counting(gm)
-    assert isinstance(stack, LearnedStack) and len(stack.errors) == len(gm.mask)
-    for k in range(len(gm.mask)):
-        want = outcome(counting_oracle, gm[k])
-        assert outcome(lambda _: stack[k], None) == want
-        assert outcome(learn_by_counting, gm[k]) == want
+def assert_stack_matches_oracle(labels, rows, cols, masks, model):
+    # every trial of the stack, and the trial learned alone from its own
+    # mask, as the oracle
+    stack = learn_by_counting(GraphicalModel(labels, rows, cols, masks, model, 1.0))
+    assert stack.adjacency.ndim == 3 and len(stack.errors) == len(masks)
+    for k, mask in enumerate(masks):
+        one = GraphicalModel(labels, rows, cols, mask, model, 1.0)
+        want = outcome(lambda: counting_oracle(one))
+        assert outcome(lambda: stack[k].edges) == want
+        assert outcome(lambda: learn_by_counting(one).edges) == want
         if stack.errors[k] is not None:
             assert not stack.adjacency[k].any()
 
 
 @st.composite
-def bus_graph_stacks(draw, max_buses: int = 25, min_buses: int = 1) -> GraphicalModel:
-    """A stack of 1-4 graphical models over up to ``max_buses``, DC or LC-style
-    (v and theta per bus): each the distance <= 2 closure of a random
+def bus_graph_stacks(draw, max_buses: int = 25, min_buses: int = 1):
+    """The (labels, rows, cols, masks, model) of a stack of 1-4 graphical
+    models over up to ``max_buses``, DC or LC-style (v and theta per bus),
+    masks variable-level: each the distance <= 2 closure of a random
     forest with chords (triangles included) and isolated buses, with a few
     bus pairs flipped.  An LC bus pair is joined through a random non-empty
     subset of its four variable pairs; a v-theta pair on one bus joins
@@ -523,20 +536,20 @@ def bus_graph_stacks(draw, max_buses: int = 25, min_buses: int = 1) -> Graphical
         chosen = rng.integers(len(kinds) ** 2, size=A.shape)[lo, hi] == code
         mask = A[lo, hi] & (chosen | (rng.random(len(rows)) < 0.5))
         masks.append(mask | ((lo == hi) & (rng.random(len(rows)) < 0.3)))
-    return GraphicalModel._of_mask(labels, rows, cols, np.array(masks), model, 1.0)
+    return labels, rows, cols, np.array(masks), model
 
 
 @settings(max_examples=150, deadline=None)
 @given(bus_graph_stacks())
-def test_counting_on_a_stack_matches_the_set_scan(gm):
-    assert_stack_matches_oracle(gm)
+def test_counting_on_a_stack_matches_the_set_scan(parts):
+    assert_stack_matches_oracle(*parts)
 
 
 @settings(max_examples=25, deadline=None)
 @given(bus_graph_stacks(max_buses=140, min_buses=60))
-def test_counting_on_rows_of_several_words_matches_the_set_scan(gm):
+def test_counting_on_rows_of_several_words_matches_the_set_scan(parts):
     # more than 64 buses: a packed row spans several uint64 words
-    assert_stack_matches_oracle(gm)
+    assert_stack_matches_oracle(*parts)
 
 
 @pytest.mark.parametrize("model", ["dc", "lc"])
@@ -545,8 +558,13 @@ def test_counting_on_drawn_radial20_stacks_matches_the_set_scan(radial20, model)
     plan = draw_plan(radial20, InjectionStats.uniform(radial20), model)
     for n in (200, 1000, 5000):
         est = estimate_concentration(draw_sample_covariance(plan, n, list(range(20))))
-        gm = build_graphical_model(est.concentration, *resolve_tau1("auto", est.concentration, est))
-        assert_stack_matches_oracle(gm)
+        t1, scale = resolve_tau1("auto", est.concentration, est)
+        J = est.concentration.pairs
+        mask = np.abs(J.vals) / scale.vals >= t1
+        gm = build_graphical_model(est.concentration, t1, scale)
+        assert np.array_equal(gm.adjacency, GraphicalModel(est.concentration.labels, J.rows, J.cols,
+                                                           mask, model, t1).adjacency)
+        assert_stack_matches_oracle(est.concentration.labels, J.rows, J.cols, mask, model)
 
 
 def complete_gm(n_buses: int, missing=()) -> GraphicalModel:
@@ -556,7 +574,7 @@ def complete_gm(n_buses: int, missing=()) -> GraphicalModel:
     mask = np.ones(len(rows), dtype=bool)
     for k, l in missing:
         mask[(rows == k) & (cols == l)] = False
-    return GraphicalModel._of_mask(labels, rows, cols, mask, "dc", 1.0)
+    return GraphicalModel(labels, rows, cols, mask, "dc", 1.0)
 
 
 def test_counting_on_a_near_complete_graphical_model_is_bounded():
@@ -642,46 +660,49 @@ def test_edge_errors_cases(radial20):
         ln.key for ln in radial20.lines if radial20.reference not in (ln.i, ln.j)
     )
     buses = radial20.non_reference_buses
-    perfect = LearnedTopology(buses, truth_edges, "thresholding")
-    assert edge_errors(perfect, radial20) == EdgeErrors(0, 0, frozenset(), frozenset())
-
-    empty = LearnedTopology(buses, frozenset(), "thresholding")
-    err = edge_errors(empty, radial20)
+    for edges in (truth_edges, frozenset(), truth_edges | {(1, 19)}, {(1, 19), (5, 7)}):
+        err = edge_errors(LearnedTopology(buses, adjacency_of(buses, edges), "counting"), radial20)
+        fp, fn = edges - truth_edges, truth_edges - edges
+        assert err == EdgeErrors(len(fp), len(fn)) and err.total == len(fp) + len(fn)
+    err = edge_errors(LearnedTopology(buses, adjacency_of(buses, ()), "thresholding"), radial20)
     assert (err.false_positives, err.false_negatives, err.total) == (0, 18, 18)
-    assert err.fn_edges == truth_edges
-
-    extra = LearnedTopology(buses, truth_edges | {(1, 19)}, "counting")
-    err = edge_errors(extra, radial20)
-    assert err.false_positives == 1 and err.fp_edges == frozenset({(1, 19)})
 
     with pytest.raises(GridStructureError, match="non-reference buses"):
-        edge_errors(LearnedTopology((1, 2), frozenset(), "counting"), radial20)
+        edge_errors(LearnedTopology((1, 2), np.zeros((2, 2), dtype=bool), "counting"), radial20)
 
 
-def test_a_stack_is_scored_as_each_of_its_trials(radial20):
-    # one mask pass over the stack gives each trial's counts, whatever the
-    # order its buses are listed in
+@pytest.mark.parametrize("seeds", [1, [1, 2, 3, 4]], ids=["one", "stack"])
+def test_edge_errors_read_the_adjacency_at_the_lines(radial20, seeds):
+    # one pass over the adjacency gives each trial's counts, whatever the
+    # order its buses are listed in: ints for one topology, equal to those
+    # of its stack of one, and (T,) arrays for a stack
     plan = draw_plan(radial20, InjectionStats.uniform(radial20), "dc")
-    est = estimate_concentration(draw_sample_covariance(plan, 300, [1, 2, 3, 4]))
-    stack = reconstruct(est.concentration, "thresholding", tau2=-2.0, est=est)
-    order = np.random.default_rng(0).permutation(len(stack.buses))
-    shuffled = LearnedStack(tuple(np.array(stack.buses)[order].tolist()),
-                            stack.adjacency[:, order][:, :, order], "thresholding", {},
-                            stack.errors)
+    est = estimate_concentration(draw_sample_covariance(plan, 300, seeds))
+    learned = reconstruct(est.concentration, "thresholding", tau2=-2.0, est=est)
+    order = np.random.default_rng(0).permutation(len(learned.buses))
+    shuffled = LearnedTopology(tuple(np.array(learned.buses)[order].tolist()),
+                               learned.adjacency[..., order, :][..., order], "thresholding",
+                               errors=learned.errors)
     truth = edge_set(radial20) - {ln.key for ln in radial20.lines if radial20.reference in ln.key}
-    for learned in (stack, shuffled):
-        err = edge_errors(learned, radial20)
-        alone = [edge_errors(topo, radial20) for topo in learned]
-        assert [(e.fp_edges, e.fn_edges) for e in alone] == [
-            (topo.edges - truth, truth - topo.edges) for topo in learned]
-        assert err.false_positives.tolist() == [e.false_positives for e in alone]
-        assert err.false_negatives.tolist() == [e.false_negatives for e in alone]
-        assert err.total.tolist() == [e.total for e in alone]
-        assert err.fp_edges is None and err.fn_edges is None
-    assert sum(e.total for e in alone) > 0
+    topos = list(learned) if learned.adjacency.ndim == 3 else [learned]
+    want = [(len(topo.edges - truth), len(truth - topo.edges)) for topo in topos]
+    assert len(topos) == len(np.atleast_1d(seeds)) and sum(map(sum, want)) > 0
+    for scored in (learned, shuffled):
+        err = edge_errors(scored, radial20)
+        if learned.adjacency.ndim == 3:
+            assert err.false_positives.shape == err.false_negatives.shape == (len(topos),)
+        else:
+            assert all(type(c) is int for c in (err.false_positives, err.false_negatives, err.total))
+            single = estimate_concentration(draw_sample_covariance(plan, 300, [seeds]))
+            of_one = edge_errors(reconstruct(single.concentration, "thresholding", tau2=-2.0,
+                                             est=single), radial20)
+            assert [err.false_positives, err.false_negatives] == [
+                of_one.false_positives.tolist()[0], of_one.false_negatives.tolist()[0]]
+        got = zip(np.atleast_1d(err.false_positives).tolist(), np.atleast_1d(err.false_negatives).tolist())
+        assert list(got) == want
+        assert np.array_equal(err.total, np.add(err.false_positives, err.false_negatives))
     with pytest.raises(GridStructureError, match="non-reference buses"):
-        edge_errors(LearnedStack((1, 2), np.zeros((1, 2, 2), dtype=bool), "counting", {}, (None,)),
-                    radial20)
+        edge_errors(LearnedTopology((1, 2), np.zeros((1, 2, 2), dtype=bool), "counting"), radial20)
 
 
 def test_topology_json_roundtrip(tmp_path, radial20):

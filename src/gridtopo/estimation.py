@@ -324,6 +324,8 @@ def load_estimate_json(path) -> EstimatedConcentration:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: estimate must be a JSON object")
     try:

@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -21,6 +23,7 @@ import numpy as np
 from .exceptions import (
     GridFileError,
     GridStructureError,
+    GridTopoError,
     InvalidLineError,
     UnknownBusError,
     UnknownGridError,
@@ -46,7 +49,7 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Line:
     """One branch with series resistance r and reactance x (per unit)."""
 
@@ -55,9 +58,54 @@ class Line:
     r: float
     x: float
 
+    def __init__(self, i: int, j: int, r: float, x: float):
+        # stores the fields directly: the generated frozen __init__ calls
+        # object.__setattr__ per field, three times as slow, once per line
+        fields = self.__dict__
+        fields["i"], fields["j"], fields["r"], fields["x"] = i, j, r, x
+
     @property
     def key(self) -> tuple[int, int]:
         return (self.i, self.j) if self.i < self.j else (self.j, self.i)
+
+
+#: a line's i, j, r and x, as functions to map over a grid's lines
+_I, _J, _R, _X = map(attrgetter, "ijrx")
+
+
+def _check_bus_ids(buses: tuple) -> None:
+    """Raise for the first bus id that is not an integer or repeats an
+    earlier one, checked bus by bus."""
+    seen: set[int] = set()
+    for b in buses:
+        if not isinstance(b, int) or isinstance(b, bool):
+            raise GridStructureError(f"bus id {b!r} is not an integer")
+        if b in seen:
+            raise GridStructureError(f"duplicate bus id {b}")
+        seen.add(b)
+
+
+def _component_labels(ends: np.ndarray, n: int) -> np.ndarray:
+    """The least bus position in each bus's connected component, for n
+    buses joined by the lines ``ends`` (positions).
+
+    Each round hooks every component's root to the least root it shares a
+    line with, then follows parent pointers to the roots.  A round merges
+    every component that has a line to another one, so O(log n) rounds
+    suffice, where a frontier expansion would take one per BFS level
+    (thousands on a long radial feeder).
+    """
+    label = np.arange(n)
+    a, b = ends.T
+    while True:
+        la, lb = label[a], label[b]
+        if np.array_equal(la, lb):
+            return label
+        lo = np.minimum(la, lb)
+        np.minimum.at(label, la, lo)
+        np.minimum.at(label, lb, lo)
+        while not np.array_equal(up := label[label], label):
+            label = up
 
 
 @dataclass(frozen=True)
@@ -67,7 +115,11 @@ class Grid:
     Valid by construction: ``Grid(...)`` raises on the first violation, so
     every grid has a bus besides the reference, is connected with finite,
     positive line susceptances and its reduced Laplacian H_b is positive
-    definite.
+    definite.  The checks run on the line table, built once per grid as
+    arrays (each line's end positions in ``buses``, its r and x): every
+    line's faults are found at once, and the first faulty line in line
+    order is reported, with the error a line-by-line check would raise.
+    Every per-line view is derived from the same arrays.
     """
 
     reference: int
@@ -78,42 +130,25 @@ class Grid:
     def __post_init__(self):
         if not self.buses:
             raise GridStructureError("grid has no buses")
-        seen: set[int] = set()
-        for b in self.buses:
-            if not isinstance(b, int) or isinstance(b, bool):
-                raise GridStructureError(f"bus id {b!r} is not an integer")
-            if b in seen:
-                raise GridStructureError(f"duplicate bus id {b}")
-            seen.add(b)
-        if self.reference not in seen:
+        if not set(map(type, self.buses)) <= {int} or len(self._position) < len(self.buses):
+            _check_bus_ids(self.buses)
+        if self.reference not in self._position:
             raise GridStructureError(f"reference bus {self.reference} is not listed in buses")
-        if len(seen) < 2:
+        if len(self.buses) < 2:
             raise GridStructureError(f"grid has no bus besides the reference {self.reference}")
 
-        keys: set[tuple[int, int]] = set()
-        for k, ln in enumerate(self.lines):
-            ctx = f"lines[{k}] ({ln.i},{ln.j})"
-            if ln.i not in seen or ln.j not in seen:
-                missing = ln.i if ln.i not in seen else ln.j
-                raise GridStructureError(f"{ctx}: endpoint {missing} is not a listed bus")
-            if ln.i == ln.j:
-                raise GridStructureError(f"{ctx}: self-loop")
-            if ln.key in keys:
-                raise GridStructureError(f"{ctx}: duplicate of an earlier line")
-            keys.add(ln.key)
-            if not (math.isfinite(ln.r) and math.isfinite(ln.x)):
-                raise InvalidLineError(f"{ctx}: non-finite impedance r={ln.r} x={ln.x}")
-            if ln.r < 0.0:
-                raise InvalidLineError(f"{ctx}: negative resistance r={ln.r}")
-            if ln.x <= 0.0:
-                raise InvalidLineError(f"{ctx}: reactance must be positive, got x={ln.x}")
+        faults = self._line_faults()
+        bad = np.flatnonzero(faults.any(axis=0))
+        if bad.size:
+            raise self._line_error(int(bad[0]), int(np.argmax(faults[:, bad[0]])))
 
-        reached = _bfs_distances(self.adjacency, self.reference)
-        if len(reached) < len(self.buses):
-            stranded = sorted(b for b in self.buses if b not in reached)
+        label = _component_labels(self._ends, len(self.buses))
+        stranded = label != label[self._position[self.reference]]
+        if stranded.any():
+            first = min(itertools.compress(self.buses, stranded.tolist()))
             raise GridStructureError(
-                f"grid is not connected: {len(stranded)} bus(es) unreachable from the "
-                f"reference, first {stranded[0]}"
+                f"grid is not connected: {np.count_nonzero(stranded)} bus(es) unreachable from the "
+                f"reference, first {first}"
             )
 
         b = self.line_weights["susceptance"]
@@ -125,23 +160,81 @@ class Grid:
                 f"got {b[bad[0]]} from r={ln.r} x={ln.x}"
             )
 
+    def _line_faults(self) -> np.ndarray:
+        """(6, lines) fault masks, one row per check a line goes through,
+        in the order of :meth:`_line_error`."""
+        a, b = self._ends.T
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        _, first, pair = np.unique((lo + 1) * (len(self.buses) + 1) + hi, return_index=True,
+                                   return_inverse=True)
+        r, x = self._impedance
+        return np.stack([lo < 0, a == b, first[pair] < np.arange(a.size),
+                         ~(np.isfinite(r) & np.isfinite(x)), r < 0.0, x <= 0.0])
+
+    def _line_error(self, k: int, fault: int) -> GridTopoError:
+        """The error for line k's fault ``fault``, a row of :meth:`_line_faults`."""
+        ln = self.lines[k]
+        missing = ln.j if ln.i in self._position else ln.i
+        error, message = (
+            (GridStructureError, f"endpoint {missing} is not a listed bus"),
+            (GridStructureError, "self-loop"),
+            (GridStructureError, "duplicate of an earlier line"),
+            (InvalidLineError, f"non-finite impedance r={ln.r} x={ln.x}"),
+            (InvalidLineError, f"negative resistance r={ln.r}"),
+            (InvalidLineError, f"reactance must be positive, got x={ln.x}"),
+        )[fault]
+        return error(f"lines[{k}] ({ln.i},{ln.j}): {message}")
+
+    # -- the line table ------------------------------------------------
+
+    @cached_property
+    def _position(self) -> dict[int, int]:
+        """Position of each bus id in ``buses``."""
+        return dict(zip(self.buses, range(len(self.buses))))
+
+    @cached_property
+    def _ends(self) -> np.ndarray:
+        """(lines, 2) positions in ``buses`` of each line's ends; -1 for an
+        endpoint that is not a listed bus."""
+        m = len(self.lines)
+        ids = itertools.chain(map(_I, self.lines), map(_J, self.lines))
+        pos = np.fromiter(map(self._position.get, ids, itertools.repeat(-1)), dtype=np.intp, count=2 * m)
+        return _read_only(pos.reshape(2, m).T)[0]
+
+    @cached_property
+    def _impedance(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-line r and x, in line order."""
+        m = len(self.lines)
+        return _read_only(np.fromiter(map(_R, self.lines), dtype=float, count=m),
+                          np.fromiter(map(_X, self.lines), dtype=float, count=m))
+
+    @cached_property
+    def _rank(self) -> np.ndarray:
+        """Rank of each bus, by position in ``buses``, in sorted id order."""
+        rank = np.empty(len(self.buses), dtype=np.intp)
+        rank[sorted(range(len(self.buses)), key=self.buses.__getitem__)] = np.arange(len(self.buses))
+        return _read_only(rank)[0]
+
     # -- derived views -------------------------------------------------
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
-        nbrs: dict[int, list[int]] = {b: [] for b in self.buses}
-        for ln in self.lines:
-            nbrs[ln.i].append(ln.j)
-            nbrs[ln.j].append(ln.i)
-        return {b: tuple(sorted(v)) for b, v in nbrs.items()}
+        """Each bus's neighbours, in sorted id order, keyed in ``buses`` order."""
+        a, b = self._ends.T
+        src, dst = np.concatenate([a, b]), np.concatenate([b, a])
+        dst = dst[np.argsort(src * len(self.buses) + self._rank[dst])]  # by bus, then neighbour id
+        nbrs = np.array(self.buses, dtype=object)[dst].tolist()
+        stop = np.cumsum(np.bincount(src, minlength=len(self.buses))).tolist()
+        return {bus: tuple(nbrs[s:e]) for bus, s, e in zip(self.buses, [0] + stop, stop)}
 
     @cached_property
     def line_ends(self) -> np.ndarray:
         """(lines, 2) row indices (:attr:`index_of`) of each line's ends, in
         line order; the reference bus, which has no row, reads -1."""
-        order = self.index_of
-        return _read_only(np.array([(order.get(ln.i, -1), order.get(ln.j, -1)) for ln in self.lines],
-                                   dtype=np.intp).reshape(-1, 2))[0]
+        rank = self._rank
+        ref = rank[self._position[self.reference]]
+        row = np.where(rank == ref, -1, rank - (rank > ref))
+        return _read_only(row[self._ends])[0]
 
     @cached_property
     def laplacian_index(self) -> tuple[np.ndarray, ...]:
@@ -160,15 +253,16 @@ class Grid:
     def line_weights(self) -> dict[str, np.ndarray]:
         """Per-line ``"susceptance"`` and ``"conductance"`` arrays, in line
         order; built before the grid checks them, so overflow stays silent."""
-        r = np.array([ln.r for ln in self.lines], dtype=float)
-        x = np.array([ln.x for ln in self.lines], dtype=float)
+        r, x = self._impedance
         with np.errstate(all="ignore"):
             b, g = _read_only(susceptance(r, x), conductance(r, x))
         return {"susceptance": b, "conductance": g}
 
     @cached_property
     def non_reference_buses(self) -> tuple[int, ...]:
-        return tuple(b for b in sorted(self.buses) if b != self.reference)
+        ids = sorted(self.buses)
+        ids.remove(self.reference)
+        return tuple(ids)
 
     @cached_property
     def index_of(self) -> dict[int, int]:
@@ -187,18 +281,20 @@ class Grid:
     @cached_property
     def content_hash(self) -> str:
         """Stable content hash (reference, buses, sorted lines); see :func:`grid_hash`."""
-        payload = {
-            "reference": self.reference,
-            "buses": sorted(self.buses),
-            "lines": sorted(
-                [min(ln.i, ln.j), max(ln.i, ln.j), repr(ln.r), repr(ln.x)] for ln in self.lines
-            ),
-        }
+        ends = np.sort(self._rank[self._ends], axis=1)  # by rank, low end first
+        order = np.lexsort(ends.T[::-1])
+        ids = sorted(self.buses)
+        lo, hi = np.array(ids, dtype=object)[ends[order]].T.tolist()
+        order = order.tolist()
+        r = list(map(repr, map(_R, self.lines)))
+        x = list(map(repr, map(_X, self.lines)))
+        lines = list(map(list, zip(lo, hi, map(r.__getitem__, order), map(x.__getitem__, order))))
+        payload = {"reference": self.reference, "buses": ids, "lines": lines}
         blob = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
 
     def require_bus(self, bus: int) -> None:
-        if bus not in self.adjacency:
+        if bus not in self._position:
             raise UnknownBusError(f"bus {bus} is not part of grid {self.name or '?'}")
 
 
@@ -236,11 +332,36 @@ def grid_from_dict(doc: dict, name: str = "") -> Grid:
         raise GridFileError(f"reference must be an integer bus id, got {ref!r}")
     if not isinstance(doc["buses"], list):
         raise GridFileError("buses must be a list of integer ids")
-    raw_lines = doc["lines"]
-    if not isinstance(raw_lines, list):
+    if not isinstance(doc["lines"], list):
         raise GridFileError("lines must be a list of objects")
-    lines: list[Line] = []
-    for k, entry in enumerate(raw_lines):
+    doc_name = doc.get("name", "")
+    if not isinstance(doc_name, str):
+        raise GridFileError(f"name must be a string, got {doc_name!r}")
+    lines = tuple(map(Line, *_line_columns(doc["lines"])))
+    return Grid(reference=ref, buses=tuple(doc["buses"]), lines=lines, name=name or doc_name)
+
+
+def _line_columns(entries: list) -> tuple[list, list, list, list]:
+    """The i, j, r and x columns of the line entries, r and x as floats.
+
+    Each column is gathered at once and checked as a set of types; when an
+    entry is not a dict of integer endpoints and int or float r and x, the
+    entries are walked one by one to name the first faulty one.
+    """
+    try:
+        i, j, r, x = ([e[f] for e in entries] for f in "ijrx")
+        if (set(map(type, entries)) <= {dict} and set(map(type, i)) | set(map(type, j)) <= {int}
+                and set(map(type, r)) | set(map(type, x)) <= {int, float}):
+            return i, j, list(map(float, r)), list(map(float, x))
+    except (KeyError, TypeError, OverflowError):
+        pass
+    return _entry_columns(entries)
+
+
+def _entry_columns(entries: list) -> tuple[list, list, list, list]:
+    """:func:`_line_columns` entry by entry: raises for the first faulty one."""
+    columns: tuple[list, list, list, list] = ([], [], [], [])
+    for k, entry in enumerate(entries):
         ctx = f"lines[{k}]"
         if not isinstance(entry, dict):
             raise GridFileError(f"{ctx}: expected an object, got {type(entry).__name__}")
@@ -257,8 +378,9 @@ def grid_from_dict(doc: dict, name: str = "") -> Grid:
             r, x = float(r), float(x)
         except OverflowError:
             raise GridFileError(f"{ctx}: r and x must fit in a float") from None
-        lines.append(Line(i, j, r, x))
-    return make_grid(ref, doc["buses"], lines, name=name or str(doc.get("name", "")))
+        for column, value in zip(columns, (i, j, r, x)):
+            column.append(value)
+    return columns
 
 
 def load_grid(path) -> Grid:
@@ -268,7 +390,9 @@ def load_grid(path) -> Grid:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise GridFileError(f"{path}: invalid JSON: {exc}") from None
-    return grid_from_dict(doc, name=str(doc.get("name", "")) if isinstance(doc, dict) else "")
+    except UnicodeDecodeError as exc:
+        raise GridFileError(f"{path}: not UTF-8 text: {exc}") from None
+    return grid_from_dict(doc)
 
 
 def grid_to_dict(grid: Grid) -> dict:

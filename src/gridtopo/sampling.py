@@ -280,23 +280,26 @@ def load_samples_csv(path) -> SampleSet:
     meta = _read_sidecar(path)
 
     # universal newlines: loadtxt itself splits rows at "\n" and "\r\n" only
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise SampleFormatError(f"{path}: empty sample file") from None
-        try:
-            labels = tuple(parse_label(h) for h in header)
-        except ValueError as exc:
-            raise SampleFormatError(f"{path}: {exc}") from None
-        try:
-            with warnings.catch_warnings():
-                # a header-only file is reported below instead
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", dtype=float, ndmin=2,
-                                  comments=None, quotechar='"')
-        except ValueError as exc:
-            raise SampleFormatError(f"{path}: {_row_fault(path, labels, str(exc))}") from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                header = next(csv.reader(fh))
+            except StopIteration:
+                raise SampleFormatError(f"{path}: empty sample file") from None
+            try:
+                labels = tuple(parse_label(h) for h in header)
+            except ValueError as exc:
+                raise SampleFormatError(f"{path}: {exc}") from None
+            try:
+                with warnings.catch_warnings():
+                    # a header-only file is reported below instead
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                    data = np.loadtxt(fh, delimiter=",", dtype=float, ndmin=2,
+                                      comments=None, quotechar='"')
+            except ValueError as exc:
+                raise SampleFormatError(f"{path}: {_row_fault(path, labels, str(exc))}") from None
+    except UnicodeDecodeError as exc:  # also from _row_fault's reading
+        raise SampleFormatError(f"{path}: not UTF-8 text: {exc}") from None
 
     if data.shape[0] == 0:
         raise SampleFormatError(f"{path}: no sample rows")
@@ -325,6 +328,8 @@ def _read_sidecar(path) -> dict:
         raise SampleFormatError(f"missing metadata sidecar {sc}") from None
     except json.JSONDecodeError as exc:
         raise SampleFormatError(f"{sc}: invalid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SampleFormatError(f"{sc}: not UTF-8 text: {exc}") from None
     if not isinstance(meta, dict):
         raise SampleFormatError(f"{sc}: expected a JSON object, got {type(meta).__name__}")
     for field in ("grid_hash", "model_kind", "seed", "n"):

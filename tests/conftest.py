@@ -1,11 +1,16 @@
-"""Shared fixtures and helpers: bundled grids, random-grid factories, and
-plain lookups and readers that only the tests need."""
+"""Shared fixtures and helpers: bundled grids, random-grid factories, the
+line-by-line grid parser the array checks are held to, and plain lookups
+and readers that only the tests need."""
+import hashlib
 import json
+import math
+from collections import deque
 
 import numpy as np
 import pytest
 
-from gridtopo.grid import Grid, Line, builtin_grid, make_grid
+from gridtopo.exceptions import GridFileError, GridStructureError, InvalidLineError
+from gridtopo.grid import Grid, Line, builtin_grid, conductance, make_grid, susceptance
 from gridtopo.learning import LearnedTopology, SufficiencyReport
 from gridtopo.powerflow import ConcentrationMatrix
 
@@ -53,6 +58,138 @@ def load_topology_json(path) -> LearnedTopology:
     buses = tuple(doc["buses"])
     return LearnedTopology(buses, adjacency_of(buses, doc["edges"]), doc["algorithm"],
                            doc.get("params", {}))
+
+
+def oracle_grid_views(doc) -> dict:
+    """Parse and check the grid JSON document ``doc`` entry by entry and line
+    by line, and build its views line by line.
+
+    The reference for :func:`gridtopo.grid.grid_from_dict` and the array
+    checks of :class:`Grid`: a faulty document raises the same error with
+    the same message, and a valid one gives equal ``adjacency``,
+    ``line_ends``, ``line_weights``, ``laplacian_index`` and ``content_hash``.
+    """
+    if not isinstance(doc, dict):
+        raise GridFileError("grid document must be a JSON object")
+    for field in ("reference", "buses", "lines"):
+        if field not in doc:
+            raise GridFileError(f"grid document is missing the {field!r} field")
+    ref = doc["reference"]
+    if not isinstance(ref, int) or isinstance(ref, bool):
+        raise GridFileError(f"reference must be an integer bus id, got {ref!r}")
+    if not isinstance(doc["buses"], list):
+        raise GridFileError("buses must be a list of integer ids")
+    if not isinstance(doc["lines"], list):
+        raise GridFileError("lines must be a list of objects")
+    if not isinstance(doc.get("name", ""), str):
+        raise GridFileError(f"name must be a string, got {doc['name']!r}")
+    lines = []
+    for k, entry in enumerate(doc["lines"]):
+        ctx = f"lines[{k}]"
+        if not isinstance(entry, dict):
+            raise GridFileError(f"{ctx}: expected an object, got {type(entry).__name__}")
+        for field in ("i", "j", "r", "x"):
+            if field not in entry:
+                raise GridFileError(f"{ctx}: missing field {field!r}")
+        i, j = entry["i"], entry["j"]
+        if not isinstance(i, int) or not isinstance(j, int) or isinstance(i, bool) or isinstance(j, bool):
+            raise GridFileError(f"{ctx}: endpoints must be integer bus ids")
+        r, x = entry["r"], entry["x"]
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (r, x)):
+            raise GridFileError(f"{ctx}: r and x must be numbers")
+        try:
+            r, x = float(r), float(x)
+        except OverflowError:
+            raise GridFileError(f"{ctx}: r and x must fit in a float") from None
+        lines.append(Line(i, j, r, x))
+
+    buses = doc["buses"]
+    if not buses:
+        raise GridStructureError("grid has no buses")
+    seen = set()
+    for b in buses:
+        if not isinstance(b, int) or isinstance(b, bool):
+            raise GridStructureError(f"bus id {b!r} is not an integer")
+        if b in seen:
+            raise GridStructureError(f"duplicate bus id {b}")
+        seen.add(b)
+    if ref not in seen:
+        raise GridStructureError(f"reference bus {ref} is not listed in buses")
+    if len(seen) < 2:
+        raise GridStructureError(f"grid has no bus besides the reference {ref}")
+    keys = set()
+    for k, ln in enumerate(lines):
+        ctx = f"lines[{k}] ({ln.i},{ln.j})"
+        if ln.i not in seen or ln.j not in seen:
+            missing = ln.i if ln.i not in seen else ln.j
+            raise GridStructureError(f"{ctx}: endpoint {missing} is not a listed bus")
+        if ln.i == ln.j:
+            raise GridStructureError(f"{ctx}: self-loop")
+        if ln.key in keys:
+            raise GridStructureError(f"{ctx}: duplicate of an earlier line")
+        keys.add(ln.key)
+        if not (math.isfinite(ln.r) and math.isfinite(ln.x)):
+            raise InvalidLineError(f"{ctx}: non-finite impedance r={ln.r} x={ln.x}")
+        if ln.r < 0.0:
+            raise InvalidLineError(f"{ctx}: negative resistance r={ln.r}")
+        if ln.x <= 0.0:
+            raise InvalidLineError(f"{ctx}: reactance must be positive, got x={ln.x}")
+
+    nbrs = {b: [] for b in buses}
+    for ln in lines:
+        nbrs[ln.i].append(ln.j)
+        nbrs[ln.j].append(ln.i)
+    adjacency = {b: tuple(sorted(v)) for b, v in nbrs.items()}
+    reached, queue = {ref}, deque([ref])
+    while queue:
+        for v in adjacency[queue.popleft()]:
+            if v not in reached:
+                reached.add(v)
+                queue.append(v)
+    if len(reached) < len(buses):
+        stranded = sorted(b for b in buses if b not in reached)
+        raise GridStructureError(
+            f"grid is not connected: {len(stranded)} bus(es) unreachable from the "
+            f"reference, first {stranded[0]}"
+        )
+    weights = {}
+    for kind, weight in (("susceptance", susceptance), ("conductance", conductance)):
+        with np.errstate(all="ignore"):
+            weights[kind] = np.array([weight(np.float64(ln.r), np.float64(ln.x)) for ln in lines], dtype=float)
+    for k, ln in enumerate(lines):
+        b = weights["susceptance"][k]
+        if not (math.isfinite(b) and b > 0):
+            raise InvalidLineError(
+                f"line ({ln.i},{ln.j}): susceptance must be finite and positive, "
+                f"got {b} from r={ln.r} x={ln.x}"
+            )
+
+    row = {b: k for k, b in enumerate(b for b in sorted(buses) if b != ref)}
+    line_ends = np.array([(row.get(ln.i, -1), row.get(ln.j, -1)) for ln in lines], dtype=np.intp).reshape(-1, 2)
+    rows, cols = list(range(len(row))), list(range(len(row)))
+    diag_bus, diag_line, off_line = [], [], []
+    for k, (i, j) in enumerate(line_ends.tolist()):
+        for end in (i, j):
+            if end >= 0:
+                diag_bus.append(end)
+                diag_line.append(k)
+        if i >= 0 and j >= 0:
+            rows += [i, j]
+            cols += [j, i]
+            off_line += [k, k]
+    payload = {
+        "reference": ref,
+        "buses": sorted(buses),
+        "lines": sorted([min(ln.i, ln.j), max(ln.i, ln.j), repr(ln.r), repr(ln.x)] for ln in lines),
+    }
+    blob = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
+    return {
+        "adjacency": adjacency,
+        "line_ends": line_ends,
+        "line_weights": weights,
+        "laplacian_index": tuple(np.array(v, dtype=np.intp) for v in (rows, cols, diag_bus, diag_line, off_line)),
+        "content_hash": hashlib.sha256(blob).hexdigest(),
+    }
 
 
 def all_satisfied(report: SufficiencyReport) -> bool:

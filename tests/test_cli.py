@@ -112,6 +112,72 @@ def test_grid_info(runner, name, lines):
     assert "grid_hash: " in result.output
 
 
+# a grid with a 2**70 bus id and negative ones: a 5-cycle through the
+# reference and a pendant line
+SIGNED_GRID = {"name": "signed", "reference": 0, "buses": [2**70, -7, -1, 0, 3, -12], "lines": [
+    {"i": 0, "j": -1, "r": 0.02, "x": 0.06}, {"i": -1, "j": -7, "r": 0.03, "x": 0.08},
+    {"i": -7, "j": 2**70, "r": 0.01, "x": 0.05}, {"i": 2**70, "j": 3, "r": 0.04, "x": 0.1},
+    {"i": 3, "j": 0, "r": 0.02, "x": 0.07}, {"i": -12, "j": 3, "r": 0.05, "x": 0.09},
+]}
+
+SIGNED_GRID_INFO = """name: signed
+buses: 6
+non_reference_buses: 5
+lines: 6
+reference: 0
+girth: 5
+is_radial: false
+grid_hash: 57b621f5286d25f496aa1641b363ca0b280dca3c2f20ee72cbe55cdafa368704
+"""
+
+SIGNED_GRID_CERTIFY = """edge,theorem,satisfied,margin
+-12-3,trivially-safe,true,inf
+-7--1,trivially-safe,true,inf
+-7-1180591620717411303424,trivially-safe,true,inf
+3-1180591620717411303424,trivially-safe,true,inf
+satisfied: 4/4
+"""
+
+
+def test_bus_ids_of_any_size_and_sign_work_end_to_end(runner, tmp_path):
+    path = tmp_path / "signed.json"
+    path.write_text(json.dumps(SIGNED_GRID))
+    assert invoke_ok(runner, ["grid", "info", str(path)]).output == SIGNED_GRID_INFO
+    for model in ("dc", "lc"):
+        result = invoke_ok(runner, ["learn", "--conc", "exact", "--grid", str(path), "--model", model,
+                                    "--compare-truth"])
+        assert result.output == "learned 4 edges over 5 buses (thresholding)\nfp=0 fn=0 total=0\n"
+    assert invoke_ok(runner, ["certify", "--grid", str(path)]).output == SIGNED_GRID_CERTIFY
+
+
+@pytest.mark.parametrize("command,target,text", [
+    (["grid", "validate", "{tmp}/bad.json"], "bad.json", "GridFileError"),
+    (["learn", "--conc", "{tmp}/bad.json"], "bad.json", "ConfigError"),
+    (["experiment", "--config", "{tmp}/bad.json", "--out", "{tmp}/r.csv"], "bad.json", "ConfigError"),
+    (["estimate", "--samples", "{tmp}/s.csv", "--out", "{tmp}/e.json"], "s.csv", "SampleFormatError"),
+    (["estimate", "--samples", "{tmp}/s.csv", "--out", "{tmp}/e.json"], "s.csv.meta.json",
+     "SampleFormatError"),
+], ids=["grid", "estimate", "config", "samples", "sidecar"])
+def test_every_file_that_is_not_utf8_fails_with_an_error_naming_it(runner, tmp_path, command, target, text):
+    invoke_ok(runner, ["sample", "--grid", "radial20", "--n", "30", "--out", str(tmp_path / "s.csv")])
+    path = tmp_path / target
+    path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))  # UTF-16 with a byte-order mark
+    payload = stderr_error(runner.invoke(main, [a.format(tmp=tmp_path) for a in command]))
+    assert payload["error"] == text
+    assert payload["message"].startswith(f"{path}: not UTF-8 text: ")
+
+
+def test_a_sample_row_that_is_not_utf8_fails_with_an_error_naming_the_file(runner, tmp_path):
+    # past the reader's first buffer, so the bad byte reaches the row parser
+    csv_path = tmp_path / "s.csv"
+    invoke_ok(runner, ["sample", "--grid", "radial20", "--n", "200", "--out", str(csv_path)])
+    csv_path.write_bytes(csv_path.read_bytes() + b"\xff\r\n")
+    payload = stderr_error(runner.invoke(main, ["estimate", "--samples", str(csv_path), "--out",
+                                                str(tmp_path / "e.json")]))
+    assert payload["error"] == "SampleFormatError"
+    assert payload["message"].startswith(f"{csv_path}: not UTF-8 text: ")
+
+
 def test_version(runner):
     assert __version__ in invoke_ok(runner, ["--version"]).output
 

@@ -1,20 +1,23 @@
 """Grid model: loaders, validation, weights, Laplacians, distances, girth."""
+import importlib.util
 import itertools
 import json
 import math
 import re
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from conftest import edge_set, line_between
+from conftest import edge_set, line_between, oracle_grid_views
 from gridtopo.cli import main
 from gridtopo.exceptions import (
     GridFileError,
     GridStructureError,
+    GridTopoError,
     InvalidLineError,
     UnknownBusError,
     UnknownGridError,
@@ -38,6 +41,8 @@ from gridtopo.grid import (
     save_grid,
     susceptance,
 )
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def path_grid(n_buses: int, r: float = 0.0, x: float = 1.0):
@@ -396,11 +401,88 @@ def test_every_way_in_rejects_a_singular_grid(case, tmp_path):
         ({"reference": 0, "buses": [0, 1], "lines": [{"i": 0, "j": 1, "r": 0.0, "x": "0.1"}]}, "must be numbers"),
         ({"reference": 0, "buses": [0, 1], "lines": [{"i": 0, "j": 1, "r": 10**400, "x": 0.1}]},
          r"lines\[0\]: r and x must fit in a float"),
+        ({"reference": 0, "buses": [0, 1], "lines": [], "name": None}, "^name must be a string, got None$"),
+        ({"reference": 0, "buses": [0, 1], "lines": [], "name": 5}, "^name must be a string, got 5$"),
     ],
 )
 def test_grid_from_dict_rejects_bad_documents(doc, match):
     with pytest.raises(GridFileError, match=match):
         grid_from_dict(doc)
+
+
+#: the faults :func:`grid_documents` injects into one line entry, each a
+#: function of the entry and hypothesis's ``draw``
+LINE_FAULTS = {
+    "missing-field": lambda e, draw: e.pop(draw(st.sampled_from("ijrx"))),
+    "bool-endpoint": lambda e, draw: e.update(i=True),
+    "str-endpoint": lambda e, draw: e.update(j=str(e["j"])),
+    "float-endpoint": lambda e, draw: e.update(i=float(e["i"])),
+    "unlisted-endpoint": lambda e, draw: e.update(j=10**6),
+    "self-loop": lambda e, draw: e.update(j=e["i"]),
+    "non-finite": lambda e, draw: e.update({draw(st.sampled_from("rx")):
+                                                draw(st.sampled_from([math.nan, math.inf, -math.inf]))}),
+    "negative-r": lambda e, draw: e.update(r=-0.01),
+    "non-positive-x": lambda e, draw: e.update(x=draw(st.sampled_from([0.0, 0, -0.2]))),
+    "int-too-large": lambda e, draw: e.update({draw(st.sampled_from("rx")): 10**400}),
+    "susceptance-underflow": lambda e, draw: e.update(r=1e200, x=1.0),
+    "susceptance-overflow": lambda e, draw: e.update(r=0.0, x=1e-200),
+}
+
+
+@st.composite
+def grid_documents(draw):
+    """A grid JSON document: a random tree on 2-7 distinct bus ids of any
+    sign (one of them may be 2**70) plus up to 3 chords, lines shuffled and
+    each drawn in either direction, with at most one fault injected."""
+    buses = draw(st.lists(st.one_of(st.integers(-9, 9), st.just(2**70)), min_size=2, max_size=7, unique=True))
+    pairs = [(buses[draw(st.integers(0, k - 1))], buses[k]) for k in range(1, len(buses))]
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.lists(st.sampled_from(buses), min_size=2, max_size=2, unique=True))
+        if {a, b} not in map(set, pairs):
+            pairs.append((a, b))
+    pairs = draw(st.permutations([p[::-1] if draw(st.booleans()) else p for p in pairs]))
+    lines = [{"i": a, "j": b, "r": draw(st.one_of(st.just(0), st.floats(0.001, 0.5))),
+              "x": draw(st.floats(0.001, 0.5))} for a, b in pairs]
+    doc = {"reference": draw(st.sampled_from(buses)), "buses": buses, "lines": lines}
+    fault = draw(st.sampled_from([None, "stranded-bus", "repeated-bus", "bool-bus", "name",
+                                  "non-dict-entry", "reversed-duplicate", *LINE_FAULTS]))
+    k = draw(st.integers(0, len(lines) - 1))
+    if fault == "stranded-bus":
+        buses.append(10**6)
+    elif fault == "repeated-bus":
+        buses.append(draw(st.sampled_from(buses)))
+    elif fault == "bool-bus":
+        buses.insert(draw(st.integers(0, len(buses))), True)
+    elif fault == "name":
+        doc["name"] = draw(st.sampled_from([None, 5, ["g"]]))
+    elif fault == "non-dict-entry":
+        lines[k] = list(lines[k].values())
+    elif fault == "reversed-duplicate":
+        e = lines[k]
+        lines.insert(draw(st.integers(k + 1, len(lines))), dict(e, i=e["j"], j=e["i"]))
+    elif fault is not None:
+        LINE_FAULTS[fault](lines[k], draw)
+    return doc
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(grid_documents())
+def test_grid_from_dict_matches_the_line_by_line_oracle(doc):
+    try:
+        want = oracle_grid_views(doc)
+    except GridTopoError as exc:
+        with pytest.raises(GridTopoError) as got:
+            grid_from_dict(doc)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    g = grid_from_dict(doc)
+    assert list(g.adjacency.items()) == list(want["adjacency"].items())
+    assert np.array_equal(g.line_ends, want["line_ends"])
+    for kind, w in want["line_weights"].items():
+        assert np.array_equal(g.line_weights[kind], w)
+    for got, expected in zip(g.laplacian_index, want["laplacian_index"], strict=True):
+        assert np.array_equal(got, expected)
+    assert g.content_hash == want["content_hash"]
 
 
 def test_load_grid_rejects_bad_json(tmp_path):
@@ -440,6 +522,28 @@ def test_grid_hash_is_stable_and_computed_once(radial20):
     # sample sidecars and result sidecars store this value
     assert grid_hash(radial20) == "278c9d9aa247d0ae240efe43b4ddfec67156b9c7f0a6a74bf1fde3f0def4f71d"
     assert grid_hash(radial20) is grid_hash(radial20)
+
+
+def meshed_grid(n_buses: int):
+    """The benchmark's synthetic grid on ``n_buses`` buses, grid seed 0."""
+    spec = importlib.util.spec_from_file_location("perfbench_synthgrid", PERFBENCH / "synthgrid.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.meshed_grid(n_buses, 0)
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("radial20", "278c9d9aa247d0ae240efe43b4ddfec67156b9c7f0a6a74bf1fde3f0def4f71d"),
+    ("loopy20_c4", "dc36cbe5823acd0f7a2f2facc42e516a952930042fbe48ad9892ac0fdb911313"),
+    ("loopy20_c7", "7c64c747e853aa660a7811f08df8e5b9b4a4d4cc9edb8a14c94b9a00a2e8b94e"),
+    ("ieee14", "0b7d0166b284fe8a513505bca30323e5c3706a574f53b4966ccf6e3d7fc133f0"),
+    (300, "f182e4ba5e46143c939ad7e1cf9cf540cf266343526e3e1364b125fc8032fb05"),
+    (600, "eb3dba666c6686100982516cc73f9a9c1a69590a05391d8666207684c02a57e8"),
+])
+def test_grid_hash_digests_are_pinned(name, digest):
+    # sample sidecars and experiment results carry these digests
+    grid = meshed_grid(name) if isinstance(name, int) else builtin_grid(name)
+    assert grid_hash(grid) == digest
 
 
 def test_load_line_csv_relabels_sorted(tmp_path):

@@ -1,5 +1,5 @@
-"""Import footprint: starting the CLI, running a sweep trial and taking a
-direct estimate load no scipy module."""
+"""Import footprint: starting the CLI, loading and checking a grid file,
+running a sweep trial and taking a direct estimate load no scipy module."""
 import json
 import os
 import subprocess
@@ -11,13 +11,17 @@ import gridtopo
 SRC = Path(gridtopo.__file__).resolve().parents[1]
 
 PROBE = """
-import json, sys, gridtopo.cli
+import json, os, sys, tempfile, gridtopo.cli
 from gridtopo.estimation import estimate_concentration
 from gridtopo.experiments import ExperimentSpec, run_experiment
-from gridtopo.grid import builtin_grid
+from gridtopo.grid import builtin_grid, girth, grid_hash, load_grid, save_grid
 from gridtopo.powerflow import InjectionStats
 from gridtopo.sampling import generate_voltage_samples
 
+with tempfile.TemporaryDirectory() as tmp:
+    save_grid(builtin_grid("loopy20_c4"), os.path.join(tmp, "grid.json"))
+    loaded = load_grid(os.path.join(tmp, "grid.json"))
+    girth(loaded), grid_hash(loaded)
 run_experiment(ExperimentSpec(grid="radial20", sample_counts=(500,), trials=1))
 grid = builtin_grid("radial20")
 estimate_concentration(generate_voltage_samples(grid, InjectionStats.uniform(grid), "dc", 200, seed=0))
@@ -33,7 +37,8 @@ def test_cli_import_loads_no_scipy():
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.strip().splitlines()[-1])
     assert loaded == [], (
-        f"`import gridtopo.cli`, a one-trial sweep and a direct estimate load "
+        f"`import gridtopo.cli`, a grid file's load, girth and hash, a one-trial sweep "
+        f"and a direct estimate load "
         f"{len(loaded)} scipy module(s), first {loaded[:3]}. "
         "`import scipy.sparse` alone was measured at 0.22 s (354 -> 616 ms for "
         "`import gridtopo.cli` on a 2-vCPU Xeon) and `import scipy.linalg` at "

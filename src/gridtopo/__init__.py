@@ -41,7 +41,6 @@ from .estimation import (
     select_lambda,
 )
 from .learning import (
-    GraphicalModel,
     LearnedTopology,
     SufficiencyReport,
     build_graphical_model,

@@ -372,8 +372,8 @@ def estimate_concentration(
             # the inverse of M^{-1} C^T C M^{-T} / n; C's diagonal is positive.
             # A lone (d, d) M is solved against every trial of a stacked C^T
             C, M = samples.factor, samples.system
-            A = np.linalg.solve(C.swapaxes(-1, -2), M)
-            J = A.swapaxes(-1, -2) @ A
+            A = np.linalg.solve(C.mT, M)
+            J = A.mT @ A
             J *= samples.n
             del A  # validation needs only J
         else:

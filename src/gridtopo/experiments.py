@@ -28,6 +28,7 @@ import csv
 import datetime
 import json
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import repeat
@@ -314,8 +315,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
     With ``exact=True`` the sweep collapses to the one exact trial (n = 0).
     The trials of each n run as stacks (:func:`run_trials`); ``workers > 1``
-    distributes the stacks over ``min(workers, stacks)`` processes.  Either
-    way records come back in sweep order, (n, trial) ascending.
+    distributes the stacks over ``min(workers, stacks, os.cpu_count())``
+    processes.  Either way records come back in sweep order, (n, trial)
+    ascending.
     """
     grid = resolve_grid(spec.grid)
     stats = spec.stats_for(grid)
@@ -323,8 +325,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     plan = None if spec.exact else draw_plan(grid, stats, spec.model)
     tasks = _stacks(spec, len(plan.labels) if plan else 0)
     args = (repeat(grid), repeat(stats), repeat(plan), repeat(spec), *zip(*tasks))
-    # the pool forks all its workers at once, so it gets no more than the tasks
-    workers = min(spec.workers, len(tasks))
+    # the pool forks all its workers at once, so it gets no more than the
+    # tasks or the CPUs
+    workers = min(spec.workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             stacks = list(pool.map(run_trials, *args, chunksize=1))
@@ -350,14 +353,13 @@ def write_results_csv(result: ExperimentResult, path) -> None:
     follow with trial set to "mean"/"std".  The CSV itself contains nothing
     time-dependent, so identical specs produce byte-identical files.
     """
-    spec = result.spec
+    spec, summary = result.spec, result.summary()
     head = [spec.grid, spec.model, spec.algorithm, spec.estimator]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
         for r in result.records:
             writer.writerow(head + [r.n, r.trial, r.fp, r.fn, r.total])
-        summary = result.summary()
         for n in sorted(summary):
             agg = summary[n]
             writer.writerow(head + [n, "mean", _fmt(agg["fp_mean"]),
@@ -370,7 +372,7 @@ def write_results_csv(result: ExperimentResult, path) -> None:
         "grid_hash": result.grid_hash,
         "version": __version__,
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "summary": {str(n): agg for n, agg in result.summary().items()},
+        "summary": {str(n): agg for n, agg in summary.items()},
         "trial_seeds": {f"{r.n}/{r.trial}": r.seed for r in result.records},
         "trial_methods": {f"{r.n}/{r.trial}": r.method for r in result.records},
         "trial_errors": {

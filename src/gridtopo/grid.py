@@ -132,6 +132,8 @@ class Grid:
             raise GridStructureError("grid has no buses")
         if not set(map(type, self.buses)) <= {int} or len(self._position) < len(self.buses):
             _check_bus_ids(self.buses)
+        if not isinstance(self.reference, int) or isinstance(self.reference, bool):
+            raise GridStructureError(f"reference bus {self.reference!r} is not an integer")
         if self.reference not in self._position:
             raise GridStructureError(f"reference bus {self.reference} is not listed in buses")
         if len(self.buses) < 2:

@@ -35,7 +35,6 @@ from .powerflow import (
     ConcentrationMatrix,
     InjectionStats,
     Pairs,
-    VarLabel,
     check_stats,
     lc_bus_pairs,
     lc_threshold_statistic,  # noqa: F401  (the traced benchmark run looks it up here)
@@ -199,48 +198,32 @@ def _scaled(pairs: Pairs, values: np.ndarray, scale: Pairs | None) -> np.ndarray
 # ----------------------------------------------------------------------
 
 
-class GraphicalModel:
-    """Thresholded conditional-independence graph over voltage variables,
-    held as its bus adjacency.
-
-    ``adjacency`` is the (..., B, B) boolean bus adjacency over ``buses``:
-    two buses join when any of their variables do (a variable pair on one
-    bus joins nothing).  A leading trial axis holds one graph per trial of
-    a stack.
-    """
-
-    def __init__(self, labels: tuple[VarLabel, ...], rows: np.ndarray, cols: np.ndarray,
-                 mask: np.ndarray, model: str, tau1: float):
-        """The graph joining variables ``labels[rows[e]]`` and
-        ``labels[cols[e]]`` wherever ``mask[..., e]`` holds."""
-        self.buses = tuple(sorted({lab.bus for lab in labels}))
-        at = {b: k for k, b in enumerate(self.buses)}
-        bus = np.array([at[lab.bus] for lab in labels], dtype=int)
-        self.adjacency = _adjacency(bus[rows], bus[cols], mask, len(at))
-        self.model, self.tau1 = model, tau1
-
-
 def build_graphical_model(
     conc: ConcentrationMatrix,
     tau1: float,
     scale: Pairs | None = None,
-) -> GraphicalModel:
-    """Edges wherever |J_ab| >= tau1 (optionally per-entry scaled).
+) -> LearnedTopology:
+    """The graphical model: variables a, b join wherever |J_ab| >= tau1
+    (optionally per-entry scaled), held as its bus adjacency.
 
     ``scale`` holds positive per-entry scales at the positions of ``conc.pairs``;
     passing the entry standard errors makes tau1 a z-score.  ``scale=None``
-    keeps the plain scalar rule.  A stacked ``conc`` gives a stacked model.
+    keeps the plain scalar rule.  Both layouts put variable k on bus
+    k mod B of ``conc.buses`` (DC theta; LC v, then theta in the same bus
+    order), so two buses join when any of their variables do and a v-theta
+    pair on one bus joins nothing.  A stacked ``conc`` gives a stacked model.
     """
     check_tau(tau1, "tau1")
-    J = conc.pairs
+    J, buses = conc.pairs, conc.buses
+    B = len(buses)
     mask = _scaled(J, np.abs(J.vals), scale) >= tau1
-    return GraphicalModel(conc.labels, J.rows, J.cols, mask, conc.model, tau1)
+    return LearnedTopology(buses, _adjacency(J.rows % B, J.cols % B, mask, B), "graphical-model",
+                           {"tau1": tau1, "model": conc.model})
 
 
-def hybridize(gm: GraphicalModel) -> dict[int, set[int]]:
+def hybridize(gm: LearnedTopology) -> dict[int, set[int]]:
     """The bus adjacency of ``gm`` as sets.  The package reads
-    :attr:`GraphicalModel.adjacency`; only the traced benchmark run looks
-    this up."""
+    ``gm.adjacency``; only the traced benchmark run looks this up."""
     return {b: {gm.buses[k] for k in np.flatnonzero(row).tolist()} for b, row in zip(gm.buses, gm.adjacency)}
 
 
@@ -256,15 +239,21 @@ class LearnedTopology:
     ``adjacency`` is the (B, B) boolean bus adjacency over ``buses`` of one
     topology, or the (T, B, B) adjacencies of a stack of T trials.
     ``errors[k]`` is the package error trial k's learning met, or None, and
-    a trial with an error has no edges.  ``topo[k]`` is trial k's topology,
-    or raises its error.
+    a trial with an error has no edges; left out, every trial has None.
+    ``topo[k]`` is trial k's topology, or raises its error.  A graphical
+    model (:func:`build_graphical_model`) is one too, of algorithm
+    ``"graphical-model"``.
     """
 
     buses: tuple[int, ...]
     adjacency: np.ndarray
     algorithm: str
     params: dict = field(default_factory=dict)
-    errors: tuple[GridTopoError | None, ...] = (None,)
+    errors: tuple[GridTopoError | None, ...] | None = None
+
+    def __post_init__(self):
+        if self.errors is None:
+            object.__setattr__(self, "errors", (None,) * math.prod(self.adjacency.shape[:-2]))
 
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -393,7 +382,7 @@ def _skeleton(A: np.ndarray) -> np.ndarray:
     return skel.reshape(A.shape)
 
 
-def learn_by_counting(gm: GraphicalModel) -> LearnedTopology:
+def learn_by_counting(gm: LearnedTopology) -> LearnedTopology:
     """Separate true lines from two-hop GM artifacts by neighborhood counting.
 
     A GM edge (i,j) is kept as a line iff two distinct common GM-neighbors
@@ -404,14 +393,15 @@ def learn_by_counting(gm: GraphicalModel) -> LearnedTopology:
     a leaf to the unique skeleton vertex i whose closed skeleton
     neighborhood {i} + skel(i) equals u's skeleton-vertex GM neighborhood.
 
-    Both steps are array passes over the bus adjacency
-    (:attr:`GraphicalModel.adjacency`), for every trial of a stacked
-    ``gm`` at once (:func:`_skeleton`; leaves compare bit-packed rows).  A
-    stacked ``gm`` gives one topology of (T, B, B) adjacencies that holds
-    each trial's error; a single one gives its topology or raises the error:
-    :class:`ReconstructionError` when no skeleton edge is found (the rule
-    needs >= 3 non-leaf buses) and :class:`AmbiguousLeafError` naming the
-    first vertex, in bus order, with no or several attachment candidates.
+    Both steps are array passes over the bus adjacency of ``gm`` (from
+    :func:`build_graphical_model`), for every trial of a stacked ``gm`` at
+    once (:func:`_skeleton`; leaves compare bit-packed rows), and the
+    result keeps ``gm.params``.  A stacked ``gm`` gives one topology of
+    (T, B, B) adjacencies that holds each trial's error; a single one gives
+    its topology or raises the error: :class:`ReconstructionError` when no
+    skeleton edge is found (the rule needs >= 3 non-leaf buses) and
+    :class:`AmbiguousLeafError` naming the first vertex, in ``gm.buses``
+    order, with no or several attachment candidates.
     """
     buses = gm.buses
     A = gm.adjacency if gm.adjacency.ndim > 2 else gm.adjacency[None]
@@ -441,7 +431,7 @@ def learn_by_counting(gm: GraphicalModel) -> LearnedTopology:
             f"{candidates}; cannot determine its line")
     skel[[e is not None for e in errors]] = False
 
-    stack = LearnedTopology(buses, skel, "counting", {"tau1": gm.tau1, "model": gm.model}, tuple(errors))
+    stack = LearnedTopology(buses, skel, "counting", gm.params, tuple(errors))
     return stack if gm.adjacency.ndim > 2 else stack[0]
 
 
@@ -469,7 +459,7 @@ def learn_by_thresholding(
     stat = thresholding_statistic(conc)
     mask = _scaled(stat, stat.vals, scale) <= tau2
     return LearnedTopology(conc.buses, _adjacency(stat.rows, stat.cols, mask, stat.dim), "thresholding",
-                           {"tau2": tau2, "model": conc.model}, (None,) * math.prod(mask.shape[:-1]))
+                           {"tau2": tau2, "model": conc.model})
 
 
 # ----------------------------------------------------------------------

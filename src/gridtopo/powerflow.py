@@ -206,7 +206,7 @@ class ConcentrationMatrix:
             raise ValueError(f"concentration matrix entry ({labels[i].text}, {labels[j].text}) "
                              f"is {M[(*bad[0],)]}, not a finite number")
         # symmetrised inverses arrive exactly symmetric
-        MT = M.swapaxes(-1, -2)
+        MT = M.mT
         if not np.array_equal(M, MT):
             scale = np.abs(M).max(axis=(-2, -1), keepdims=True)
             if not np.allclose(M, MT, atol=1e-8 * np.maximum(scale, 1.0)):

@@ -130,8 +130,8 @@ class SampleCovariance:
     def covariance(self) -> np.ndarray:
         """B B^T / n with B = M^{-1} C^T, formed on first access (the
         graphical lasso reads it; the direct estimate does not)."""
-        B = np.linalg.solve(self.system, self.factor.swapaxes(-1, -2))
-        return B @ B.swapaxes(-1, -2) / self.n
+        B = np.linalg.solve(self.system, self.factor.mT)
+        return B @ B.mT / self.n
 
 
 @dataclass(frozen=True, eq=False)

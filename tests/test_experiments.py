@@ -311,9 +311,10 @@ def test_sweep_summary_and_worker_equivalence():
     assert par.records == res.records
 
 
-def test_pool_is_sized_to_the_tasks(monkeypatch):
-    # the pool forks all its workers on the first submit, so it never gets
-    # more than there are trials; one task runs in this process
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of every pool a sweep opens, with the pool
+    replaced by one that runs its tasks in this process."""
     sizes = []
 
     class RecordingPool:
@@ -330,11 +331,28 @@ def test_pool_is_sized_to_the_tasks(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_pool_is_sized_to_the_tasks(pool_sizes, monkeypatch):
+    # the pool forks all its workers on the first submit, so it never gets
+    # more than there are trials; one task runs in this process
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
     exact = ExperimentSpec(grid="ieee14", exact=True)
     assert run_experiment(replace(exact, workers=8)).records == run_experiment(exact).records
     sampled = ExperimentSpec(grid="ieee14", sample_counts=(60,), trials=2, seed=3)
     assert run_experiment(replace(sampled, workers=8)).records == run_experiment(sampled).records
-    assert sizes == [2]
+    assert pool_sizes == [2]
+
+
+@pytest.mark.parametrize("cpus,want", [(3, [3]), (1, []), (None, [])])
+def test_pool_is_capped_at_the_cpu_count(pool_sizes, monkeypatch, cpus, want):
+    # far more workers than CPUs get one process per CPU (one CPU, or an
+    # unknown count, runs in this process) and the same records
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    spec = ExperimentSpec(grid="ieee14", sample_counts=(60,), trials=6, seed=3)
+    assert run_experiment(replace(spec, workers=100_000)).records == run_experiment(spec).records
+    assert pool_sizes == want
 
 
 @pytest.mark.parametrize("estimator", ["direct", "glasso"])
@@ -453,11 +471,16 @@ def test_summary_math_on_handmade_records():
 # ----------------------------------------------------------------------
 
 
-def test_results_csv_layout_and_sidecar(tmp_path):
+def test_results_csv_layout_and_sidecar(tmp_path, monkeypatch):
     spec = ExperimentSpec(sample_counts=(200, 400), trials=2, seed=7)
     res = run_experiment(spec)
     out = tmp_path / "results.csv"
+    summaries = []
+    summary = ExperimentResult.summary
+    monkeypatch.setattr(ExperimentResult, "summary",
+                        lambda self: summaries.append(summary(self)) or summaries[-1])
     write_results_csv(res, out)
+    assert len(summaries) == 1  # the summary rows and the sidecar share it
 
     with open(out, encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -475,6 +498,7 @@ def test_results_csv_layout_and_sidecar(tmp_path):
     assert meta["grid_hash"] == res.grid_hash
     assert meta["version"] == __version__
     assert meta["trial_seeds"]["200/0"] == derive_trial_seed(7, 200, 0)
+    assert meta["summary"] == {str(n): agg for n, agg in summaries[0].items()}
     assert set(meta["summary"]) == {"200", "400"}
 
 

@@ -350,6 +350,18 @@ def test_make_grid_rejects_bad_input(reference, buses, lines, exc, match):
         make_grid(reference, buses, lines)
 
 
+@pytest.mark.parametrize("reference", [True, np.int64(1), 1.0], ids=["bool", "numpy-int", "float"])
+def test_a_reference_that_is_not_a_plain_int_is_rejected(reference):
+    # each equals bus 1, so it would pass the membership check; a bool
+    # reference would save a file load_grid rejects, and a numpy one would
+    # fail grid_hash with a TypeError
+    lines = [(0, 1, 0.1, 0.2), (1, 2, 0.1, 0.2)]
+    for build in (lambda: make_grid(reference, range(3), lines),
+                  lambda: Grid(reference=reference, buses=(0, 1, 2), lines=tuple(Line(*ln) for ln in lines))):
+        with pytest.raises(GridStructureError, match=re.escape(f"reference bus {reference!r} is not an integer")):
+            build()
+
+
 # line sets on buses 0-3 whose H_b would be singular or undefined: the error
 # and the words naming the line or the first stranded bus
 SINGULAR_GRIDS = {

@@ -2,6 +2,7 @@
 edge scoring and parameter recovery."""
 import csv
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -23,7 +24,6 @@ from gridtopo.experiments import reconstruct
 from gridtopo.grid import builtin_grid, bus_distance, make_grid, reduced_laplacian
 from gridtopo.learning import (
     EdgeErrors,
-    GraphicalModel,
     LearnedTopology,
     build_graphical_model,
     check_sufficiency,
@@ -410,11 +410,51 @@ def test_a_stack_learns_each_trial_as_alone(radial20, model):
     for k, est in enumerate(alone):
         t1_alone, scale_alone = resolve_tau1("auto", est.concentration, est)
         assert np.array_equal(mask[k], np.abs(est.concentration.pairs.vals) / scale_alone.vals >= t1_alone)
-        trial = GraphicalModel(stack.concentration.labels, J.rows, J.cols, mask[k], model, t1)
+        trial = gm_of(stack.concentration.labels, J.rows, J.cols, mask[k], model)
         one = build_graphical_model(est.concentration, t1_alone, scale_alone)
         assert np.array_equal(trial.adjacency, one.adjacency) and one.adjacency.any()
         assert np.array_equal(gm.adjacency[k], one.adjacency)
         assert hybridize(trial) == hybridize(one)
+
+
+@pytest.mark.parametrize("model", ["dc", "lc"])
+def test_a_graphical_model_is_a_learned_topology(radial20, model):
+    # one per trial, stacked or not, with no errors by default and the
+    # knobs counting passes on
+    plan = draw_plan(radial20, InjectionStats.uniform(radial20), model)
+    stack = estimate_concentration(draw_sample_covariance(plan, 400, [11, 12, 13]))
+    t1, scale = resolve_tau1("auto", stack.concentration, stack)
+    gm = build_graphical_model(stack.concentration, t1, scale)
+    assert isinstance(gm, LearnedTopology) and gm.algorithm == "graphical-model"
+    assert gm.params == {"tau1": t1, "model": model}
+    assert gm.buses == stack.concentration.buses == radial20.non_reference_buses
+    assert gm.adjacency.shape == (3, 19, 19) and gm.errors == (None, None, None)
+    assert gm[1].errors == (None,) and np.array_equal(gm[1].adjacency, gm.adjacency[1])
+    assert learn_by_counting(gm).params == gm.params
+    exact = dc_concentration(radial20, InjectionStats.uniform(radial20))
+    assert build_graphical_model(exact, default_exact_tau1(exact)).errors == (None,)
+
+
+@pytest.mark.parametrize("model", ["dc", "lc"])
+def test_both_learners_list_an_estimates_buses_in_its_label_order(radial20, model):
+    # an estimate whose labels are not in sorted bus order: both learners
+    # list its buses in label order and learn the edges of the sorted one
+    est = estimate_concentration(generate_voltage_samples(radial20, InjectionStats.uniform(radial20),
+                                                          model, 5000, seed=0))
+    B = len(radial20.non_reference_buses)
+    perm = np.random.default_rng(1).permutation(B)
+    order = perm if model == "dc" else np.concatenate([perm, perm + B])
+    conc = est.concentration
+    permuted = ConcentrationMatrix(conc.matrix[np.ix_(order, order)],
+                                   [conc.labels[k] for k in order], model)
+    shuffled = replace(est, concentration=permuted)
+    assert permuted.buses != tuple(sorted(permuted.buses))
+    for algo in ("counting", "thresholding"):
+        topo = reconstruct(permuted, algo, est=shuffled)
+        assert topo.buses == permuted.buses
+        assert topo.to_dict()["buses"] == list(permuted.buses)
+        assert topo.edges == reconstruct(conc, algo, est=est).edges
+        assert edge_errors(topo, radial20).total == 0
 
 
 def test_counting_ambiguous_leaf_is_named():
@@ -427,14 +467,23 @@ def test_counting_ambiguous_leaf_is_named():
         learn_by_counting(dc_gm(buses, edges))
 
 
-def dc_gm(buses, edges) -> GraphicalModel:
+def gm_of(labels, rows, cols, masks, model) -> LearnedTopology:
+    """The graphical model :func:`build_graphical_model` makes of a J over
+    ``labels`` that holds 1 wherever ``masks[..., e]`` holds and 0 at the
+    other pairs (``rows[e]``, ``cols[e]``), at tau1 = 1."""
+    masks = np.asarray(masks)
+    pairs = Pairs(np.ones(masks.shape[:-1] + (len(labels),)), rows, cols, masks.astype(float))
+    return build_graphical_model(ConcentrationMatrix._of_pairs(pairs, labels, model), 1.0)
+
+
+def dc_gm(buses, edges) -> LearnedTopology:
     """The DC graphical model over ``buses`` joining the bus pairs ``edges``."""
     rows, cols = np.triu_indices(len(buses), 1)
     mask = adjacency_of(buses, edges)[rows, cols]
-    return GraphicalModel(tuple(VarLabel("theta", b) for b in buses), rows, cols, mask, "dc", 1.0)
+    return gm_of(tuple(VarLabel("theta", b) for b in buses), rows, cols, mask, "dc")
 
 
-def counting_oracle(gm: GraphicalModel) -> frozenset[tuple[int, int]]:
+def counting_oracle(gm: LearnedTopology) -> frozenset[tuple[int, int]]:
     """Neighbourhood counting on one graphical model as a scan of bus sets,
     the reference the array learner must match, errors included: the edge
     set it learns."""
@@ -481,10 +530,10 @@ def outcome(edges):
 def assert_stack_matches_oracle(labels, rows, cols, masks, model):
     # every trial of the stack, and the trial learned alone from its own
     # mask, as the oracle
-    stack = learn_by_counting(GraphicalModel(labels, rows, cols, masks, model, 1.0))
+    stack = learn_by_counting(gm_of(labels, rows, cols, masks, model))
     assert stack.adjacency.ndim == 3 and len(stack.errors) == len(masks)
     for k, mask in enumerate(masks):
-        one = GraphicalModel(labels, rows, cols, mask, model, 1.0)
+        one = gm_of(labels, rows, cols, mask, model)
         want = outcome(lambda: counting_oracle(one))
         assert outcome(lambda: stack[k].edges) == want
         assert outcome(lambda: learn_by_counting(one).edges) == want
@@ -562,19 +611,19 @@ def test_counting_on_drawn_radial20_stacks_matches_the_set_scan(radial20, model)
         J = est.concentration.pairs
         mask = np.abs(J.vals) / scale.vals >= t1
         gm = build_graphical_model(est.concentration, t1, scale)
-        assert np.array_equal(gm.adjacency, GraphicalModel(est.concentration.labels, J.rows, J.cols,
-                                                           mask, model, t1).adjacency)
+        assert np.array_equal(gm.adjacency, gm_of(est.concentration.labels, J.rows, J.cols,
+                                                  mask, model).adjacency)
         assert_stack_matches_oracle(est.concentration.labels, J.rows, J.cols, mask, model)
 
 
-def complete_gm(n_buses: int, missing=()) -> GraphicalModel:
+def complete_gm(n_buses: int, missing=()) -> LearnedTopology:
     """The DC graphical model joining every bus pair but ``missing``."""
     labels = tuple(VarLabel("theta", b) for b in range(n_buses))
     rows, cols = np.triu_indices(n_buses, 1)
     mask = np.ones(len(rows), dtype=bool)
     for k, l in missing:
         mask[(rows == k) & (cols == l)] = False
-    return GraphicalModel(labels, rows, cols, mask, "dc", 1.0)
+    return gm_of(labels, rows, cols, mask, "dc")
 
 
 def test_counting_on_a_near_complete_graphical_model_is_bounded():

@@ -49,6 +49,12 @@ from .sampling import generate_voltage_samples, load_samples_csv, write_samples_
 ESTIMATOR_HELP = "auto = direct: the inverse covariance, needs n >= d; glasso: the graphical lasso."
 
 
+def _echo(message: str, err: bool = False) -> None:
+    """``click.echo`` to the current ``sys.stdout`` or ``sys.stderr``, named so that click's
+    cache of default streams, which keeps every stream it meets alive, is not used."""
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 def _cli_errors(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -56,19 +62,17 @@ def _cli_errors(fn):
             return fn(*args, **kwargs)
         except (GridTopoError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
             payload = {"error": type(exc).__name__, "message": str(exc)}
-            click.echo(json.dumps(payload), err=True)
+            _echo(json.dumps(payload), err=True)
             sys.exit(1)
 
     return wrapper
 
 
 def _stats_options(fn):
-    fn = click.option("--sigma-pp", type=float, default=1.0, show_default=True,
-                      help="Active-power injection variance (uniform).")(fn)
-    fn = click.option("--sigma-qq", type=float, default=1.0, show_default=True,
-                      help="Reactive-power injection variance (uniform).")(fn)
-    fn = click.option("--sigma-pq", type=float, default=0.5, show_default=True,
-                      help="Per-bus p/q covariance (uniform).")(fn)
+    for flag, default, what in (("--sigma-pp", 1.0, "Active-power injection variance"),
+                                ("--sigma-qq", 1.0, "Reactive-power injection variance"),
+                                ("--sigma-pq", 0.5, "Per-bus p/q covariance")):
+        fn = click.option(flag, type=float, default=default, show_default=True, help=f"{what} (uniform).")(fn)
     return fn
 
 
@@ -94,7 +98,7 @@ def grid():
 def grid_validate(grid_ref):
     """Validate GRID_REF (builtin name or grid JSON path)."""
     g = resolve_grid(grid_ref)
-    click.echo(f"ok: {g.name or grid_ref}: {g.n_buses} buses, {len(g.lines)} lines")
+    _echo(f"ok: {g.name or grid_ref}: {g.n_buses} buses, {len(g.lines)} lines")
 
 
 @grid.command("info")
@@ -104,14 +108,14 @@ def grid_info(grid_ref):
     """Print structural facts about GRID_REF."""
     g = resolve_grid(grid_ref)
     gth = grid_girth(g)
-    click.echo(f"name: {g.name or grid_ref}")
-    click.echo(f"buses: {g.n_buses}")
-    click.echo(f"non_reference_buses: {len(g.non_reference_buses)}")
-    click.echo(f"lines: {len(g.lines)}")
-    click.echo(f"reference: {g.reference}")
-    click.echo(f"girth: {'inf' if math.isinf(gth) else int(gth)}")
-    click.echo(f"is_radial: {'true' if g.is_radial else 'false'}")
-    click.echo(f"grid_hash: {grid_hash(g)}")
+    _echo(f"name: {g.name or grid_ref}")
+    _echo(f"buses: {g.n_buses}")
+    _echo(f"non_reference_buses: {len(g.non_reference_buses)}")
+    _echo(f"lines: {len(g.lines)}")
+    _echo(f"reference: {g.reference}")
+    _echo(f"girth: {'inf' if math.isinf(gth) else int(gth)}")
+    _echo(f"is_radial: {'true' if g.is_radial else 'false'}")
+    _echo(f"grid_hash: {grid_hash(g)}")
 
 
 # ----------------------------------------------------------------------
@@ -133,7 +137,7 @@ def sample(grid_ref, model, n, seed, out, sigma_pp, sigma_qq, sigma_pq):
     stats = InjectionStats.uniform(g, sigma_pp, sigma_qq, sigma_pq)
     samples = generate_voltage_samples(g, stats, model=model, n=n, seed=seed)
     write_samples_csv(samples, out)
-    click.echo(f"wrote {samples.n} x {samples.dim} samples to {out} (+ {out}.meta.json)")
+    _echo(f"wrote {samples.n} x {samples.dim} samples to {out} (+ {out}.meta.json)")
 
 
 @main.command()
@@ -159,8 +163,8 @@ def estimate(samples_path, method, lam, tol, max_iters, penalize_diagonal, out):
     est = estimate_concentration(samples, method=method, lam=lam, config=cfg)
     write_estimate_json(est, out)
     detail = f"lambda={est.lam:.6g}, iterations={est.iterations}" if est.method == "glasso" else "direct inverse"
-    click.echo(f"estimated {est.concentration.dim}x{est.concentration.dim} concentration "
-               f"({est.method}: {detail}) -> {out}")
+    _echo(f"estimated {est.concentration.dim}x{est.concentration.dim} concentration "
+          f"({est.method}: {detail}) -> {out}")
 
 
 @main.command()
@@ -204,12 +208,12 @@ def learn(conc, grid_ref, model, algo, tau1, tau2, compare_truth, out,
     err = edge_errors(topo, g) if compare_truth else None  # a bus-set mismatch fails before any output
     if out:
         write_topology_json(topo, out)
-    click.echo(f"learned {len(topo.edges)} edges over {len(topo.buses)} buses ({algo})"
-               + (f" -> {out}" if out else ""))
+    _echo(f"learned {len(topo.edges)} edges over {len(topo.buses)} buses ({algo})"
+          + (f" -> {out}" if out else ""))
     if compare_truth:
-        click.echo(f"fp={err.false_positives} fn={err.false_negatives} total={err.total}")
+        _echo(f"fp={err.false_positives} fn={err.false_negatives} total={err.total}")
     elif not out:
-        click.echo(json.dumps(topo.to_dict(), indent=2))
+        _echo(json.dumps(topo.to_dict(), indent=2))
 
 
 @main.command()
@@ -230,7 +234,7 @@ def certify(grid_ref, out, sigma_pp, sigma_qq, sigma_pq):
         lines += [",".join(certificate_row(c)) for c in report.certificates]
     ok = sum(1 for c in report.certificates if c.satisfied)
     lines.append(f"satisfied: {ok}/{len(report.certificates)}")
-    click.echo("\n".join(lines))  # one write: each echo flushes
+    _echo("\n".join(lines))  # one write: each echo flushes
 
 
 @main.command()
@@ -258,18 +262,8 @@ def experiment(config_path, grid_ref, model, algo, estimator, counts, trials, se
     Precedence: config file < command-line flags < GRIDTOPO_SEED env var.
     """
     spec = load_experiment_config(config_path) if config_path else ExperimentSpec()
-    overrides = {
-        "grid": grid_ref,
-        "model": model,
-        "algorithm": algo,
-        "estimator": estimator,
-        "trials": trials,
-        "seed": seed,
-        "tau1": tau1,
-        "tau2": tau2,
-        "exact": exact,
-        "workers": workers,
-    }
+    overrides = dict(grid=grid_ref, model=model, algorithm=algo, estimator=estimator, trials=trials,
+                     seed=seed, tau1=tau1, tau2=tau2, exact=exact, workers=workers)
     if counts is not None:
         try:
             overrides["sample_counts"] = tuple(int(c) for c in counts.split(","))
@@ -290,10 +284,10 @@ def experiment(config_path, grid_ref, model, algo, estimator, counts, trials, se
 
     result = run_experiment(spec)
     write_results_csv(result, out)
-    click.echo(f"{spec.grid} {spec.model} {spec.algorithm} estimator={spec.estimator} "
-               f"seed={spec.seed} -> {out}")
+    _echo(f"{spec.grid} {spec.model} {spec.algorithm} estimator={spec.estimator} "
+          f"seed={spec.seed} -> {out}")
     for n, agg in sorted(result.summary().items()):
-        click.echo(
+        _echo(
             f"n={n}: mean_total={agg['total_mean']:.4g} std={agg['total_std']:.4g} "
             f"failures={int(agg['failures'])}/{spec.trials if not spec.exact else 1}"
         )

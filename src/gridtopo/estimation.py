@@ -279,8 +279,11 @@ class EstimatedConcentration:
         object.__setattr__(self, "objective_trace", tuple(self.objective_trace))
 
     def to_dict(self) -> dict:
+        return {"matrix": self.concentration.matrix.tolist(), **self._record()}
+
+    def _record(self) -> dict:
+        """Every field of :meth:`to_dict` but the matrix, in its order."""
         return {
-            "matrix": self.concentration.matrix.tolist(),
             "labels": [lab.text for lab in self.concentration.labels],
             "model": self.concentration.model,
             "method": self.method,
@@ -312,9 +315,20 @@ class EstimatedConcentration:
 
 
 def write_estimate_json(est: EstimatedConcentration, path) -> None:
+    """``json.dump(est.to_dict(), fh, indent=2)`` and a newline, byte for byte, with
+    the matrix (the document's first null) written row by row from J's pairs: each
+    stored entry formatted once, as json's ``repr``, and mirrored; the rest read 0.0."""
+    J, d = est.concentration.pairs, est.concentration.dim
+    text = np.empty((d, d), dtype=object)
+    text.fill("0.0")  # one str object, not d^2
+    text[J.rows, J.cols] = text[J.cols, J.rows] = np.fromiter(map(float.__repr__, J.vals), dtype=object)
+    text[np.arange(d), np.arange(d)] = np.fromiter(map(float.__repr__, J.diagonal), dtype=object)
+    head, tail = json.dumps({"matrix": None, **est._record()}, indent=2).split("null", 1)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(est.to_dict(), fh, indent=2)
-        fh.write("\n")
+        fh.write(head + "[\n    [\n      ")
+        fh.writelines(("\n    ],\n    [\n      " if k else "") + ",\n      ".join(row)
+                      for k, row in enumerate(text))
+        fh.write("\n    ]\n  ]" + tail + "\n")
 
 
 def load_estimate_json(path) -> EstimatedConcentration:

@@ -113,12 +113,9 @@ class ExperimentSpec:
             raise ConfigError(f"grid must be a string, got {self.grid!r}")
         if not isinstance(self.exact, bool):
             raise ConfigError(f"exact must be true or false, got {self.exact!r}")
-        if self.model not in MODELS:
-            raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if self.estimator not in ESTIMATORS:
-            raise ConfigError(f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}")
+        for name, allowed in (("model", MODELS), ("algorithm", ALGORITHMS), ("estimator", ESTIMATORS)):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         if not self.exact:
             if not self.sample_counts:
                 raise ConfigError("sample_counts must not be empty")
@@ -178,13 +175,8 @@ def resolve_grid(name_or_path: str) -> Grid:
 # ----------------------------------------------------------------------
 
 
-def reconstruct(
-    conc: ConcentrationMatrix,
-    algorithm: str,
-    tau1: float | str = "auto",
-    tau2: float | str = "auto",
-    est: EstimatedConcentration | None = None,
-) -> LearnedTopology:
+def reconstruct(conc: ConcentrationMatrix, algorithm: str, tau1: float | str = "auto", tau2: float | str = "auto",
+                est: EstimatedConcentration | None = None) -> LearnedTopology:
     """One learning step on a concentration matrix (exact or estimated).
 
     A stack of trials' matrices is learned in one pass and gives one
@@ -300,12 +292,12 @@ def run_single_trial(grid: Grid, stats: InjectionStats, plan: DrawPlan | None,
 
 def _stacks(spec: ExperimentSpec, d: int) -> list[tuple[int, tuple[int, ...]]]:
     """The sweep's tasks, (n, trials) in sweep order: each n's trials in
-    contiguous stacks within :data:`STACK_BYTES`, at least one per worker;
-    the graphical lasso takes one trial per stack."""
+    contiguous stacks within :data:`STACK_BYTES`, at least one per pool
+    process (no more than the CPUs); glasso takes one trial per stack."""
     if spec.exact:
         return [(0, (0,))]
     size = 1 if spec.estimator == "glasso" else max(1, STACK_BYTES // (8 * d * d))
-    count = max(-(-spec.trials // size), min(spec.workers, spec.trials))
+    count = max(-(-spec.trials // size), min(spec.workers, os.cpu_count() or 1, spec.trials))
     chunks = [tuple(c.tolist()) for c in np.array_split(np.arange(spec.trials), count)]
     return [(n, chunk) for n in spec.sample_counts for chunk in chunks]
 

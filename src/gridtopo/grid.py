@@ -252,6 +252,26 @@ class Grid:
                           ends.reshape(-1)[on], np.repeat(np.arange(m), 2)[on], np.repeat(inner, 2))
 
     @cached_property
+    def two_hop(self) -> tuple[np.ndarray, ...]:
+        """The wedges a-k-b of :func:`laplacian_entries`: each ordered pair of
+        entries (k, a), (k, b) of a row, one entry twice included, as both
+        triples, the position id of (a, b), the positions' rows and cols
+        (row-major) and the count of upper wedges (a <= b), listed first."""
+        rows, cols = self.laplacian_index[:2]
+        n = len(self.index_of)
+        entries = np.argsort(rows, kind="stable")  # by row, in triple order
+        counts = np.bincount(rows, minlength=n)
+        per = np.repeat(counts, counts)  # entry e pairs with every entry of its row
+        left = np.repeat(np.arange(per.size), per)
+        first = np.repeat(np.cumsum(counts) - counts, counts)  # first entry of e's row
+        right = first[left] + np.arange(left.size) - (np.cumsum(per) - per)[left]
+        upper = cols[entries[left]] <= cols[entries[right]]
+        order = np.argsort(~upper, kind="stable")  # the upper wedges first
+        left, right = entries[left[order]], entries[right[order]]
+        pos, at = np.unique(cols[left] * n + cols[right], return_inverse=True)
+        return _read_only(left, right, at, *np.divmod(pos, n)) + (int(np.count_nonzero(upper)),)
+
+    @cached_property
     def line_weights(self) -> dict[str, np.ndarray]:
         """Per-line ``"susceptance"`` and ``"conductance"`` arrays, in line
         order; built before the grid checks them, so overflow stays silent."""
@@ -305,12 +325,7 @@ class Grid:
 # ----------------------------------------------------------------------
 
 
-def make_grid(
-    reference: int,
-    buses: Iterable[int],
-    lines: Iterable[Line | tuple],
-    name: str = "",
-) -> Grid:
+def make_grid(reference: int, buses: Iterable[int], lines: Iterable[Line | tuple], name: str = "") -> Grid:
     """A :class:`Grid` from bus ids and lines, each a :class:`Line` or an
     (i, j, r, x) tuple."""
     norm: list[Line] = []
@@ -496,19 +511,6 @@ def reduced_laplacian(grid: Grid, kind: str = "susceptance") -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _bfs_distances(adj: dict[int, tuple[int, ...]], source: int, skip: int | None = None) -> dict[int, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v == skip or v in dist:
-                continue
-            dist[v] = dist[u] + 1
-            queue.append(v)
-    return dist
-
-
 def bus_distance(grid: Grid, i: int, j: int, *, through_reference: bool = True) -> float:
     """Hop distance between buses; inf if unreachable.
 
@@ -518,10 +520,16 @@ def bus_distance(grid: Grid, i: int, j: int, *, through_reference: bool = True) 
     """
     grid.require_bus(i)
     grid.require_bus(j)
-    skip = None if through_reference else grid.reference
     if not through_reference and grid.reference in (i, j):
         raise UnknownBusError("distance excluding the reference is undefined for the reference bus")
-    dist = _bfs_distances(grid.adjacency, i, skip=skip)
+    dist = {i: 0, **({} if through_reference else {grid.reference: math.inf})}
+    queue = deque([i])
+    while queue:
+        u = queue.popleft()
+        for v in grid.adjacency[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
     return dist.get(j, math.inf)
 
 

@@ -149,11 +149,8 @@ def thresholding_noise_scale(est: EstimatedConcentration) -> Pairs:
     return se if est.concentration.model == "dc" else lc_bus_pairs(se)
 
 
-def resolve_tau1(
-    tau1: float | str,
-    conc: ConcentrationMatrix,
-    est: EstimatedConcentration | None,
-) -> tuple[float, Pairs | None]:
+def resolve_tau1(tau1: float | str, conc: ConcentrationMatrix,
+                 est: EstimatedConcentration | None) -> tuple[float, Pairs | None]:
     """Turn the tau1 knob into (scalar, optional per-entry scale).
 
     Numbers pass through.  "auto" on an estimate uses the noise-adaptive rule
@@ -168,11 +165,8 @@ def resolve_tau1(
     return float(tau1), None
 
 
-def resolve_tau2(
-    tau2: float | str,
-    conc: ConcentrationMatrix,
-    est: EstimatedConcentration | None,
-) -> tuple[float, Pairs | None]:
+def resolve_tau2(tau2: float | str, conc: ConcentrationMatrix,
+                 est: EstimatedConcentration | None) -> tuple[float, Pairs | None]:
     """Same contract as :func:`resolve_tau1` for the (negative) tau2 knob,
     read on the thresholding statistic."""
     tau2 = parse_tau(tau2, "tau2")
@@ -484,8 +478,8 @@ class SufficiencyReport:
     certificates: tuple[EdgeCertificate, ...]
 
 
-def _t9_root(b: float, c: float) -> float:
-    return -b / 2.0 + math.sqrt(b * b / 4.0 + c)
+def _t9_root(b, c):
+    return -b / 2.0 + np.sqrt(b * b / 4.0 + c)
 
 
 def check_sufficiency(grid: Grid, stats: InjectionStats) -> SufficiencyReport:
@@ -505,70 +499,61 @@ def check_sufficiency(grid: Grid, stats: InjectionStats) -> SufficiencyReport:
     Margins are "distance of b_ij above the respective bound"; satisfied
     implies the exact DC concentration entry at (i,j) is strictly negative.
     Lines incident to the reference are omitted (no concentration entry).
+
+    Each common neighbour k is a wedge i-k-j of :attr:`Grid.two_hop`; a
+    line's terms are sums over its wedges, k ascending.
     """
     check_stats(grid, stats)
-    order = grid.index_of
-    # total line weight per bus, summed as the reduced Laplacian's diagonal
-    w_total = laplacian_entries(grid, "susceptance")[2][:len(order)].tolist()
-    weight = dict(zip((ln.key for ln in grid.lines), grid.line_weights["susceptance"].tolist()))
+    left, right, at, rows, cols, upper = grid.two_hop
+    left, right, at, n = left[:upper], right[:upper], at[:upper], len(grid.non_reference_buses)
+    row_of, _, h = laplacian_entries(grid, "susceptance")  # each bus's total, then -b per line end
+    # the lines i < j, in key order: where a diagonal entry meets an off-diagonal one
+    ends = np.flatnonzero((left < n) & (right >= n))
+    ends = ends[np.argsort(at[ends])]
+    line_of, lines = np.full(rows.size, -1), at[ends]
+    line_of[lines] = np.arange(lines.size)
+    i, j, b = rows[lines], cols[lines], -h[right[ends]]
 
-    def w(a: int, b: int) -> float:
-        return weight[_pair(a, b)]
+    wedge = (left >= n) & (right >= n) & (left != right) & (line_of[at] >= 0)
+    line, k = line_of[at[wedge]], row_of[left[wedge]]
+    leg_i, leg_j, sigma = -h[left[wedge]], -h[right[wedge]], stats.sigma_pp
+    size = np.bincount(line, minlength=lines.size)
+    s_i, s_j, s_k = sigma[i], sigma[j], sigma[k]
 
-    sigma = stats.sigma_pp
+    # general quadratic criterion (exact: satisfied <=> entry < 0)
+    a_i, a_j = h[i] - b, h[j] - b
+    b_coef = (s_j * a_i + s_i * a_j) / (s_i + s_j)
+    c_coef = (s_i * s_j / (s_i + s_j)) * np.bincount(line, leg_i * leg_j / s_k, lines.size)
+    t9 = b - _t9_root(b_coef, c_coef)
+    # a single common neighbour: its legs and variance are the sums of one term
+    one = size == 1
+    l_i, l_j, s_1 = (np.bincount(line, x, lines.size)[one] for x in (leg_i, leg_j, s_k))
+    s_i1, s_j1, t8 = s_i[one], s_j[one], np.full(lines.size, np.nan)
+    t8[one] = b[one] - _t9_root((s_j1 * l_i + s_i1 * l_j) / (s_i1 + s_j1),
+                                s_i1 * s_j1 * l_i * l_j / (s_1 * (s_i1 + s_j1)))
+    # uniform variance over i, j and K
+    top, low, leg = np.maximum(s_i, s_j), np.minimum(s_i, s_j), np.zeros(lines.size)
+    np.maximum.at(top, line, s_k)
+    np.minimum.at(low, line, s_k)
+    np.maximum.at(leg, line, np.maximum(leg_i, leg_j))
+    uniform, t10 = (size > 0) & ((top - low) <= 1e-12 * top), np.full(lines.size, np.nan)
+    t10[uniform] = b[uniform] - leg[uniform] / (1.0 + np.sqrt(1.0 + 2.0 / size[uniform]))
+
+    buses = np.array(grid.non_reference_buses, dtype=object)
     certs = []
-    for ln in sorted(grid.lines, key=lambda l: l.key):
-        i, j = ln.key
-        if grid.reference in (i, j):
-            continue
-        K = sorted(
-            k for k in set(grid.adjacency[i]) & set(grid.adjacency[j])
-            if k != grid.reference
-        )
-        checks: dict[str, tuple[bool, float]] = {}
-        b_ij = w(i, j)
-        if not K:
-            certs.append(EdgeCertificate((i, j), "trivially-safe", True, math.inf,
+    for edge, count, even, m9, m8, m10 in zip(zip(buses[i].tolist(), buses[j].tolist()), size.tolist(),
+                                              uniform.tolist(), t9.tolist(), t8.tolist(), t10.tolist()):
+        if not count:
+            certs.append(EdgeCertificate(edge, "trivially-safe", True, math.inf,
                                          {"trivially-safe": (True, math.inf)}))
             continue
-
-        s_i, s_j = sigma[order[i]], sigma[order[j]]
-        legs_i = {k: w(i, k) for k in K}
-        legs_j = {k: w(j, k) for k in K}
-
-        # general quadratic criterion (exact: satisfied <=> entry < 0)
-        a_i = w_total[order[i]] - b_ij
-        a_j = w_total[order[j]] - b_ij
-        b_coef = (s_j * a_i + s_i * a_j) / (s_i + s_j)
-        c_coef = (s_i * s_j / (s_i + s_j)) * sum(
-            legs_i[k] * legs_j[k] / sigma[order[k]] for k in K
-        )
-        margin_t9 = b_ij - _t9_root(b_coef, c_coef)
-        checks["T9"] = (margin_t9 > 0, margin_t9)
-
-        if len(K) == 1:
-            k = K[0]
-            b8 = (s_j * legs_i[k] + s_i * legs_j[k]) / (s_i + s_j)
-            c8 = s_i * s_j * legs_i[k] * legs_j[k] / (sigma[order[k]] * (s_i + s_j))
-            margin_t8 = b_ij - _t9_root(b8, c8)
-            checks["T8"] = (margin_t8 > 0, margin_t8)
-
-        sig_involved = [s_i, s_j] + [sigma[order[k]] for k in K]
-        uniform = (max(sig_involved) - min(sig_involved)) <= 1e-12 * max(sig_involved)
-        if uniform:
-            biggest_leg = max(max(legs_i.values()), max(legs_j.values()))
-            bound = biggest_leg / (1.0 + math.sqrt(1.0 + 2.0 / len(K)))
-            margin_t10 = b_ij - bound
-            checks["T10"] = (margin_t10 > 0, margin_t10)
-
-        for name in ("T10", "T8", "T9"):
-            if name in checks and checks[name][0]:
-                headline = name
-                break
-        else:
-            headline = "T9"  # exact criterion: not satisfied => unrecoverable
-        certs.append(EdgeCertificate((i, j), headline, checks[headline][0],
-                                     checks[headline][1], checks))
+        checks = {"T9": (m9 > 0, m9)}
+        if count == 1:
+            checks["T8"] = (m8 > 0, m8)
+        if even:
+            checks["T10"] = (m10 > 0, m10)
+        headline = next((name for name in ("T10", "T8") if name in checks and checks[name][0]), "T9")
+        certs.append(EdgeCertificate(edge, headline, *checks[headline], checks))
     return SufficiencyReport(grid_name=grid.name, certificates=tuple(certs))
 
 

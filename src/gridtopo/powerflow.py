@@ -17,10 +17,10 @@ both sides: J = H_b diag(1/sigma_pp) H_b (DC) or J = S Cov([p; q])^{-1} S
 where L L^T = Cov([p; q]) per bus (:func:`whitened_system`): J = M^T M, the
 voltage covariance M^{-1} M^{-T} (each one symmetric product, exactly
 symmetric) and the sampling map M^{-T}.  M is built as (row, col, value)
-triples from the line list, and J is summed from the triples' row-wise
-products, at graph cost: J is non-zero only between variables whose buses
-are at most two lines apart, and it is stored as those entries
-(:class:`Pairs`); the dense d x d view is built only when read.
+triples from the line list, and J is summed over the grid's two-hop index
+(:attr:`Grid.two_hop`), at graph cost: J is non-zero only between
+variables whose buses are at most two lines apart, and it is stored as
+those entries (:class:`Pairs`); the dense d x d view is built when read.
 """
 from __future__ import annotations
 
@@ -309,32 +309,36 @@ def whitened_system(grid: Grid, stats: InjectionStats, model: str) -> np.ndarray
     return dense_from_entries(*_whitened_entries(grid, stats, model), d)
 
 
-def _gram_of_entries(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, d: int) -> Pairs:
-    """M^T M (d x d) from M's triples, one per position: every row's outer
-    product, summed by position in row order, so exactly symmetric, and
-    listed only where some row of M holds both columns."""
-    by_row = np.argsort(rows, kind="stable")
-    cols, vals = cols[by_row], vals[by_row]
-    counts = np.bincount(rows, minlength=d)
-    per = np.repeat(counts, counts)  # entry e pairs with every entry of its row
-    left = np.repeat(np.arange(per.size), per)
-    first = np.repeat(np.cumsum(counts) - counts, counts)  # first entry of e's row
-    right = first[left] + np.arange(left.size) - (np.cumsum(per) - per)[left]
-    a, b = cols[left], cols[right]
-    upper = a <= b
-    pos, at = np.unique(a[upper] * d + b[upper], return_inverse=True)
-    sums = np.bincount(at, weights=vals[left[upper]] * vals[right[upper]])
-    r, c = np.divmod(pos, d)
-    on = r == c
-    diagonal = np.zeros(d)
-    diagonal[r[on]] = sums[on]
-    return Pairs(diagonal, r[~on], c[~on], sums[~on])
+def _wedge_sums(wedges: tuple[np.ndarray, ...], size: int, *factors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """At each of ``size`` positions, the sum of x[k, a] y[k, b] over the ``wedges``
+    a-k-b (:attr:`Grid.two_hop`), k ascending, for each (x, y) of ``factors`` in turn."""
+    left, right, at = wedges
+    products = np.concatenate([x[left] * y[right] for x, y in factors])
+    return np.bincount(np.tile(at, len(factors)), weights=products, minlength=size)
 
 
 def _concentration(grid: Grid, stats: InjectionStats, model: str,
                    labels: tuple[VarLabel, ...]) -> ConcentrationMatrix:
-    J = _gram_of_entries(*_whitened_entries(grid, stats, model), len(labels))
-    return ConcentrationMatrix._of_pairs(J, labels, model)
+    """J = M^T M summed over the grid's wedges: exactly symmetric, listed where a row
+    of M holds both columns.  LC's M is four blocks on H's positions, [[A, B], [C, D]],
+    so J's v-v, v-theta and theta-theta blocks are A^T A + C^T C, A^T B + C^T D and
+    B^T B + D^T D, top rows' products first, in M's row order."""
+    left, right, at, rows, cols, upper = grid.two_hop
+    every, up, size = (left, right, at), (left[:upper], right[:upper], at[:upper]), rows.size
+    vals = _whitened_entries(grid, stats, model)[2]
+    on, off = rows == cols, rows < cols
+    if model == "dc":
+        J = _wedge_sums(up, size, (vals, vals))
+        return ConcentrationMatrix._of_pairs(Pairs(J[on], rows[off], cols[off], J[off]), labels, model)
+    A, B, C, D = np.split(vals, 4)
+    vv, tt = _wedge_sums(up, size, (A, A), (C, C)), _wedge_sums(up, size, (B, B), (D, D))
+    vt = _wedge_sums(every, size, (A, B), (C, D))
+    n = len(labels) // 2
+    r, c = np.concatenate([rows[off], rows, rows[off] + n]), np.concatenate([cols[off], cols + n, cols[off] + n])
+    by_row = np.argsort(r, kind="stable")  # a v row's v-v columns come before its v-theta ones
+    pairs = Pairs(np.concatenate([vv[on], tt[on]]), r[by_row], c[by_row],
+                  np.concatenate([vv[off], vt, tt[off]])[by_row])
+    return ConcentrationMatrix._of_pairs(pairs, labels, model)
 
 
 def _gram(A: np.ndarray) -> np.ndarray:

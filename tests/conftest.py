@@ -1,6 +1,7 @@
 """Shared fixtures and helpers: bundled grids, random-grid factories, the
-line-by-line grid parser the array checks are held to, and plain lookups
-and readers that only the tests need."""
+oracles the array code is held to (the line-by-line grid parser, the
+row-pair Gram builder of the exact J, the line-by-line certificate loop),
+and plain lookups and readers that only the tests need."""
 import hashlib
 import json
 import math
@@ -10,9 +11,9 @@ import numpy as np
 import pytest
 
 from gridtopo.exceptions import GridFileError, GridStructureError, InvalidLineError
-from gridtopo.grid import Grid, Line, builtin_grid, conductance, make_grid, susceptance
-from gridtopo.learning import LearnedTopology, SufficiencyReport
-from gridtopo.powerflow import ConcentrationMatrix
+from gridtopo.grid import Grid, Line, builtin_grid, conductance, laplacian_entries, make_grid, susceptance
+from gridtopo.learning import EdgeCertificate, LearnedTopology, SufficiencyReport
+from gridtopo.powerflow import ConcentrationMatrix, InjectionStats, Pairs, _whitened_entries, check_stats
 
 
 def edge_set(grid: Grid) -> frozenset[tuple[int, int]]:
@@ -192,8 +193,125 @@ def oracle_grid_views(doc) -> dict:
     }
 
 
+def random_stats(grid: Grid, rng: np.random.Generator) -> InjectionStats:
+    """Per-bus injection stats drawn at random, with p/q correlation."""
+    m = len(grid.non_reference_buses)
+    pp, qq = rng.uniform(0.5, 2.0, m), rng.uniform(0.5, 2.0, m)
+    return InjectionStats(pp, qq, rng.uniform(-0.6, 0.6, m) * np.sqrt(pp * qq))
+
+
+def gram_of_entries(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, d: int) -> Pairs:
+    """M^T M (d x d) from M's triples, one per position: every row's outer
+    product, summed by position in row order, so exactly symmetric, and
+    listed only where some row of M holds both columns.
+
+    The reference for the exact concentrations, which sum the same products
+    over the grid's two-hop index."""
+    by_row = np.argsort(rows, kind="stable")
+    cols, vals = cols[by_row], vals[by_row]
+    counts = np.bincount(rows, minlength=d)
+    per = np.repeat(counts, counts)  # entry e pairs with every entry of its row
+    left = np.repeat(np.arange(per.size), per)
+    first = np.repeat(np.cumsum(counts) - counts, counts)  # first entry of e's row
+    right = first[left] + np.arange(left.size) - (np.cumsum(per) - per)[left]
+    a, b = cols[left], cols[right]
+    upper = a <= b
+    pos, at = np.unique(a[upper] * d + b[upper], return_inverse=True)
+    sums = np.bincount(at, weights=vals[left[upper]] * vals[right[upper]])
+    r, c = np.divmod(pos, d)
+    on = r == c
+    diagonal = np.zeros(d)
+    diagonal[r[on]] = sums[on]
+    return Pairs(diagonal, r[~on], c[~on], sums[~on])
+
+
+def oracle_concentration(grid: Grid, stats: InjectionStats, model: str) -> Pairs:
+    """The exact J of ``model`` as :func:`gram_of_entries` of the whitened system."""
+    d = len(grid.non_reference_buses) * (2 if model == "lc" else 1)
+    return gram_of_entries(*_whitened_entries(grid, stats, model), d)
+
+
+def oracle_sufficiency(grid: Grid, stats: InjectionStats) -> SufficiencyReport:
+    """:func:`gridtopo.learning.check_sufficiency` line by line: each line's
+    common neighbours as a set intersection, its sums as Python loops."""
+    check_stats(grid, stats)
+    order = grid.index_of
+    w_total = laplacian_entries(grid, "susceptance")[2][:len(order)].tolist()
+    weight = dict(zip((ln.key for ln in grid.lines), grid.line_weights["susceptance"].tolist()))
+
+    def w(a: int, b: int) -> float:
+        return weight[(a, b) if a < b else (b, a)]
+
+    def root(b: float, c: float) -> float:
+        return -b / 2.0 + math.sqrt(b * b / 4.0 + c)
+
+    sigma = stats.sigma_pp
+    certs = []
+    for ln in sorted(grid.lines, key=lambda l: l.key):
+        i, j = ln.key
+        if grid.reference in (i, j):
+            continue
+        K = sorted(k for k in set(grid.adjacency[i]) & set(grid.adjacency[j]) if k != grid.reference)
+        checks: dict[str, tuple[bool, float]] = {}
+        b_ij = w(i, j)
+        if not K:
+            certs.append(EdgeCertificate((i, j), "trivially-safe", True, math.inf,
+                                         {"trivially-safe": (True, math.inf)}))
+            continue
+        s_i, s_j = sigma[order[i]], sigma[order[j]]
+        legs_i = {k: w(i, k) for k in K}
+        legs_j = {k: w(j, k) for k in K}
+        a_i = w_total[order[i]] - b_ij
+        a_j = w_total[order[j]] - b_ij
+        b_coef = (s_j * a_i + s_i * a_j) / (s_i + s_j)
+        c_coef = (s_i * s_j / (s_i + s_j)) * sum(legs_i[k] * legs_j[k] / sigma[order[k]] for k in K)
+        margin_t9 = b_ij - root(b_coef, c_coef)
+        checks["T9"] = (margin_t9 > 0, margin_t9)
+        if len(K) == 1:
+            k = K[0]
+            b8 = (s_j * legs_i[k] + s_i * legs_j[k]) / (s_i + s_j)
+            c8 = s_i * s_j * legs_i[k] * legs_j[k] / (sigma[order[k]] * (s_i + s_j))
+            margin_t8 = b_ij - root(b8, c8)
+            checks["T8"] = (margin_t8 > 0, margin_t8)
+        sig_involved = [s_i, s_j] + [sigma[order[k]] for k in K]
+        if (max(sig_involved) - min(sig_involved)) <= 1e-12 * max(sig_involved):
+            biggest_leg = max(max(legs_i.values()), max(legs_j.values()))
+            margin_t10 = b_ij - biggest_leg / (1.0 + math.sqrt(1.0 + 2.0 / len(K)))
+            checks["T10"] = (margin_t10 > 0, margin_t10)
+        headline = next((name for name in ("T10", "T8", "T9") if name in checks and checks[name][0]), "T9")
+        certs.append(EdgeCertificate((i, j), headline, checks[headline][0], checks[headline][1], checks))
+    return SufficiencyReport(grid_name=grid.name, certificates=tuple(certs))
+
+
 def all_satisfied(report: SufficiencyReport) -> bool:
     return all(c.satisfied for c in report.certificates)
+
+
+def girth7_grid(n_buses: int = 100, n_chords: int = 12, seed: int = 7) -> Grid:
+    """A random tree on buses 0..n_buses-1 (reference 0) plus chords between
+    buses at least 6 lines apart, so every cycle has at least 7 lines."""
+    rng = np.random.default_rng(seed)
+    lines = [(int(rng.integers(0, b)), b) for b in range(1, n_buses)]
+    adj = {b: set() for b in range(n_buses)}
+    for i, j in lines:
+        adj[i].add(j)
+        adj[j].add(i)
+    chords = 0
+    while chords < n_chords:
+        i, j = sorted(int(b) for b in rng.choice(n_buses, size=2, replace=False))
+        dist, queue = {i: 0}, deque([i])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u] - dist.keys():
+                dist[v] = dist[u] + 1
+                queue.append(v)
+        if dist[j] >= 6:
+            lines.append((i, j))
+            adj[i].add(j)
+            adj[j].add(i)
+            chords += 1
+    return make_grid(0, range(n_buses), [(i, j, float(rng.uniform(0.02, 0.08)), float(rng.uniform(0.05, 0.12)))
+                                         for i, j in lines], name=f"girth7_{n_buses}")
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,9 @@
 """End-to-end CLI behavior through click's test runner."""
+import gc
+import io
 import json
+import weakref
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from click.testing import CliRunner
@@ -625,3 +629,23 @@ def test_experiment_config_rejects_a_variance_too_large_for_a_float(runner, tmp_
     payload = stderr_error(runner.invoke(main, ["experiment", "--config", str(cfg), "--out", str(out)]))
     assert payload == {"error": "ConfigError", "message": "sigma_pp must fit in a float"}
     assert not out.exists()
+
+
+def test_redirected_streams_are_freed_after_each_command():
+    # an in-process caller that redirects the standard streams, as a
+    # benchmark driver does, gets each captured stream back: none is kept
+    # alive by a cache of the streams echoed to
+    captured = []
+    for args in (["certify", "--grid", "ieee14"], ["learn", "--conc", "exact"]) * 5:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                main.main(args=args, prog_name="gridtopo", standalone_mode=False)
+            except SystemExit as exc:
+                assert exc.code == 1 and args[0] == "learn"
+        assert out.getvalue().endswith("satisfied: 18/18\n") if args[0] == "certify" else \
+            json.loads(err.getvalue())["error"] == "ConfigError"
+        captured += [weakref.ref(out), weakref.ref(err)]
+    del out, err
+    gc.collect()
+    assert [ref() for ref in captured] == [None] * len(captured)

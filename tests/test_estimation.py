@@ -1,4 +1,5 @@
 """Covariance estimation and the graphical lasso solver."""
+import json
 import warnings
 
 import numpy as np
@@ -460,6 +461,25 @@ def test_estimate_json_roundtrip(tmp_path, radial20):
     assert back.kkt == est.kkt
     conc = back.concentration
     assert conc.model == "dc" and conc.dim == 19
+
+
+@pytest.mark.parametrize("name", BUILTIN_GRIDS)
+@pytest.mark.parametrize("model", ["dc", "lc"])
+def test_estimate_json_is_the_indented_dump(tmp_path, name, model):
+    # J's rows are written from its pairs, in the bytes json.dump writes
+    g = builtin_grid(name)
+    s = generate_voltage_samples(g, InjectionStats.uniform(g), model, 2000, seed=3)
+    est = estimate_concentration(s, method="direct")
+    write_estimate_json(est, tmp_path / "est.json")
+    assert (tmp_path / "est.json").read_bytes() == (json.dumps(est.to_dict(), indent=2) + "\n").encode()
+
+
+def test_glasso_estimate_json_is_the_indented_dump(tmp_path, radial20):
+    s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), "dc", 60, seed=7)
+    est = estimate_concentration(s, "glasso")
+    assert est.objective_trace and est.kkt
+    write_estimate_json(est, tmp_path / "est.json")
+    assert (tmp_path / "est.json").read_bytes() == (json.dumps(est.to_dict(), indent=2) + "\n").encode()
 
 
 ESTIMATE_DOC = '{"matrix": %s, "labels": [%s], "model": "dc", "method": "direct", "n_samples": 5}'

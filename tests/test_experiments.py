@@ -1,6 +1,7 @@
 """Experiment harness: spec handling, sweeps, determinism, results CSV."""
 import csv
 import json
+import os
 import sys
 from dataclasses import replace
 
@@ -391,9 +392,20 @@ def test_a_sweep_validates_one_stacked_concentration_per_sample_count(monkeypatc
     assert shapes == [(6, 38, 38)]
 
 
+def test_workers_beyond_the_cpus_make_no_more_stacks(pool_sizes):
+    # the pool never runs more processes than CPUs, so more workers split
+    # the trials no finer and the records stay the same
+    spec = ExperimentSpec(sample_counts=(500, 2000), trials=64, seed=5)
+    cpus = replace(spec, workers=os.cpu_count() or 1)
+    wide = replace(spec, workers=64)
+    assert len(experiments._stacks(wide, 19)) == len(experiments._stacks(cpus, 19))
+    assert run_experiment(wide).records == run_experiment(cpus).records
+
+
 @pytest.mark.parametrize("d", [19, 38, 128, 129, 999])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_stacks_are_bounded_and_cover_the_sweep_in_order(d, workers):
+def test_stacks_are_bounded_and_cover_the_sweep_in_order(d, workers, monkeypatch):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 8)
     spec = ExperimentSpec(sample_counts=(100, 200), trials=60, workers=workers)
     tasks = experiments._stacks(spec, d)
     assert [(n, t) for n, trials in tasks for t in trials] == [

@@ -9,7 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import adjacency_of, all_satisfied, block, edge_set, edges_of, load_topology_json
+from conftest import (
+    adjacency_of,
+    all_satisfied,
+    block,
+    edge_set,
+    edges_of,
+    load_topology_json,
+    oracle_sufficiency,
+    random_stats,
+)
 from gridtopo import grid as grid_module, learning, powerflow
 from gridtopo.estimation import estimate_concentration
 from gridtopo.exceptions import (
@@ -840,6 +849,46 @@ def test_sufficiency_soundness_and_t9_exactness(make_random_triangle_grid):
                 assert cert.checks["T9"][0] == (entry < 0)
             checked += 1
     assert checked > 100
+
+
+def assert_certificates_equal(report, want):
+    # field for field, margins compared with ==; the certificates carry
+    # Python floats and bools
+    assert report.grid_name == want.grid_name
+    assert [c.edge for c in report.certificates] == [c.edge for c in want.certificates]
+    for got, cert in zip(report.certificates, want.certificates):
+        assert (got.theorem, got.satisfied, got.margin) == (cert.theorem, cert.satisfied, cert.margin)
+        assert got.checks == cert.checks and list(got.checks) == list(cert.checks)
+        assert type(got.margin) is float and type(got.satisfied) is bool
+        assert all(type(ok) is bool and type(m) is float for ok, m in got.checks.values())
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.integers(2, 40))
+def test_sufficiency_equals_the_line_by_line_oracle(make_random_tree, make_random_triangle_grid,
+                                                    seed, triangles, uniform, n_buses):
+    rng = np.random.default_rng(seed)
+    g = make_random_triangle_grid(rng, max(n_buses, 6)) if triangles else make_random_tree(rng, n_buses)
+    stats = InjectionStats.uniform(g) if uniform else random_stats(g, rng)
+    assert_certificates_equal(check_sufficiency(g, stats), oracle_sufficiency(g, stats))
+
+
+def test_sufficiency_equals_the_oracle_where_every_theorem_fires(make_random_triangle_grid, ieee14):
+    headlines = set()
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        g = make_random_triangle_grid(rng)
+        for stats in (InjectionStats.uniform(g), random_stats(g, rng)):
+            report = check_sufficiency(g, stats)
+            assert_certificates_equal(report, oracle_sufficiency(g, stats))
+            headlines |= {(c.theorem, c.satisfied) for c in report.certificates}
+    pp = np.ones(13)
+    pp[ieee14.index_of[5]] = 0.1  # spoils line 11-12, as below
+    for stats in (InjectionStats.uniform(ieee14), InjectionStats(pp, np.ones(13), np.zeros(13))):
+        report = check_sufficiency(ieee14, stats)
+        assert_certificates_equal(report, oracle_sufficiency(ieee14, stats))
+        headlines |= {(c.theorem, c.satisfied) for c in report.certificates}
+    assert headlines >= {("trivially-safe", True), ("T8", True), ("T9", True), ("T10", True), ("T9", False)}
 
 
 def test_sufficiency_stats_mismatch(radial20):

@@ -1,8 +1,9 @@
 """Analytic concentration matrices: DC and LC products vs independent oracles."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import block, edge_set, line_between
+from conftest import block, edge_set, line_between, oracle_concentration, random_stats
 from gridtopo import powerflow
 from gridtopo.exceptions import (
     GridStructureError,
@@ -38,14 +39,6 @@ GRID_NAMES = ("radial20", "loopy20_c4", "loopy20_c7", "ieee14")
 
 def path_grid(n_buses: int, r: float = 0.0, x: float = 1.0):
     return make_grid(0, range(n_buses), [(b, b + 1, r, x) for b in range(n_buses - 1)])
-
-
-def random_stats(grid, rng):
-    m = len(grid.non_reference_buses)
-    pp = rng.uniform(0.5, 2.0, m)
-    qq = rng.uniform(0.5, 2.0, m)
-    pq = rng.uniform(-0.6, 0.6, m) * np.sqrt(pp * qq)
-    return InjectionStats(pp, qq, pq)
 
 
 # ----------------------------------------------------------------------
@@ -526,6 +519,48 @@ def test_exact_concentrations_skip_the_dense_product_and_cholesky(make_random_tr
     monkeypatch.setattr(powerflow, "_gram", dense_path)
     assert dc_concentration(g, st).matrix.shape == (599, 599)
     assert lc_concentration(g, st).matrix.shape == (1198, 1198)
+
+
+def assert_pairs_equal(got: Pairs, want: Pairs):
+    for field in Pairs._fields:
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.integers(2, 40))
+def test_exact_concentrations_equal_the_oracle(make_random_tree, make_random_triangle_grid,
+                                               seed, triangles, uniform, n_buses):
+    # J summed over the grid's wedges is the oracle's sum over M's rows,
+    # entry for entry and bit for bit: same positions, same float order
+    rng = np.random.default_rng(seed)
+    g = make_random_triangle_grid(rng, max(n_buses, 6)) if triangles else make_random_tree(rng, n_buses)
+    stats = InjectionStats.uniform(g) if uniform else random_stats(g, rng)
+    assert_pairs_equal(dc_concentration(g, stats).pairs, oracle_concentration(g, stats, "dc"))
+    assert_pairs_equal(lc_concentration(g, stats).pairs, oracle_concentration(g, stats, "lc"))
+
+
+@pytest.mark.parametrize("name", GRID_NAMES + (300,))
+def test_exact_concentrations_of_fixed_grids_equal_the_oracle(name, make_random_tree):
+    rng = np.random.default_rng(5)
+    g = builtin_grid(name) if isinstance(name, str) else meshed_tree(rng, make_random_tree, name, 40)
+    for stats in (InjectionStats.uniform(g), random_stats(g, np.random.default_rng(2))):
+        assert_pairs_equal(dc_concentration(g, stats).pairs, oracle_concentration(g, stats, "dc"))
+        assert_pairs_equal(lc_concentration(g, stats).pairs, oracle_concentration(g, stats, "lc"))
+
+
+def test_the_two_hop_index_is_built_once_per_grid(make_random_tree):
+    g = meshed_tree(np.random.default_rng(7), make_random_tree, 40, 6)
+    hop = g.two_hop
+    dc_concentration(g, InjectionStats.uniform(g))
+    lc_concentration(g, InjectionStats.uniform(g))
+    assert g.two_hop is hop
+    left, right, at, rows, cols, upper = hop
+    assert not left.flags.writeable
+    # every wedge a-k-b reaches its position (a, b), the upper ones first
+    k, a = g.laplacian_index[:2]
+    assert np.array_equal(k[left], k[right])
+    assert np.array_equal(a[left], rows[at]) and np.array_equal(a[right], cols[at])
+    assert np.all(rows[at[:upper]] <= cols[at[:upper]]) and np.all(rows[at[upper:]] > cols[at[upper:]])
 
 
 SYSTEM_BUILDERS = {

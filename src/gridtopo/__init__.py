@@ -23,11 +23,7 @@ from .powerflow import (
     dc_concentration,
     dc_phase_covariance,
     lc_concentration,
-    lc_system_matrix,
-    lc_threshold_statistic,
     lc_voltage_covariance,
-    solve_dc,
-    solve_lc,
     whitened_system,
 )
 from .sampling import SampleSet, derive_trial_seed, generate_voltage_samples
@@ -46,7 +42,6 @@ from .learning import (
     build_graphical_model,
     check_sufficiency,
     edge_errors,
-    hybridize,
     learn_by_counting,
     learn_by_thresholding,
     learn_parameters,

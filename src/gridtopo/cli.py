@@ -9,7 +9,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import os
 import sys
 
 import click
@@ -152,13 +151,12 @@ def sample(grid_ref, model, n, seed, out, sigma_pp, sigma_qq, sigma_pq):
                    "is at most 1e-2 * tol.")
 @click.option("--max-iters", type=int, default=10_000, show_default=True,
               help="Glasso limit in ADMM steps.")
-@click.option("--penalize-diagonal", is_flag=True, default=False)
 @click.option("--out", type=click.Path(), required=True, help="Output JSON path.")
 @_cli_errors
-def estimate(samples_path, method, lam, tol, max_iters, penalize_diagonal, out):
+def estimate(samples_path, method, lam, tol, max_iters, out):
     """Estimate the concentration matrix from samples."""
     lam = parse_lambda(lam, "--lambda")
-    cfg = GlassoConfig(tol=tol, max_iters=max_iters, diagonal_penalized=penalize_diagonal)
+    cfg = GlassoConfig(tol=tol, max_iters=max_iters)
     samples = load_samples_csv(samples_path)
     est = estimate_concentration(samples, method=method, lam=lam, config=cfg)
     write_estimate_json(est, out)
@@ -259,7 +257,8 @@ def experiment(config_path, grid_ref, model, algo, estimator, counts, trials, se
                tau1, tau2, exact, lam, workers, out):
     """Run a reconstruction-error sweep and write the results CSV.
 
-    Precedence: config file < command-line flags < GRIDTOPO_SEED env var.
+    Precedence: config file < command-line flags.  Every field, the seed
+    included, comes from these two alone; no environment variable is read.
     """
     spec = load_experiment_config(config_path) if config_path else ExperimentSpec()
     overrides = dict(grid=grid_ref, model=model, algorithm=algo, estimator=estimator, trials=trials,
@@ -274,12 +273,6 @@ def experiment(config_path, grid_ref, model, algo, estimator, counts, trials, se
 
     doc = spec.to_dict()
     doc.update({k: v for k, v in overrides.items() if v is not None})
-    env_seed = os.environ.get("GRIDTOPO_SEED")
-    if env_seed is not None:
-        try:
-            doc["seed"] = int(env_seed)
-        except ValueError:
-            raise ConfigError(f"GRIDTOPO_SEED must be an integer, got {env_seed!r}") from None
     spec = ExperimentSpec.from_dict(doc)
 
     result = run_experiment(spec)

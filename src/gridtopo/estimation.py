@@ -5,7 +5,7 @@ Two estimators behind one interface, named by :data:`ESTIMATORS`:
 * ``direct`` (and ``auto``, the default, which is the same estimate):
   invert the empirical covariance through one Cholesky factor (valid when
   n >= d and the factor is numerically full rank, else an error);
-* ``glasso``, run only on request: l1-penalized maximum likelihood
+* ``glasso``, run only on request: maximum likelihood with an l1 penalty
 
       minimize_S  -log det S + <S, cov> + lam * ||S||_1(off-diagonal)
 
@@ -79,7 +79,6 @@ class GlassoConfig:
 
     tol: float = 1e-6
     max_iters: int = 10_000
-    diagonal_penalized: bool = False
 
     def __post_init__(self):
         if (isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real)
@@ -90,18 +89,15 @@ class GlassoConfig:
             raise ConfigError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
-def glasso_objective(S: np.ndarray, cov: np.ndarray, lam: float,
-                     diagonal_penalized: bool = False) -> float:
-    """Penalized negative log-likelihood -log det S + <S, cov> + lam*||S||_1;
-    ``inf`` when S is not positive definite (its Cholesky factor fails)."""
+def glasso_objective(S: np.ndarray, cov: np.ndarray, lam: float) -> float:
+    """Penalized negative log-likelihood -log det S + <S, cov> + lam*||S||_1
+    (off-diagonal); ``inf`` when S is not positive definite (its Cholesky factor fails)."""
     try:
         L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
         return math.inf
     logdet = 2.0 * np.log(np.diag(L)).sum()
     penalty = np.abs(S).sum() - np.abs(np.diag(S)).sum()
-    if diagonal_penalized:
-        penalty += np.abs(np.diag(S)).sum()
     return float(-logdet + (S * cov).sum() + lam * penalty)
 
 
@@ -110,7 +106,7 @@ def graphical_lasso(
     lam: float,
     config: GlassoConfig | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """Solve the l1-penalized inverse covariance problem by ADMM.
+    """Solve the graphical lasso (the inverse covariance with an l1 penalty) by ADMM.
 
     Each step splits S into a smooth part X and a sparse part Z (Boyd et al.
     2011, section 6.5): X solves rho*X - X^{-1} = rho*(Z - U) - cov through
@@ -118,7 +114,7 @@ def graphical_lasso(
     gap X - Z, and rho follows residual balancing.
 
     Returns ``(S, info)``.  S is the best iterate seen: the diagonal start
-    1/(cov_ii + lam*delta) or a later Z of lower objective, so S is positive
+    1/cov_ii or a later Z of lower objective, so S is positive
     definite (its Cholesky factor exists).  info records the steps taken,
     the convergence flag, the termination reason and the objective trace:
     the start's objective, then the best objective so far after each step,
@@ -143,16 +139,14 @@ def graphical_lasso(
     if np.any(np.diag(cov) <= 0):
         raise ConfigError("covariance diagonal must be positive")
 
-    penalized = config.diagonal_penalized
-    d = cov.shape[0]
-    # soft-threshold level per entry, in units of lam
-    weight = np.ones((d, d)) if penalized else 1.0 - np.eye(d)
+    # soft-threshold level per entry, in units of lam: 0 on the diagonal
+    weight = 1.0 - np.eye(cov.shape[0])
     budget = 1e-2 * config.tol * max(1.0, float(np.abs(cov).max()))
 
-    S = np.diag(1.0 / (np.diag(cov) + lam * penalized))
-    best = glasso_objective(S, cov, lam, penalized)
+    S = np.diag(1.0 / np.diag(cov))
+    best = glasso_objective(S, cov, lam)
     trace = [best]
-    kkt = kkt_violations(cov, S, lam, penalized)
+    kkt = kkt_violations(cov, S, lam)
     steps = 0
     # rho = 0.1 took fewer steps than 1 or 10 on the bundled grids
     Z, U, rho = S, np.zeros_like(S), 0.1
@@ -164,10 +158,10 @@ def graphical_lasso(
         Z_old, V = Z, X + U
         Z = np.sign(V) * np.maximum(np.abs(V) - (lam / rho) * weight, 0.0)
         U = V - Z
-        obj = glasso_objective(Z, cov, lam, penalized)
+        obj = glasso_objective(Z, cov, lam)
         if obj <= best:
             S, best = Z, obj
-            kkt = kkt_violations(cov, S, lam, penalized)
+            kkt = kkt_violations(cov, S, lam)
         trace.append(best)
         # residual balancing with mu = 10, tau = 2 (Boyd et al., section 3.4.1)
         r = np.linalg.norm(X - Z)
@@ -188,13 +182,12 @@ def graphical_lasso(
     return S, info
 
 
-def kkt_violations(cov: np.ndarray, S: np.ndarray, lam: float,
-                   diagonal_penalized: bool = False) -> dict:
+def kkt_violations(cov: np.ndarray, S: np.ndarray, lam: float) -> dict:
     """Stationarity residuals of the glasso optimum.
 
     At the solution, with W = S^{-1}: cov_ij - W_ij must lie within [-lam, lam]
     wherever S_ij = 0 and equal -lam*sign(S_ij) elsewhere (off-diagonal);
-    the diagonal satisfies cov_ii - W_ii + lam*delta = 0.
+    the diagonal satisfies cov_ii - W_ii = 0.
     """
     W = np.linalg.inv(S)
     grad = cov - W
@@ -205,8 +198,7 @@ def kkt_violations(cov: np.ndarray, S: np.ndarray, lam: float,
     viol_nonzero = (
         np.abs(grad[nonzero] + lam * np.sign(S[nonzero])) if nonzero.any() else np.array([0.0])
     )
-    delta_diag = lam if diagonal_penalized else 0.0
-    viol_diag = np.abs(np.diag(grad) + delta_diag)
+    viol_diag = np.abs(np.diag(grad))
     return {
         "max_zero": float(viol_zero.max()),
         "max_nonzero": float(viol_nonzero.max()),

@@ -6,7 +6,6 @@ is indexed by the non-reference buses in sorted order.
 """
 from __future__ import annotations
 
-import csv
 import hashlib
 import itertools
 import json
@@ -429,43 +428,13 @@ def save_grid(grid: Grid, path) -> None:
         fh.write("\n")
 
 
-def load_line_csv(path, reference: int, name: str = "") -> Grid:
-    """Build a grid from a from,to,r,x CSV table.
-
-    Original bus ids are relabeled to contiguous 0-based ids in sorted order
-    (so the grid JSON form can be produced from classical line-data tables);
-    ``reference`` is given as an *original* id.
-    """
-    rows: list[tuple[int, int, float, float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        need = {"from", "to", "r", "x"}
-        if reader.fieldnames is None or not need.issubset(reader.fieldnames):
-            raise GridFileError(f"{path}: header must contain columns {sorted(need)}")
-        for k, row in enumerate(reader):
-            try:
-                rows.append((int(row["from"]), int(row["to"]), float(row["r"]), float(row["x"])))
-            except (TypeError, ValueError):
-                raise GridFileError(f"{path}: row {k + 1}: malformed entry {row!r}") from None
-    originals = sorted({b for f, t, _, _ in rows for b in (f, t)})
-    if reference not in originals:
-        raise GridFileError(f"{path}: reference bus {reference} does not appear in any line")
-    relabel = {orig: new for new, orig in enumerate(originals)}
-    lines = [Line(relabel[f], relabel[t], r, x) for f, t, r, x in rows]
-    return make_grid(relabel[reference], range(len(originals)), lines, name=name)
-
-
 def builtin_grid(name: str) -> Grid:
     """Return one of the bundled grids by name (see ``BUILTIN_GRIDS``)."""
     if name not in BUILTIN_GRIDS:
         raise UnknownGridError(
             f"unknown builtin grid {name!r}; available: {', '.join(BUILTIN_GRIDS)}"
         )
-    pkg = resources.files("gridtopo.data")
-    if name == "ieee14":
-        with resources.as_file(pkg / "ieee14_lines.csv") as p:
-            return load_line_csv(p, reference=1, name="ieee14")
-    with (pkg / f"{name}.json").open("r", encoding="utf-8") as fh:
+    with (resources.files("gridtopo.data") / f"{name}.json").open("r", encoding="utf-8") as fh:
         return grid_from_dict(json.load(fh), name=name)
 
 

@@ -25,6 +25,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -461,15 +462,15 @@ def learn_by_thresholding(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EdgeCertificate:
-    """Most specific satisfied recoverability condition for one true line."""
+class EdgeCertificate(NamedTuple):
+    """Most specific satisfied recoverability condition for one true line;
+    a tuple, built once per line, several times faster than a frozen dataclass."""
 
     edge: tuple[int, int]
     theorem: str  # one of {"trivially-safe", "T10", "T8", "T9"}
     satisfied: bool
     margin: float
-    checks: dict = field(default_factory=dict)
+    checks: dict  # every evaluated condition: name -> (satisfied, margin)
 
 
 @dataclass(frozen=True)

@@ -512,28 +512,19 @@ def test_experiment_exact_flag(runner, tmp_path):
 
 
 def test_experiment_seed_precedence(runner, tmp_path):
+    # the seed comes from the config or --seed; the environment is not read
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({"seed": 3, "exact": True}))
     out = tmp_path / "r.csv"
+    meta = tmp_path / "r.csv.meta.json"
 
-    invoke_ok(runner, ["experiment", "--config", str(cfg), "--out", str(out)])
-    meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
-    assert meta["spec"]["seed"] == 3
-
-    invoke_ok(runner, ["experiment", "--config", str(cfg), "--seed", "5", "--out", str(out)])
-    meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
-    assert meta["spec"]["seed"] == 5
-
-    invoke_ok(runner, ["experiment", "--config", str(cfg), "--seed", "5", "--out", str(out)],
-              env={"GRIDTOPO_SEED": "9"})
-    meta = json.loads((tmp_path / "r.csv.meta.json").read_text())
-    assert meta["spec"]["seed"] == 9
-
-    payload = stderr_error(runner.invoke(
-        main, ["experiment", "--config", str(cfg), "--out", str(out)],
-        env={"GRIDTOPO_SEED": "soon"},
-    ))
-    assert payload["error"] == "ConfigError"
+    for args, seed in (([], 3), (["--seed", "5"], 5)):
+        invoke_ok(runner, ["experiment", "--config", str(cfg), *args, "--out", str(out)])
+        assert json.loads(meta.read_text())["spec"]["seed"] == seed
+        for env_seed in ("9", "soon"):
+            invoke_ok(runner, ["experiment", "--config", str(cfg), *args, "--out", str(out)],
+                      env={"GRIDTOPO_SEED": env_seed})
+            assert json.loads(meta.read_text())["spec"]["seed"] == seed
 
 
 @pytest.mark.parametrize(

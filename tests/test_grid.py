@@ -35,7 +35,6 @@ from gridtopo.grid import (
     grid_to_dict,
     laplacian_entries,
     load_grid,
-    load_line_csv,
     make_grid,
     reduced_laplacian,
     save_grid,
@@ -556,21 +555,6 @@ def test_grid_hash_digests_are_pinned(name, digest):
     # sample sidecars and experiment results carry these digests
     grid = meshed_grid(name) if isinstance(name, int) else builtin_grid(name)
     assert grid_hash(grid) == digest
-
-
-def test_load_line_csv_relabels_sorted(tmp_path):
-    p = tmp_path / "lines.csv"
-    p.write_text("from,to,r,x\n7,5,0.1,0.2\n9,7,0.1,0.3\n")
-    g = load_line_csv(p, reference=7)
-    # originals 5,7,9 -> 0,1,2
-    assert g.buses == (0, 1, 2)
-    assert g.reference == 1
-    assert edge_set(g) == frozenset({(0, 1), (1, 2)})
-    with pytest.raises(GridFileError, match="reference bus 4"):
-        load_line_csv(p, reference=4)
-    (tmp_path / "bad.csv").write_text("a,b\n1,2\n")
-    with pytest.raises(GridFileError, match="header"):
-        load_line_csv(tmp_path / "bad.csv", reference=1)
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,6 @@ import datetime
 import json
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import repeat
 
@@ -321,6 +320,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     # tasks or the CPUs
     workers = min(spec.workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported only here: the pool loads multiprocessing, which would
+        # cost every CLI start and one-process sweep memory and import time
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             stacks = list(pool.map(run_trials, *args, chunksize=1))
     else:

@@ -200,11 +200,11 @@ class ConcentrationMatrix:
         if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2] or M.shape[-1] != len(labels):
             raise ValueError("concentration matrix shape does not match labels")
         check_layout(labels, model)
-        bad = np.argwhere(~np.isfinite(M))
-        if bad.size:
-            i, j = bad[0, -2:]
+        if not np.isfinite(M).all():
+            bad = np.argwhere(~np.isfinite(M))[0]
+            i, j = bad[-2:]
             raise ValueError(f"concentration matrix entry ({labels[i].text}, {labels[j].text}) "
-                             f"is {M[(*bad[0],)]}, not a finite number")
+                             f"is {M[(*bad,)]}, not a finite number")
         # symmetrised inverses arrive exactly symmetric
         MT = M.mT
         if not np.array_equal(M, MT):

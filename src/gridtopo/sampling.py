@@ -21,10 +21,15 @@ leading N (z_p) of them, so DC and LC trials at one seed remain paired.  A
 drawn :class:`SampleCovariance` holds M and R's leading d columns, a
 triangle once n >= d, so the direct estimate solves against them and never
 forms the scatter.  A sweep builds its plan once for all its trials.
+
+On disk a :class:`SampleSet` is a CSV of ``format(v, ".17g")`` cells and a
+JSON sidecar.  :func:`write_samples_csv` formats the body a block of cells
+at a time in numpy, byte for byte as Python does (:func:`_csv_rows`).
 """
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import numbers
@@ -89,9 +94,8 @@ class SampleSet:
             check_layout(self.labels, self.model)
         except ValueError as exc:
             raise SampleFormatError(str(exc)) from None
-        bad = np.argwhere(~np.isfinite(self.data))
-        if bad.size:
-            i, j = bad[0]
+        if not np.isfinite(self.data).all():
+            i, j = np.argwhere(~np.isfinite(self.data))[0]
             raise SampleFormatError(f"snapshot {i}, column {self.labels[j].text}: "
                                     f"{self.data[i, j]} is not a finite number")
 
@@ -252,13 +256,19 @@ def sidecar_path(path) -> str:
 def write_samples_csv(samples: SampleSet, path) -> None:
     """Write samples as CSV (one labeled column per variable) plus sidecar.
 
-    The sidecar ``<path>.meta.json`` records grid hash, model kind, seed and
-    sample count so downstream stages can refuse mismatched inputs.
+    The header is ``csv.writer``'s row of labels.  The body is the text
+    ``csv.writer`` gives for ``format(v, ".17g")`` cells, formatted
+    :data:`_BLOCK_CELLS` cells at a time by :func:`_csv_rows`.  The sidecar
+    ``<path>.meta.json`` records grid hash, model kind, seed and sample
+    count so downstream stages can refuse mismatched inputs.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow([lab.text for lab in samples.labels])
-        # the same text csv.writer gives for format(v, ".17g") cells
-        np.savetxt(fh, samples.data, fmt="%.17g", delimiter=",", newline="\r\n")
+    header = io.StringIO()
+    csv.writer(header).writerow([lab.text for lab in samples.labels])
+    rows = max(1, _BLOCK_CELLS // max(samples.dim, 1))
+    with open(path, "wb") as fh:
+        fh.write(header.getvalue().encode("utf-8"))
+        for start in range(0, samples.n, rows):
+            fh.write(_csv_rows(samples.data[start:start + rows]))
     meta = {
         "grid_hash": samples.grid_hash,
         "model_kind": samples.model,
@@ -268,6 +278,117 @@ def write_samples_csv(samples: SampleSet, path) -> None:
     with open(sidecar_path(path), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+#: cells per block of the CSV body; bounds the formatter's temporary arrays
+_BLOCK_CELLS = 1 << 14
+#: 10^p for p <= 22: exact doubles, as 5^22 < 2^53
+_POW10 = 10.0 ** np.arange(23)
+#: slot numbers of the 18 digit-or-dot slots of a cell, a column
+_SLOT = np.arange(18, dtype=np.uint8)[:, None]
+
+
+def _split(x):
+    """Veltkamp's split of x into hi + lo, each of at most 26 significant bits."""
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _times_pow10(x: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x 10^p exactly, as hi + lo with hi = fl(x 10^p): Dekker's two-product
+    (Dekker 1971), exact while nothing over- or underflows."""
+    hi = x * _POW10[p]
+    xh, xl = _split(x)
+    ph, pl = _POW10_HI[p], _POW10_LO[p]
+    return hi, ((xh * ph - hi) + xh * pl + xl * ph) + xl * pl
+
+
+def _csv_rows(block: np.ndarray) -> bytes:
+    """The CSV rows of ``block``: ``format(v, ".17g")`` cells joined by ","
+    and ended by "\\r\\n", as ASCII.
+
+    A cell with 1e-6 < |v| < 1e16 has a decimal exponent X in [-6, 15], so
+    its 17 significant digits are D = |v| 10^p rounded half to even, with
+    p = 16 - X in [1, 22].  X starts as floor(log10 |v|), which can be one
+    off; |v| 10^p = hi + lo, formed exactly, is then below 1e16 or not below
+    1e17, and p moves by one.  hi >= 1e16 > 2^53 is an even integer, so
+    D = hi + rint(lo) rounds the exact remainder half to even.  D never
+    rounds up to 10^17, which would take a |v| less than 5e-18 (relative)
+    below a power of ten; no double in range is closer than 8e-17.  D's
+    digits come from its two halves below 10^9 by uint32 division by 10.
+
+    Each cell is laid out in 30 byte slots, NUL where ``%g`` writes nothing:
+    the sign; "0." and -X - 1 zeros of fixed notation below 1 (X >= -4);
+    the digits, with trailing zeros dropped past the integer part, and one
+    "." after the integer part (digit X, or digit 0 in exponent notation)
+    if a digit follows it; "e-0" and the exponent digit for X < -4; the
+    separator.  Dropping the NULs leaves the text.  Every other cell (zeros,
+    |v| <= 1e-6, |v| >= 1e16) is Python's own ``format(v, ".17g")``.
+    """
+    rows, cols = block.shape
+    if cols == 0:
+        return b"\r\n" * rows
+    v = block.ravel()
+    cells = v.size
+    x = np.abs(v)
+    fast = (x > 1e-6) & (x < 1e16)
+    x[~fast] = 1.0
+    p = 16 - np.clip(np.floor(np.log10(x)).astype(np.intp), -6, 15)
+    hi, lo = _times_pow10(x, p)
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    off = np.flatnonzero(below | above)
+    if off.size:
+        p[off] += below[off].astype(np.intp) - above[off]
+        hi[off], lo[off] = _times_pow10(x[off], p[off])
+    D = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    X = 16 - p
+
+    # digits[k]: digit k of D's halves a 10^9 + b, most significant first
+    halves = np.empty((2, cells), np.uint32)
+    halves[0] = D // 10**9
+    halves[1] = D - halves[0] * np.int64(10**9)
+    digits = np.empty((2, 9, cells), np.uint8)
+    for k in range(8, -1, -1):
+        q = halves // 10
+        digits[:, k] = halves - q * 10
+        halves = q
+    digits = digits.reshape(18, cells)[1:]  # a < 10^8: its leading digit is 0
+
+    exp = X < -4
+    below_one = (X < 0) & ~exp
+    last = ((digits != 0) * _SLOT[:17]).max(axis=0)  # the last nonzero digit
+    # the dot follows digit `point`; 16 (no digit follows) below one
+    point = np.where(exp, 0, np.where(below_one, 16, X)).astype(np.uint8)
+    digits += ord("0")
+    digits *= _SLOT[:17] <= np.maximum(last, np.where(below_one, 0, point))
+
+    out = np.zeros((30, cells), np.uint8)
+    out[0] = (v < 0) * np.uint8(ord("-"))
+    out[1] = below_one * np.uint8(ord("0"))
+    out[2] = below_one * np.uint8(ord("."))
+    out[3:6] = (below_one & (np.arange(3)[:, None] < -X - 1)) * np.uint8(ord("0"))
+    mantissa = out[6:24]
+    mantissa[:17] = digits * (_SLOT[:17] <= point)
+    mantissa[2:] += digits[1:] * (_SLOT[2:] > point + 1)
+    mantissa += (_SLOT == point + 1) * ((last > point) * np.uint8(ord(".")))
+    out[24] = exp * np.uint8(ord("e"))
+    out[25] = exp * np.uint8(ord("-"))
+    out[26] = exp * np.uint8(ord("0"))
+    out[27] = exp * (ord("0") - X).astype(np.uint8)
+    ends = out[28:].reshape(2, rows, cols)
+    ends[0, :, :-1] = ord(",")
+    ends[:, :, -1] = np.array([[ord("\r")], [ord("\n")]])
+    out = out.T.copy()
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = np.array([format(s, ".17g").encode() for s in v[slow].tolist()], dtype="S28")
+        out[slow, :28] = text.view(np.uint8).reshape(-1, 28)
+    return out.tobytes().translate(None, b"\0")
 
 
 def load_samples_csv(path) -> SampleSet:

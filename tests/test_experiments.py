@@ -1,4 +1,5 @@
 """Experiment harness: spec handling, sweeps, determinism, results CSV."""
+import concurrent.futures
 import csv
 import json
 import os
@@ -331,7 +332,8 @@ def pool_sizes(monkeypatch):
         def map(self, fn, *iterables, chunksize=1):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    # run_experiment imports the pool from concurrent.futures when it opens one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
 
 

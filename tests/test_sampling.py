@@ -2,12 +2,15 @@
 import csv
 import io
 import json
+import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import girth7_grid
 from gridtopo.estimation import empirical_covariance, estimate_concentration, graphical_lasso, select_lambda
 from gridtopo.exceptions import (
     InvalidInjectionStatsError,
@@ -31,6 +34,7 @@ from gridtopo.powerflow import (
     whitened_system,
 )
 from gridtopo.sampling import (
+    _BLOCK_CELLS,
     SampleCovariance,
     SampleSet,
     derive_trial_seed,
@@ -41,6 +45,7 @@ from gridtopo.sampling import (
     load_samples_csv,
     sidecar_path,
     write_samples_csv,
+    _csv_rows,
 )
 
 
@@ -439,6 +444,93 @@ def test_csv_bytes_match_reference_writer_on_edge_values(tmp_path, radial20):
     data = np.array([edge, edge[::-1]])
     s = SampleSet(data, dc_labels(radial20)[:5], "dc", 0, "h")
     _assert_bytes_and_roundtrip(s, tmp_path / "s.csv")
+
+
+@pytest.mark.parametrize("model", ["dc", "lc"])
+def test_csv_bytes_match_reference_writer_on_a_100_bus_grid(tmp_path, model):
+    # 1 001 rows are several blocks, the last one short
+    grid = girth7_grid()
+    s = generate_voltage_samples(grid, InjectionStats.uniform(grid), model, 1001, seed=3)
+    assert s.n % (_BLOCK_CELLS // s.dim) != 0
+    _assert_bytes_and_roundtrip(s, tmp_path / "s.csv")
+
+
+def test_csv_bytes_match_reference_writer_across_blocks(tmp_path, radial20):
+    # one row, two full blocks, and two blocks and 5 rows, of 3 columns, with
+    # every kind of cell: zeros, subnormals, the formatter's range, 1e308
+    rng = np.random.default_rng(8)
+    rows = _BLOCK_CELLS // 3
+    for n in (1, 2 * rows, 2 * rows + 5):
+        data = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-320, 308, (n, 3))
+        data[rng.random((n, 3)) < 0.01] = 0.0
+        s = SampleSet(data, dc_labels(radial20)[:3], "dc", 0, "h")
+        _assert_bytes_and_roundtrip(s, tmp_path / "s.csv")
+
+
+def _reference_rows(block: np.ndarray) -> str:
+    return "".join(",".join(format(v, ".17g") for v in row) + "\r\n" for row in block.tolist())
+
+
+def _assert_rows_match_python_format(block: np.ndarray):
+    text = _csv_rows(block).decode("ascii")
+    # cell by cell first, so a failure names the cell
+    assert [row.split(",") for row in text.split("\r\n")] == (
+        [[format(v, ".17g") for v in row] for row in block.tolist()] + [[""]])
+    assert text == _reference_rows(block)
+
+
+FINITE_BITS = (st.integers(0, 2**64 - 1)
+               .map(lambda b: float(np.array(b, np.uint64).view(np.float64)))
+               .filter(math.isfinite))
+# the last two draw mostly cells in the formatter's range, 1e-6 < |v| < 1e16
+CELLS = (st.floats(allow_nan=False, allow_infinity=False) | FINITE_BITS
+         | st.floats(1e-7, 1e17) | st.floats(-1e17, -1e-7))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.data())
+def test_csv_rows_match_python_format(data):
+    shape = data.draw(st.sampled_from([(1, 1), (1, 7), (7, 1)]) | st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    cells = data.draw(st.lists(CELLS, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    _assert_rows_match_python_format(np.array(cells, dtype=float).reshape(shape))
+
+
+def _largest_double_below(t: Fraction) -> float:
+    x = float(t)
+    return float(np.nextafter(x, 0.0)) if Fraction(x) >= t else x
+
+
+#: zero, the smallest subnormal and normal, 1e308, both sides of 1e-6 and
+#: 1e16 (the formatter's range), the fixed/exponent switch at 1e-4, the
+#: powers of ten in range and the largest double below each, 1e17, and two
+#: ties at the 18th digit; the test adds their negatives
+EDGE_CELLS = ([0.0, 5e-324, 2.2250738585072014e-308, 1e308,
+               float(np.nextafter(1e-6, 0.0)), 1e-6, float(np.nextafter(1e-6, 1.0)),
+               float(np.nextafter(1e16, 0.0)), 1e16, float(np.nextafter(1e16, np.inf)),
+               9.9999999999999995e-5, 1e-4, 9999999999999998.0, 1e17,
+               123456789012345.625, 123456789012345.875]
+              + [_largest_double_below(Fraction(10) ** m) for m in range(-5, 17)]
+              + [10.0 ** m for m in range(-5, 16)])
+
+
+def test_csv_rows_match_python_format_on_edge_cells():
+    cells = np.array(EDGE_CELLS + [-v for v in EDGE_CELLS])
+    for shape in ((1, cells.size), (cells.size, 1), (2, cells.size // 2)):
+        _assert_rows_match_python_format(cells.reshape(shape))
+    for v in cells:
+        _assert_rows_match_python_format(np.array([[v]]))
+    assert _csv_rows(np.empty((3, 0))).decode("ascii") == _reference_rows(np.empty((3, 0)))
+    assert _csv_rows(np.array([[123456789012345.625, -123456789012345.875]])) == (
+        b"123456789012345.62,-123456789012345.88\r\n")
+    assert _csv_rows(np.array([[9.9999999999999995e-5, 1e-4, -0.0]])) == b"9.9999999999999991e-05,0.0001,-0\r\n"
+
+
+@pytest.mark.parametrize("m", range(-5, 17))
+def test_no_cell_in_the_formatters_range_rounds_up_to_a_power_of_ten(m):
+    # _csv_rows has no carry: 17 digits of the largest double below 10^m
+    # stay below 10^m, so no double below it rounds up either
+    below = _largest_double_below(Fraction(10) ** m)
+    assert Fraction(10) ** m - Fraction(below) > Fraction(10) ** (m - 17) / 2
 
 
 def test_load_requires_sidecar(tmp_path, radial20):

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import ConfigError, ModelMismatchError, RankDeficiencyError
+from .exceptions import ConfigError, ModelMismatchError, RankDeficiencyError, read_json_object
 from .powerflow import ConcentrationMatrix, parse_label
 from .sampling import SampleCovariance, SampleSet
 # re-exported: the zero-mean covariance is defined next to the samples
@@ -270,11 +270,8 @@ class EstimatedConcentration:
             raise ValueError(f"n_samples must be positive, got {self.n_samples}")
         object.__setattr__(self, "objective_trace", tuple(self.objective_trace))
 
-    def to_dict(self) -> dict:
-        return {"matrix": self.concentration.matrix.tolist(), **self._record()}
-
     def _record(self) -> dict:
-        """Every field of :meth:`to_dict` but the matrix, in its order."""
+        """Every field of the estimate JSON document but the matrix, in its order."""
         return {
             "labels": [lab.text for lab in self.concentration.labels],
             "model": self.concentration.model,
@@ -293,8 +290,8 @@ class EstimatedConcentration:
         n = doc["n_samples"]
         if not isinstance(n, int) or isinstance(n, bool):
             raise ValueError(f"n_samples must be an integer, got {n!r}")
-        conc = ConcentrationMatrix(np.asarray(doc["matrix"], dtype=float),
-                                   tuple(parse_label(t) for t in doc["labels"]), str(doc["model"]))
+        matrix = np.asarray(doc["matrix"], dtype=float)
+        conc = ConcentrationMatrix(matrix, tuple(parse_label(t) for t in doc["labels"]), str(doc["model"]))
         record = {key: doc.get(key, default) for key, (default, _, _) in _RECORD.items()}
         for key, (_, kind, ok) in _RECORD.items():
             if not ok(record[key]):
@@ -302,12 +299,14 @@ class EstimatedConcentration:
         method = doc["method"]
         if method not in ("direct", "glasso") or not isinstance(method, str):
             raise ValueError(f"method must be 'direct' or 'glasso', got {method!r}")
+        if matrix.ndim != 2:  # a ConcentrationMatrix may be a (T, d, d) stack; an estimate is not
+            raise ValueError(f"matrix must be 2-D, got shape {matrix.shape}")
         record["lam"] = float(record.pop("lambda"))
         return cls(concentration=conc, method=method, n_samples=n, **record)
 
 
 def write_estimate_json(est: EstimatedConcentration, path) -> None:
-    """``json.dump(est.to_dict(), fh, indent=2)`` and a newline, byte for byte, with
+    """``write_json({"matrix": J.tolist(), **est._record()}, path)``, byte for byte, with
     the matrix (the document's first null) written row by row from J's pairs: each
     stored entry formatted once, as json's ``repr``, and mirrored; the rest read 0.0."""
     J, d = est.concentration.pairs, est.concentration.dim
@@ -325,17 +324,8 @@ def write_estimate_json(est: EstimatedConcentration, path) -> None:
 
 def load_estimate_json(path) -> EstimatedConcentration:
     """Read an estimate JSON back; malformed files raise :class:`ConfigError`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: estimate must be a JSON object")
     try:
-        return EstimatedConcentration.from_dict(doc)
+        return EstimatedConcentration.from_dict(read_json_object(path, ConfigError))
     except KeyError as exc:
         raise ConfigError(f"{path}: missing field {exc.args[0]!r}") from None
     except (TypeError, ValueError, OverflowError, ModelMismatchError) as exc:

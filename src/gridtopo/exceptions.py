@@ -1,8 +1,9 @@
-"""Exception hierarchy for gridtopo.
+"""Exception hierarchy for gridtopo, and the JSON file reader and writer its modules share.
 
 Everything raised on purpose derives from :class:`GridTopoError`, so callers
 (and the CLI) can catch one type and still let genuine bugs escape.
 """
+import json
 
 
 class GridTopoError(Exception):
@@ -55,3 +56,26 @@ class SampleFormatError(GridTopoError):
 
 class ConfigError(GridTopoError):
     """An experiment or solver configuration is invalid."""
+
+
+def read_json_object(path, error: type[GridTopoError]) -> dict:
+    """The JSON object in file ``path``.  A file that is not UTF-8 JSON text,
+    or holds a JSON value other than an object, raises ``error`` with a
+    message that starts with the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def write_json(doc, path, sort_keys: bool = False) -> None:
+    """``doc`` as JSON indented by 2, and a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")

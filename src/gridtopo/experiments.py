@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import csv
 import datetime
-import json
 import numbers
 import os
 from dataclasses import asdict, dataclass
@@ -36,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .estimation import ESTIMATORS, EstimatedConcentration, estimate_concentration, parse_lambda, rank_deficiency
-from .exceptions import ConfigError, GridTopoError
+from .exceptions import ConfigError, GridTopoError, read_json_object, write_json
 from .grid import BUILTIN_GRIDS, Grid, builtin_grid, grid_hash, load_grid
 from .learning import (
     LearnedTopology,
@@ -49,7 +48,7 @@ from .learning import (
     resolve_tau2,
 )
 from .powerflow import ConcentrationMatrix, InjectionStats, dc_concentration, lc_concentration
-from .sampling import DrawPlan, derive_trial_seed, draw_plan, draw_sample_covariance
+from .sampling import DrawPlan, derive_trial_seed, draw_plan, draw_sample_covariance, sidecar_path
 
 # Not called here: imported only so the traced benchmark run finds these
 # names on this module (perfbench/spans.py TARGETS).
@@ -150,16 +149,7 @@ class ExperimentSpec:
 
 
 def load_experiment_config(path) -> ExperimentSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    return ExperimentSpec.from_dict(doc)
+    return ExperimentSpec.from_dict(read_json_object(path, ConfigError))
 
 
 def resolve_grid(name_or_path: str) -> Grid:
@@ -373,6 +363,4 @@ def write_results_csv(result: ExperimentResult, path) -> None:
             f"{r.n}/{r.trial}": r.error for r in result.records if r.error is not None
         },
     }
-    with open(f"{path}.meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(meta, sidecar_path(path), sort_keys=True)

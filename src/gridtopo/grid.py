@@ -26,6 +26,8 @@ from .exceptions import (
     InvalidLineError,
     UnknownBusError,
     UnknownGridError,
+    read_json_object,
+    write_json,
 )
 
 BUILTIN_GRIDS = ("radial20", "loopy20_c4", "loopy20_c7", "ieee14")
@@ -401,14 +403,7 @@ def _entry_columns(entries: list) -> tuple[list, list, list, list]:
 
 def load_grid(path) -> Grid:
     """Load a grid JSON file; see ``grid_from_dict`` for the expected shape."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise GridFileError(f"{path}: invalid JSON: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise GridFileError(f"{path}: not UTF-8 text: {exc}") from None
-    return grid_from_dict(doc)
+    return grid_from_dict(read_json_object(path, GridFileError))
 
 
 def grid_to_dict(grid: Grid) -> dict:
@@ -423,9 +418,7 @@ def grid_to_dict(grid: Grid) -> dict:
 
 
 def save_grid(grid: Grid, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(grid_to_dict(grid), fh, indent=2)
-        fh.write("\n")
+    write_json(grid_to_dict(grid), path)
 
 
 def builtin_grid(name: str) -> Grid:

@@ -20,7 +20,6 @@ fp/fn scoring of reconstructions against ground truth.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -30,7 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .estimation import EstimatedConcentration
-from .exceptions import AmbiguousLeafError, ConfigError, GridStructureError, GridTopoError, ReconstructionError
+from .exceptions import (AmbiguousLeafError, ConfigError, GridStructureError, GridTopoError, ReconstructionError,
+                         write_json)
 from .grid import Grid, laplacian_entries
 from .powerflow import (
     ConcentrationMatrix,
@@ -273,9 +273,7 @@ class LearnedTopology:
 
 
 def write_topology_json(topo: LearnedTopology, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(topo.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(topo.to_dict(), path)
 
 
 @dataclass(frozen=True)

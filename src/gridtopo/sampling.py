@@ -29,8 +29,6 @@ at a time in numpy, byte for byte as Python does (:func:`_csv_rows`).
 from __future__ import annotations
 
 import csv
-import io
-import json
 import math
 import numbers
 import warnings
@@ -40,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .exceptions import ConfigError, SampleFormatError
+from .exceptions import ConfigError, SampleFormatError, read_json_object, write_json
 from .grid import Grid, grid_hash
 from .powerflow import (
     InjectionStats,
@@ -203,6 +201,8 @@ def generate_voltage_samples(
     """
     if n <= 0:
         raise SampleFormatError(f"sample count must be positive, got {n}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     plan = draw_plan(grid, stats, model)
     z = np.random.default_rng(int(seed)).standard_normal((n, 2 * stats.n))
     return SampleSet(data=z @ _sample_map(plan), labels=plan.labels, model=model,
@@ -256,17 +256,16 @@ def sidecar_path(path) -> str:
 def write_samples_csv(samples: SampleSet, path) -> None:
     """Write samples as CSV (one labeled column per variable) plus sidecar.
 
-    The header is ``csv.writer``'s row of labels.  The body is the text
-    ``csv.writer`` gives for ``format(v, ".17g")`` cells, formatted
-    :data:`_BLOCK_CELLS` cells at a time by :func:`_csv_rows`.  The sidecar
-    ``<path>.meta.json`` records grid hash, model kind, seed and sample
-    count so downstream stages can refuse mismatched inputs.
+    The header is the labels joined by commas (no label needs CSV quoting).
+    The body is the text ``csv.writer`` gives for ``format(v, ".17g")``
+    cells, formatted :data:`_BLOCK_CELLS` cells at a time by :func:`_csv_rows`.
+    The sidecar ``<path>.meta.json`` records grid hash, model kind, seed and
+    sample count; reading checks the count and the model, and the grid hash
+    is provenance that no stage reads.
     """
-    header = io.StringIO()
-    csv.writer(header).writerow([lab.text for lab in samples.labels])
     rows = max(1, _BLOCK_CELLS // max(samples.dim, 1))
     with open(path, "wb") as fh:
-        fh.write(header.getvalue().encode("utf-8"))
+        fh.write((",".join(lab.text for lab in samples.labels) + "\r\n").encode())
         for start in range(0, samples.n, rows):
             fh.write(_csv_rows(samples.data[start:start + rows]))
     meta = {
@@ -275,9 +274,7 @@ def write_samples_csv(samples: SampleSet, path) -> None:
         "seed": samples.seed,
         "n": samples.n,
     }
-    with open(sidecar_path(path), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(meta, sidecar_path(path), sort_keys=True)
 
 
 #: cells per block of the CSV body; bounds the formatter's temporary arrays
@@ -443,16 +440,9 @@ def _read_sidecar(path) -> dict:
     provenance field, whose ``n`` and ``seed`` are integers."""
     sc = sidecar_path(path)
     try:
-        with open(sc, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
+        meta = read_json_object(sc, SampleFormatError)
     except FileNotFoundError:
         raise SampleFormatError(f"missing metadata sidecar {sc}") from None
-    except json.JSONDecodeError as exc:
-        raise SampleFormatError(f"{sc}: invalid JSON: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise SampleFormatError(f"{sc}: not UTF-8 text: {exc}") from None
-    if not isinstance(meta, dict):
-        raise SampleFormatError(f"{sc}: expected a JSON object, got {type(meta).__name__}")
     for field in ("grid_hash", "model_kind", "seed", "n"):
         if field not in meta:
             raise SampleFormatError(f"{sc}: missing field {field!r}")
@@ -468,7 +458,8 @@ def _row_fault(path, labels: tuple[VarLabel, ...], fallback: str) -> str:
 
     Only called once the bulk parse has failed, to say where; ``fallback``
     is the message when this scan finds no fault.  Rows are numbered from 1
-    after the header; blank lines count but are skipped.
+    after the header; blank lines count but are skipped.  A number is one
+    ``np.loadtxt`` reads: ``float()``'s, in ASCII and without "_" separators.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -479,8 +470,11 @@ def _row_fault(path, labels: tuple[VarLabel, ...], fallback: str) -> str:
             if len(row) != len(labels):
                 return f"row {k} has {len(row)} fields, expected {len(labels)}"
             for lab, v in zip(labels, row):
+                cell = v.strip()
                 try:
-                    x = float(v)
+                    if "_" in cell or not cell.isascii():
+                        raise ValueError
+                    x = float(cell)
                 except ValueError:
                     return f"row {k}, column {lab.text}: {v!r} is not a number"
                 if not math.isfinite(x):

@@ -10,6 +10,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from gridtopo.estimation import EstimatedConcentration
 from gridtopo.exceptions import GridFileError, GridStructureError, InvalidLineError
 from gridtopo.grid import Grid, Line, builtin_grid, conductance, laplacian_entries, make_grid, susceptance
 from gridtopo.learning import EdgeCertificate, LearnedTopology, SufficiencyReport
@@ -59,6 +60,12 @@ def load_topology_json(path) -> LearnedTopology:
     buses = tuple(doc["buses"])
     return LearnedTopology(buses, adjacency_of(buses, doc["edges"]), doc["algorithm"],
                            doc.get("params", {}))
+
+
+def estimate_dict(est: EstimatedConcentration) -> dict:
+    """The estimate JSON document of ``est`` as plain data, dense matrix first:
+    ``write_estimate_json`` writes its ``json.dumps(..., indent=2)`` and a newline."""
+    return {"matrix": est.concentration.matrix.tolist(), **est._record()}
 
 
 def oracle_grid_views(doc) -> dict:

@@ -171,6 +171,32 @@ def test_every_file_that_is_not_utf8_fails_with_an_error_naming_it(runner, tmp_p
     assert payload["message"].startswith(f"{path}: not UTF-8 text: ")
 
 
+@pytest.mark.parametrize("command,target,text", [
+    (["grid", "validate", "{tmp}/bad.json"], "bad.json", "GridFileError"),
+    (["learn", "--conc", "{tmp}/bad.json"], "bad.json", "ConfigError"),
+    (["experiment", "--config", "{tmp}/bad.json", "--out", "{tmp}/r.csv"], "bad.json", "ConfigError"),
+    (["estimate", "--samples", "{tmp}/s.csv", "--out", "{tmp}/e.json"], "s.csv.meta.json",
+     "SampleFormatError"),
+], ids=["grid", "estimate", "config", "sidecar"])
+@pytest.mark.parametrize("doc,kind", [("[]", "list"), ("5", "int"), ('"grid"', "str"), ("null", "NoneType")])
+def test_every_json_input_that_is_not_an_object_fails_with_one_message(runner, tmp_path, command, target, text,
+                                                                      doc, kind):
+    invoke_ok(runner, ["sample", "--grid", "radial20", "--n", "30", "--out", str(tmp_path / "s.csv")])
+    path = tmp_path / target
+    path.write_text(doc + "\n", encoding="utf-8")
+    result = runner.invoke(main, [a.format(tmp=tmp_path) for a in command])
+    assert result.stderr.count("\n") == 1
+    assert stderr_error(result) == {"error": text, "message": f"{path}: expected a JSON object, got {kind}"}
+
+
+def test_sample_rejects_a_negative_seed(runner, tmp_path):
+    out = tmp_path / "s.csv"
+    result = runner.invoke(main, ["sample", "--grid", "radial20", "--seed", "-1", "--out", str(out)])
+    assert result.stderr.count("\n") == 1
+    assert stderr_error(result) == {"error": "ConfigError", "message": "seed must be non-negative, got -1"}
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_sample_row_that_is_not_utf8_fails_with_an_error_naming_the_file(runner, tmp_path):
     # past the reader's first buffer, so the bad byte reaches the row parser
     csv_path = tmp_path / "s.csv"
@@ -360,10 +386,13 @@ ESTIMATE_DOC = '{"matrix": %s, "labels": [%s], "model": "dc", "method": "direct"
          "concentration matrix entry (theta_1, theta_2) is inf, not a finite number"),
         (ESTIMATE_DOC.replace('"dc"', '"ac"') % ('[[1.0]]', '"theta_1"'),
          "model must be 'dc' or 'lc', got 'ac'"),
+        (ESTIMATE_DOC % ('[[[2.0, 1.0], [1.0, 2.0]], [[2.0, 1.0], [1.0, 2.0]]]', '"theta_1", "theta_2"'),
+         "matrix must be 2-D, got shape (2, 2, 2)"),
+        ("[1, 2]", "expected a JSON object, got list"),
     ],
     ids=["invalid-json", "missing-field", "asymmetric", "not-pd", "bad-label", "non-numeric",
          "zero-samples", "lc-without-v", "repeated-bus", "unknown-method", "integer-method",
-         "nan-pair", "inf-pair", "unknown-model"],
+         "nan-pair", "inf-pair", "unknown-model", "stacked-matrix", "list-document"],
 )
 def test_learn_rejects_malformed_estimate(runner, tmp_path, text, match):
     path = tmp_path / "bad.json"

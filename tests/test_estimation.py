@@ -1,11 +1,13 @@
 """Covariance estimation and the graphical lasso solver."""
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import estimate_dict
 from gridtopo.estimation import (
     EstimatedConcentration,
     GlassoConfig,
@@ -43,6 +45,9 @@ def test_empirical_covariance_zero_mean_form():
     np.testing.assert_allclose(empirical_covariance(x), np.outer(x[0], x[0]))
     two = np.array([[1.0, 0.0], [0.0, 2.0]])
     np.testing.assert_allclose(empirical_covariance(two), [[0.5, 0.0], [0.0, 2.0]])
+    for bad, shape in ((np.ones(3), "(3,)"), (np.ones((0, 2)), "(0, 2)")):
+        with pytest.raises(ConfigError, match=re.escape(f"need a non-empty 2-d sample matrix, got shape {shape}")):
+            empirical_covariance(bad)
 
 
 def test_invert_covariance_matches_numpy():
@@ -264,15 +269,15 @@ def test_glasso_returns_the_kkt_of_its_solution(all_builtins, model, n):
 
 
 def test_estimate_stores_the_matrix_its_estimator_returned(radial20):
-    # one J per estimate: to_dict writes the estimator's own array bit for bit
+    # one J per estimate: the document holds the estimator's own array bit for bit
     st = InjectionStats.uniform(radial20)
     s = generate_voltage_samples(radial20, st, "dc", 300, seed=5)
     cov = empirical_covariance(s.data)
     direct = estimate_concentration(s, method="direct")
-    assert np.array_equal(np.array(direct.to_dict()["matrix"]), invert_covariance(cov))
+    assert np.array_equal(np.array(estimate_dict(direct)["matrix"]), invert_covariance(cov))
     glasso = estimate_concentration(s, method="glasso", lam=0.05)
     S, info = graphical_lasso(cov, 0.05)
-    assert np.array_equal(np.array(glasso.to_dict()["matrix"]), S)
+    assert np.array_equal(np.array(estimate_dict(glasso)["matrix"]), S)
     assert glasso.kkt == info["kkt"]
 
 
@@ -363,7 +368,7 @@ def test_select_lambda_rate(radial20):
 def test_estimate_auto_is_the_direct_estimate(radial20):
     st = InjectionStats.uniform(radial20)
     s = generate_voltage_samples(radial20, st, "dc", 50, seed=1)
-    assert estimate_concentration(s).to_dict() == estimate_concentration(s, "direct").to_dict()
+    assert estimate_dict(estimate_concentration(s)) == estimate_dict(estimate_concentration(s, "direct"))
     with pytest.raises(RankDeficiencyError, match="18 samples of 19 variables .* needs n >= 19"):
         estimate_concentration(generate_voltage_samples(radial20, st, "dc", 18, seed=1))
     # the graphical lasso runs on request only, with the rate-driven penalty
@@ -394,7 +399,7 @@ def test_estimate_auto_never_runs_the_graphical_lasso(monkeypatch, name, model):
             outcome = {}
             for method in ("auto", "direct"):
                 try:
-                    outcome[method] = estimate_concentration(x, method).to_dict()
+                    outcome[method] = estimate_dict(estimate_concentration(x, method))
                 except RankDeficiencyError as exc:
                     outcome[method] = str(exc)
             assert outcome["auto"] == outcome["direct"]
@@ -463,7 +468,7 @@ def test_estimate_json_is_the_indented_dump(tmp_path, name, model):
     s = generate_voltage_samples(g, InjectionStats.uniform(g), model, 2000, seed=3)
     est = estimate_concentration(s, method="direct")
     write_estimate_json(est, tmp_path / "est.json")
-    assert (tmp_path / "est.json").read_bytes() == (json.dumps(est.to_dict(), indent=2) + "\n").encode()
+    assert (tmp_path / "est.json").read_bytes() == (json.dumps(estimate_dict(est), indent=2) + "\n").encode()
 
 
 def test_glasso_estimate_json_is_the_indented_dump(tmp_path, radial20):
@@ -471,7 +476,7 @@ def test_glasso_estimate_json_is_the_indented_dump(tmp_path, radial20):
     est = estimate_concentration(s, "glasso")
     assert est.objective_trace and est.kkt
     write_estimate_json(est, tmp_path / "est.json")
-    assert (tmp_path / "est.json").read_bytes() == (json.dumps(est.to_dict(), indent=2) + "\n").encode()
+    assert (tmp_path / "est.json").read_bytes() == (json.dumps(estimate_dict(est), indent=2) + "\n").encode()
 
 
 ESTIMATE_DOC = '{"matrix": %s, "labels": [%s], "model": "dc", "method": "direct", "n_samples": 5}'
@@ -524,13 +529,18 @@ ONE_BY_ONE = ESTIMATE_DOC % ("[[1.0]]", '"theta_1"')
         (ESTIMATE_DOC % ('[[1.0, Infinity], [Infinity, 1.0]]', '"theta_1", "theta_2"'),
          r"concentration matrix entry \(theta_1, theta_2\) is inf, not a finite number"),
         (ONE_BY_ONE.replace('"dc"', '"ac"'), "model must be 'dc' or 'lc', got 'ac'"),
+        (ESTIMATE_DOC % ('[[[2.0, 1.0], [1.0, 2.0]], [[2.0, 1.0], [1.0, 2.0]]]', '"theta_1", "theta_2"'),
+         re.escape("matrix must be 2-D, got shape (2, 2, 2)")),
+        (ESTIMATE_DOC % ('[[1.0, 0.0], [0.0, 1.0]]', '"theta_1"'), "concentration matrix shape does not match labels"),
+        ("[1, 2]", "expected a JSON object, got list"),
     ],
     ids=["invalid-json", "missing-labels", "asymmetric", "not-pd", "bad-label", "integer-label",
          "non-numeric", "zero-samples", "lc-without-v", "repeated-bus", "fractional-samples", "string-samples",
          "bool-samples", "huge-entry", "string-converged", "integer-converged", "fractional-iterations",
          "bool-iterations", "string-lambda", "bool-lambda", "negative-lambda", "nan-lambda", "huge-lambda",
          "integer-termination", "string-trace", "trace-with-a-string", "list-kkt", "unknown-method",
-         "integer-method", "nan-pair", "inf-pair", "unknown-model"],
+         "integer-method", "nan-pair", "inf-pair", "unknown-model", "stacked-matrix", "shape-mismatch",
+         "list-document"],
 )
 def test_load_estimate_json_rejects_malformed_files(tmp_path, text, match):
     path = tmp_path / "bad.json"

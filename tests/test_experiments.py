@@ -3,6 +3,7 @@ import concurrent.futures
 import csv
 import json
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -137,7 +138,7 @@ def test_load_experiment_config(tmp_path):
     spec = load_experiment_config(p)
     assert spec.grid == "ieee14" and spec.trials == 3
     p.write_text("[1, 2]")
-    with pytest.raises(ConfigError, match="JSON object"):
+    with pytest.raises(ConfigError, match=re.escape(f"{p}: expected a JSON object, got list")):
         load_experiment_config(p)
     p.write_text("{oops")
     with pytest.raises(ConfigError, match="invalid JSON"):

@@ -4,7 +4,7 @@ import itertools
 import json
 import math
 import re
-from collections import deque
+from collections import OrderedDict, deque
 from pathlib import Path
 
 import numpy as np
@@ -414,6 +414,7 @@ def test_every_way_in_rejects_a_singular_grid(case, tmp_path):
          r"lines\[0\]: r and x must fit in a float"),
         ({"reference": 0, "buses": [0, 1], "lines": [], "name": None}, "^name must be a string, got None$"),
         ({"reference": 0, "buses": [0, 1], "lines": [], "name": 5}, "^name must be a string, got 5$"),
+        ({"reference": 0, "buses": [0, 1], "lines": {}}, "^lines must be a list of objects$"),
     ],
 )
 def test_grid_from_dict_rejects_bad_documents(doc, match):
@@ -501,6 +502,18 @@ def test_load_grid_rejects_bad_json(tmp_path):
     p.write_text("{not json")
     with pytest.raises(GridFileError, match="invalid JSON"):
         load_grid(p)
+    p.write_text("[]")
+    with pytest.raises(GridFileError, match=re.escape(f"{p}: expected a JSON object, got list")):
+        load_grid(p)
+
+
+def test_grid_from_dict_reads_line_entries_of_a_dict_subclass(loopy20_c7):
+    # the column gather takes plain dicts only; any other mapping type is
+    # read entry by entry, to the same grid
+    doc = grid_to_dict(loopy20_c7)
+    doc["lines"] = [OrderedDict(entry) for entry in doc["lines"]]
+    g = grid_from_dict(doc)
+    assert g.lines == loopy20_c7.lines and grid_hash(g) == grid_hash(loopy20_c7)
 
 
 def test_require_bus(radial20):

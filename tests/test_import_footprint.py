@@ -1,6 +1,8 @@
 """Import footprint: starting the CLI, loading and checking a grid file,
 running a sweep trial and taking a direct estimate load no scipy module,
-and, with the sweep in one process, no multiprocessing module."""
+and, with the sweep in one process, no multiprocessing module.  And import
+hygiene: no package module keeps an import that nothing reads."""
+import ast
 import json
 import os
 import subprocess
@@ -68,3 +70,35 @@ def test_one_process_sweep_loads_no_multiprocessing(probed):
         "measured at +2.0 MB RSS and about 20 ms of import for every CLI run; import the "
         "pool only where a sweep opens it (`workers > 1`)."
     )
+
+
+def unused_imports(source: str) -> list[str]:
+    """The module-level imports of ``source`` whose bound name no expression
+    reads, as ``line: name``.  A ``from __future__`` import, and a name on a
+    line marked ``# noqa: F401`` (kept so that a tracer can patch it there),
+    do not count."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", "") == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                unused.append(f"{alias.lineno}: {name}")
+    return unused
+
+
+@pytest.mark.parametrize("path", sorted(p for p in (SRC / "gridtopo").glob("*.py") if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_no_module_keeps_an_unused_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_unused_import_check_finds_what_it_should():
+    source = ("from __future__ import annotations\nimport io\nimport json\nimport numpy as np\n"
+              "import importlib.util\nfrom .a import (\n    b,\n    c,  # noqa: F401\n)\n"
+              "x = np.zeros(1)\nimportlib.util.find_spec('x')\n")
+    assert unused_imports(source) == ["2: io", "3: json", "7: b"]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import girth7_grid
+from conftest import estimate_dict, girth7_grid
 from gridtopo.estimation import empirical_covariance, estimate_concentration, graphical_lasso, select_lambda
 from gridtopo.exceptions import (
     InvalidInjectionStatsError,
@@ -46,6 +46,7 @@ from gridtopo.sampling import (
     sidecar_path,
     write_samples_csv,
     _csv_rows,
+    _row_fault,
 )
 
 
@@ -324,7 +325,7 @@ def test_estimate_reads_the_covariance_its_input_holds(radial20):
     s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), "dc", 64, seed=3)
     held = SampleCovariance(factor=np.sqrt(s.n) * np.linalg.cholesky(s.covariance).T,
                             system=np.eye(s.dim), n=s.n, labels=s.labels, model=s.model)
-    assert estimate_concentration(held, "direct").to_dict() == estimate_concentration(s, "direct").to_dict()
+    assert estimate_dict(estimate_concentration(held, "direct")) == estimate_dict(estimate_concentration(s, "direct"))
     np.testing.assert_allclose(held.covariance, s.covariance, rtol=1e-12, atol=0)
     a = estimate_concentration(s, method="glasso")
     b = estimate_concentration(held, method="glasso")
@@ -583,6 +584,16 @@ def test_load_rejects_sidecar_that_is_not_an_object(tmp_path, radial20, doc):
         load_samples_csv(path)
 
 
+def test_load_rejects_sidecar_that_is_not_json(tmp_path, radial20):
+    s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), n=5, seed=0)
+    path = tmp_path / "s.csv"
+    write_samples_csv(s, path)
+    with open(sidecar_path(path), "w") as fh:
+        fh.write("{not json\n")
+    with pytest.raises(SampleFormatError, match=re.escape(f"{sidecar_path(path)}: invalid JSON: ")):
+        load_samples_csv(path)
+
+
 def test_load_rejects_malformed_csv(tmp_path, radial20):
     s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), n=5, seed=0)
     path = tmp_path / "s.csv"
@@ -601,6 +612,10 @@ def test_load_rejects_malformed_csv(tmp_path, radial20):
     fields[4] = "abc"
     path.write_text("\n".join(lines[:3] + [",".join(fields)] + lines[4:]) + "\n")
     with pytest.raises(SampleFormatError, match="row 3, column theta_5: 'abc' is not a number"):
+        load_samples_csv(path)
+    # a blank line is skipped but counted
+    path.write_text("\n".join(lines[:3] + ["", ",".join(fields)] + lines[4:]) + "\n")
+    with pytest.raises(SampleFormatError, match="row 4, column theta_5: 'abc' is not a number"):
         load_samples_csv(path)
 
     fields = lines[5].split(",")
@@ -643,6 +658,28 @@ def test_load_accepts_lf_line_ends_and_skips_blank_lines(tmp_path, radial20):
     path.write_text("\n".join(lines[:3] + [""] + lines[4:]) + "\n")
     with pytest.raises(SampleFormatError, match="claims n=5 but file has 4 rows"):
         load_samples_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662", "\uff11", "\xa01_0"])
+def test_load_names_the_cell_of_a_number_only_float_reads(tmp_path, radial20, cell):
+    # float() reads "_" separators and non-ASCII digits, np.loadtxt does not;
+    # the row scan rejects them too, so its message names the cell
+    s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), n=5, seed=0)
+    path = tmp_path / "s.csv"
+    write_samples_csv(s, path)
+    lines = path.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[2] = cell
+    path.write_text("\n".join(lines[:2] + [",".join(fields)] + lines[3:]) + "\n", encoding="utf-8")
+    with pytest.raises(SampleFormatError, match=re.escape(f"{path}: row 2, column theta_3: {cell!r} is not a number")):
+        load_samples_csv(path)
+
+
+def test_row_scan_of_a_well_formed_file_gives_the_fallback(tmp_path, radial20):
+    s = generate_voltage_samples(radial20, InjectionStats.uniform(radial20), n=5, seed=0)
+    path = tmp_path / "s.csv"
+    write_samples_csv(s, path)
+    assert _row_fault(path, s.labels, "no fault found") == "no fault found"
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
